@@ -56,6 +56,7 @@ from .spectro import (
     SpectroError,
     add_noise,
     calibrate,
+    component_integrals,
     component_regions,
     fourier,
     imbalance_to_populations,

@@ -1,5 +1,5 @@
-"""Entanglement certification, equivalent-condition solvers, and ortho/para
-statistics.
+"""Entanglement certification, closed-form equivalent conditions, and
+ortho/para statistics.
 
 Entanglement of formation is reported in bits (base-2 entropy). The
 polarization-to-temperature/field mapping uses single-spin polarization
@@ -26,8 +26,8 @@ from .states import (
 
 ENTANGLE_TOL = 1e-10
 
-# temperatures above this are reported as the sentinel itself: the solver
-# bracket top, meaning "effectively infinite" (reached only as epsilon -> 0)
+# temperatures above this are reported as the sentinel itself, meaning
+# "effectively infinite" (reached only as epsilon -> 0)
 TEMP_CEILING_K = 1e9
 
 
@@ -136,56 +136,22 @@ def singlet_mixture_entangled(a: float, x: float) -> bool:
     return min_pt_eigenvalue(rho) < -ENTANGLE_TOL
 
 
-def _bisect_log(f, lo: float, hi: float, rel_tol: float = 1e-12,
-                max_iter: int = 400) -> float:
-    """Root of monotone f on [lo, hi] by bisection in log space."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ArithmeticError("root not bracketed")
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(max_iter):
-        lmid = (llo + lhi) / 2
-        mid = math.exp(lmid)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            llo = lmid
-        else:
-            lhi = lmid
-        if (lhi - llo) <= rel_tol:
-            return math.exp((llo + lhi) / 2)
-    raise ArithmeticError("bisection failed to converge")
-
-
 def effective_conditions(epsilon: float, params: SpinSystemParams,
                          gamma_hz_per_t: float = GAMMA_1H_HZ_PER_T) -> EquivalentConditions:
     """Temperature (at params.nu_hz) and magnetic field (at params.temp_k)
-    at which thermal single-spin polarization tanh(h*nu/2kT) equals epsilon.
+    at which thermal single-spin polarization tanh(h*nu/2kT) equals epsilon:
+    with x = atanh(epsilon), T = h*nu / (2k*x) and nu = 2k*T*x / h.
 
     Temperatures are capped at TEMP_CEILING_K; anything at the cap means
-    "no finite answer at this precision" (epsilon ~ 0).
+    "effectively infinite" (epsilon ~ 0).
     """
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be strictly inside (0, 1)")
-
-    def pol_at_temp(t):
-        return math.tanh(PLANCK_H * params.nu_hz / (2 * BOLTZMANN_K * t)) - epsilon
-
-    floor = 1e-9
-    if pol_at_temp(TEMP_CEILING_K) >= 0:
-        temp = TEMP_CEILING_K
-    else:
-        temp = _bisect_log(pol_at_temp, floor, TEMP_CEILING_K)
-
-    def pol_at_nu(nu):
-        return math.tanh(PLANCK_H * nu / (2 * BOLTZMANN_K * params.temp_k)) - epsilon
-
-    nu = _bisect_log(pol_at_nu, 1e-3, 1e30)
+    x = math.atanh(epsilon)
+    # fold the constants before touching x: for subnormal x, 2k*x and
+    # 2k*T*x underflow to zero (a zero divisor, a zero field)
+    temp = min(PLANCK_H * params.nu_hz / (2 * BOLTZMANN_K) / x, TEMP_CEILING_K)
+    nu = 2 * BOLTZMANN_K * params.temp_k / PLANCK_H * x
     return EquivalentConditions(
         temp_k_at_field=temp,
         field_t_at_temp=nu / gamma_hz_per_t,

@@ -230,16 +230,9 @@ def filtration_sequence(params: SpinSystemParams,
 def apply(program: ChannelProgram, rho: DensityMatrix) -> DensityMatrix:
     """Left-to-right composition; every intermediate state is revalidated,
     so a defective channel raises instead of propagating garbage."""
-    m = rho.matrix
-    state = rho
     for ch in program.channels:
-        m = ch.apply_matrix(m)
-        try:
-            state = DensityMatrix(m)
-        except StateValidationError as exc:
-            raise ChannelError(f"channel {ch.label} broke state invariants: {exc}") from exc
-        m = state.matrix
-    return state
+        rho = apply_channel(ch, rho)
+    return rho
 
 
 def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:

@@ -123,17 +123,10 @@ def cmd_state(args) -> int:
     return 0
 
 
-def _fid_csv(fid: spectro.Fid) -> str:
-    lines = ["t_s,re,im"]
-    for t, v in zip(fid.times_s, fid.samples):
-        lines.append(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _spectrum_csv(spec: spectro.Spectrum) -> str:
-    lines = ["freq_hz,re,im"]
-    for f, v in zip(spec.freqs_hz, spec.values):
-        lines.append(f"{float(f)!r},{float(v.real)!r},{float(v.imag)!r}")
+def _csv(axis_name: str, axis, values) -> str:
+    lines = [f"{axis_name},re,im"]
+    for a, v in zip(axis, values):
+        lines.append(f"{float(a)!r},{float(v.real)!r},{float(v.imag)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -191,15 +184,17 @@ def cmd_run(args) -> int:
             fid = spectro.add_noise(fid, args.noise_sigma, args.seed)
         spec = spectro.fourier(fid)
         regions = spectro.component_regions(program.params)
-        integrals = [spectro.integrate(spec, lo, hi) for lo, hi in regions]
         manifest["derived"]["acquisition"] = {
             "n_points": acq.n_points, "dwell_s": acq.dwell_s,
             "component_regions_hz": [list(r) for r in regions],
-            "component_integrals": integrals,
+            "component_integrals":
+                spectro.component_integrals(spec, program.params).tolist(),
         }
         if args.csv:
-            (out / "fid.csv").write_text(_fid_csv(fid), encoding="utf-8")
-            (out / "spectrum.csv").write_text(_spectrum_csv(spec), encoding="utf-8")
+            (out / "fid.csv").write_text(
+                _csv("t_s", fid.times_s, fid.samples), encoding="utf-8")
+            (out / "spectrum.csv").write_text(
+                _csv("freq_hz", spec.freqs_hz, spec.values), encoding="utf-8")
         if args.svg:
             write_spectrum_svg(out / "spectrum.svg", spec, regions,
                                program.params, carrier_ppm=args.carrier_ppm,
@@ -312,10 +307,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (StateValidationError, ChannelError, spectro.SpectroError,
+    except (CliError, StateValidationError, ChannelError, spectro.SpectroError,
             seqdsl.CompileError, seqdsl.SequenceSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,47 +54,36 @@ def thermal_fid(params: SpinSystemParams,
     return spectro.synthesize_fid(rho, params, readout.n_points, readout.dwell_s)
 
 
-def _polarized_integrals(fid: Fid, params: SpinSystemParams,
-                         readout: ReadoutConfig) -> np.ndarray:
-    doubled = spectro.j_double(fid, params.j_hz, readout.j_double_rounds)
-    spec = spectro.fourier(doubled)
-    return np.array([spectro.integrate(spec, lo, hi)
-                     for lo, hi in spectro.component_regions(params)])
-
-
-def _thermal_integrals(fid: Fid, params: SpinSystemParams) -> np.ndarray:
-    spec = spectro.fourier(fid)
-    return np.array([spectro.integrate(spec, lo, hi)
-                     for lo, hi in spectro.component_regions(params)])
-
-
 def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
                  noise_sigma: float = 0.0, seed: int = 0, n_boot: int = 100,
                  readout: ReadoutConfig = ReadoutConfig()) -> CalibrationResult:
     """Recover the polarization of a simulated pseudo-singlet against a
     simulated thermal reference. With noise_sigma > 0, epsilon_err is the
-    standard deviation over n_boot noisy replicates (seeded)."""
+    standard deviation over n_boot noisy replicates, each drawing its two
+    noise streams from children of SeedSequence(seed)."""
     params = params or SpinSystemParams()
     cal_params = dataclasses.replace(params, f_active=1.0)
     fid_p = polarized_fid(params, epsilon, readout)
     fid_t = thermal_fid(params, readout)
 
-    def recover(fp: Fid, ft: Fid) -> float:
-        return spectro.calibrate(
-            _polarized_integrals(fp, params, readout),
-            _thermal_integrals(ft, params),
-            scan_norm=1.0, params=cal_params).epsilon
+    def integrals(fp: Fid, ft: Fid) -> tuple:
+        doubled = spectro.j_double(fp, params.j_hz, readout.j_double_rounds)
+        return (spectro.component_integrals(spectro.fourier(doubled), params),
+                spectro.component_integrals(spectro.fourier(ft), params))
 
-    result = spectro.calibrate(
-        _polarized_integrals(fid_p, params, readout),
-        _thermal_integrals(fid_t, params),
-        scan_norm=1.0, params=cal_params)
+    result = spectro.calibrate(*integrals(fid_p, fid_t), scan_norm=1.0,
+                               params=cal_params)
     if noise_sigma > 0 and n_boot > 0:
+        streams = np.random.SeedSequence(seed).spawn(2 * n_boot)
         reps = []
-        for i in range(n_boot):
-            fp = spectro.add_noise(fid_p, noise_sigma, seed + 2 * i)
-            ft = spectro.add_noise(fid_t, noise_sigma, seed + 2 * i + 1)
-            reps.append(recover(fp, ft))
+        for sp, st in zip(streams[::2], streams[1::2]):
+            ph2, th = integrals(spectro.add_noise(fid_p, noise_sigma, sp),
+                                spectro.add_noise(fid_t, noise_sigma, st))
+            # calibrate's arithmetic at scan_norm = f_active = 1, without its
+            # range check: a noisy replicate past epsilon = 1 is a sample of
+            # the spread, not a calibration to refuse
+            reps.append(np.abs(ph2).sum() / np.abs(th).sum()
+                        / result.max_enhancement)
         err = float(np.std(reps, ddof=1)) if len(reps) > 1 else 0.0
         result = dataclasses.replace(result, epsilon_err=err)
     return result

@@ -98,7 +98,7 @@ class SequenceAst:
         return dict(self.headers)
 
 
-# statement name -> (argument kinds, channel count note)
+# statement name -> argument kinds, one character per argument
 # kinds: f = finite float, t = finite float >= 0, n = int >= 1, d = float > 0,
 # T = spin target token
 _STMT_ARGS = {

@@ -109,7 +109,8 @@ def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
     return Fid(samples=out, dwell_s=dwell_s)
 
 
-def add_noise(fid: Fid, sigma: float, seed: int) -> Fid:
+def add_noise(fid: Fid, sigma: float,
+              seed: int | np.random.SeedSequence) -> Fid:
     """Additive complex Gaussian noise, explicitly seeded."""
     if sigma < 0:
         raise SpectroError("noise sigma must be non-negative")
@@ -180,6 +181,11 @@ def component_regions(params: SpinSystemParams) -> tuple:
         out.append((center - span, center))
         out.append((center, center + span))
     return tuple(out)
+
+
+def component_integrals(spectrum: Spectrum, params: SpinSystemParams) -> np.ndarray:
+    """Integrals over the four component_regions, in their order."""
+    return np.array([integrate(spectrum, lo, hi) for lo, hi in component_regions(params)])
 
 
 def line_regions(params: SpinSystemParams, j_apparent_hz: float | None = None,
@@ -270,8 +276,7 @@ def readout_integrals(rho: DensityMatrix, params: SpinSystemParams,
     prepared = apply(selective_pulse(readout.target_spin, params), rho)
     fid = synthesize_fid(prepared, params, readout.n_points, readout.dwell_s)
     fid = j_double(fid, params.j_hz, readout.j_double_rounds)
-    spec = fourier(fid)
-    return np.array([integrate(spec, lo, hi) for lo, hi in component_regions(params)])
+    return component_integrals(fourier(fid), params)
 
 
 @functools.lru_cache(maxsize=8)

@@ -224,8 +224,67 @@ def test_effective_conditions_round_trip(eps):
 
 
 def test_effective_conditions_ceiling_sentinel(params):
-    cond = effective_conditions(1e-15, params)
-    assert cond.temp_k_at_field == TEMP_CEILING_K
+    for eps in (1e-15, 1e-30, math.ulp(0.0)):
+        cond = effective_conditions(eps, params)
+        assert cond.temp_k_at_field == TEMP_CEILING_K
+        assert 0 < cond.field_t_at_temp < math.inf
+
+
+def _bisect_log(f, lo, hi, rel_tol=1e-12, max_iter=400):
+    """Root of monotone f on [lo, hi] by bisection in log space: the solver
+    effective_conditions used before its closed form."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise ArithmeticError("root not bracketed")
+    llo, lhi = math.log(lo), math.log(hi)
+    for _ in range(max_iter):
+        lmid = (llo + lhi) / 2
+        mid = math.exp(lmid)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            llo = lmid
+        else:
+            lhi = lmid
+        if (lhi - llo) <= rel_tol:
+            return math.exp((llo + lhi) / 2)
+    raise ArithmeticError("bisection failed to converge")
+
+
+def bisected_conditions(eps, params):
+    """(temperature, frequency) solving tanh(h*nu/2kT) = eps by bisection."""
+    def pol_at_temp(t):
+        return math.tanh(PLANCK_H * params.nu_hz / (2 * BOLTZMANN_K * t)) - eps
+
+    def pol_at_nu(nu):
+        return math.tanh(PLANCK_H * nu / (2 * BOLTZMANN_K * params.temp_k)) - eps
+
+    if pol_at_temp(TEMP_CEILING_K) >= 0:
+        temp = TEMP_CEILING_K
+    else:
+        temp = _bisect_log(pol_at_temp, 1e-9, TEMP_CEILING_K)
+    return temp, _bisect_log(pol_at_nu, 1e-3, 1e30)
+
+
+# above 0.9999 tanh saturates and the bisection itself loses precision
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.916,
+                                 0.99, 0.999, 0.9999])
+def test_effective_conditions_match_bisection_oracle(params, eps):
+    cond = effective_conditions(eps, params)
+    temp, nu = bisected_conditions(eps, params)
+    assert cond.temp_k_at_field == pytest.approx(temp, rel=1e-10)
+    assert cond.field_t_at_temp * GAMMA_1H_HZ_PER_T == pytest.approx(nu, rel=1e-10)
+
+
+def test_effective_conditions_finite_below_one(params):
+    cond = effective_conditions(math.nextafter(1.0, 0.0), params)
+    assert 0 < cond.temp_k_at_field <= TEMP_CEILING_K
+    assert 0 < cond.field_t_at_temp < math.inf
 
 
 def test_effective_conditions_input_validation(params):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinpair import spectro
 from spinpair.repro import (
     antiphase_recovery_fraction,
     format_repro_table,
@@ -10,7 +11,7 @@ from spinpair.repro import (
     run_pipeline,
     thermal_fid,
 )
-from spinpair.spectro import ReadoutConfig
+from spinpair.spectro import Fid, ReadoutConfig
 from spinpair.states import SpinSystemParams
 
 
@@ -45,6 +46,34 @@ def test_run_pipeline_bootstrap_deterministic(params):
     assert a.epsilon_err == b.epsilon_err
     assert a.epsilon_err > 0.0
     assert a.epsilon_err != c.epsilon_err
+
+
+def test_run_pipeline_noise_streams_independent_across_seeds(params, monkeypatch):
+    noises = []
+    real_add_noise = spectro.add_noise
+
+    def recording_add_noise(fid, sigma, seed):
+        noisy = real_add_noise(fid, sigma, seed)
+        noises.append((noisy.samples - fid.samples).tobytes())
+        return noisy
+
+    monkeypatch.setattr(spectro, "add_noise", recording_add_noise)
+    ro = ReadoutConfig(n_points=4096)
+    for seed in (0, 2):
+        run_pipeline(params, noise_sigma=1e-3, seed=seed, n_boot=4, readout=ro)
+    assert len(noises) == 16
+    assert len(set(noises)) == len(noises)
+
+
+def test_run_pipeline_bootstrap_keeps_replicates_past_epsilon_one(params, monkeypatch):
+    # scaling the first replicate's polarized signal by 1.6 calibrates it
+    # well past epsilon = 1; it widens the spread instead of aborting the run
+    scales = iter([1.6, 1.0, 1.0, 1.0])
+    monkeypatch.setattr(spectro, "add_noise", lambda fid, sigma, seed:
+                        Fid(samples=fid.samples * next(scales), dwell_s=fid.dwell_s))
+    res = run_pipeline(params, noise_sigma=1e-4, n_boot=2,
+                       readout=ReadoutConfig(n_points=4096))
+    assert res.epsilon_err == pytest.approx(0.6 * res.epsilon / np.sqrt(2), rel=1e-9)
 
 
 def test_recovery_helpers_agree():

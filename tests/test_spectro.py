@@ -13,6 +13,7 @@ from spinpair.spectro import (
     SpectroError,
     add_noise,
     calibrate,
+    component_integrals,
     component_regions,
     fourier,
     imbalance_to_populations,
@@ -167,7 +168,7 @@ def test_thermal_component_integrals(params):
     b = params.b_factor
     rho = apply_channel(hard_pulse(90.0, 90.0), make_thermal(params))
     spec = fourier(synthesize_fid(rho, params, 16384, 1 / 4096))
-    ints = [integrate(spec, lo, hi) for lo, hi in component_regions(params)]
+    ints = component_integrals(spec, params)
     # four in-phase components of B/8 each, small tail losses only
     for v in ints:
         assert v == pytest.approx(b / 8, rel=2e-3)
@@ -178,7 +179,7 @@ def test_thermal_component_integrals(params):
 def test_antiphase_component_integrals(params):
     rho = apply(selective_pulse("I", params), make_pseudo_pure(0.916, make_singlet()))
     spec = fourier(synthesize_fid(rho, params, 16384, 1 / 4096))
-    ints = [integrate(spec, lo, hi) for lo, hi in component_regions(params)]
+    ints = component_integrals(spec, params)
     # antiphase pattern +,-,-,+ with per-component amplitude
     # 0.916/4 times the half-multiplet coverage (2/pi) atan(J/fwhm)
     fwhm = 1 / (math.pi * params.t2_s)
