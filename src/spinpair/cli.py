@@ -149,6 +149,19 @@ def cmd_run(args) -> int:
     except ChannelError as exc:
         raise CliError(str(exc)) from exc
 
+    if acq is not None:
+        fid = spectro.synthesize_fid(final, program.params, acq.n_points, acq.dwell_s)
+        if args.noise_sigma > 0:
+            fid = spectro.add_noise(fid, args.noise_sigma, args.seed)
+        spec = spectro.fourier(fid)
+        regions = spectro.component_regions(program.params)
+        for lo, hi in regions:
+            if ((spec.freqs_hz >= lo) & (spec.freqs_hz <= hi)).sum() < 2:
+                raise CliError(
+                    f"{seq_path}: component region [{lo}, {hi}] Hz holds fewer "
+                    f"than 2 spectral points; acquire more points or a longer dwell")
+        integrals = spectro.component_integrals(spec, program.params)
+
     run_key = json.dumps({
         "sequence": text, "state": args.state, "seed": args.seed,
         "params": vars(params).copy(),
@@ -179,16 +192,10 @@ def cmd_run(args) -> int:
     _write_json(out / "final_state.json", _state_payload(final))
 
     if acq is not None:
-        fid = spectro.synthesize_fid(final, program.params, acq.n_points, acq.dwell_s)
-        if args.noise_sigma > 0:
-            fid = spectro.add_noise(fid, args.noise_sigma, args.seed)
-        spec = spectro.fourier(fid)
-        regions = spectro.component_regions(program.params)
         manifest["derived"]["acquisition"] = {
             "n_points": acq.n_points, "dwell_s": acq.dwell_s,
             "component_regions_hz": [list(r) for r in regions],
-            "component_integrals":
-                spectro.component_integrals(spec, program.params).tolist(),
+            "component_integrals": integrals.tolist(),
         }
         if args.csv:
             (out / "fid.csv").write_text(

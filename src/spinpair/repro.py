@@ -60,16 +60,25 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
     """Recover the polarization of a simulated pseudo-singlet against a
     simulated thermal reference. With noise_sigma > 0, epsilon_err is the
     standard deviation over n_boot noisy replicates, each drawing its two
-    noise streams from children of SeedSequence(seed)."""
+    noise streams from children of SeedSequence(seed).
+
+    epsilon_err is the spread of the abs-sum estimator, not a symmetric
+    error bar around epsilon: noise adds to every absolute component
+    integral, so when the thermal signal-to-noise ratio is low the
+    replicates are biased low (mean 0.40 against 0.913 at sigma = 1e-4).
+
+    J-doubling, the transform and the integration are linear in the FID,
+    so both channels reduce to one (4, n) map each, built once per call."""
     params = params or SpinSystemParams()
     cal_params = dataclasses.replace(params, f_active=1.0)
     fid_p = polarized_fid(params, epsilon, readout)
     fid_t = thermal_fid(params, readout)
+    w_t = spectro._integral_map(params, readout.n_points, readout.dwell_s)
+    ones = Fid(samples=np.ones(readout.n_points), dwell_s=readout.dwell_s)
+    w_p = w_t * spectro.j_double(ones, params.j_hz, readout.j_double_rounds).samples
 
     def integrals(fp: Fid, ft: Fid) -> tuple:
-        doubled = spectro.j_double(fp, params.j_hz, readout.j_double_rounds)
-        return (spectro.component_integrals(spectro.fourier(doubled), params),
-                spectro.component_integrals(spectro.fourier(ft), params))
+        return (w_p @ fp.samples).real, (w_t @ ft.samples).real
 
     result = spectro.calibrate(*integrals(fid_p, fid_t), scan_norm=1.0,
                                params=cal_params)

@@ -33,6 +33,7 @@ from .channels import (
     selective_pulse,
     zq_dephase,
 )
+from .spectro import _is_pow2
 from .states import SpinSystemParams
 
 HEADER_KEYS = ("nu", "delta_nu", "j", "temp", "t1", "t2", "f_active")
@@ -254,8 +255,9 @@ def compile(ast: SequenceAst, params: SpinSystemParams | None = None):
                 f"{stmt.pos}: statement after acquire; acquire must be last")
         if stmt.op == "acquire":
             n, dwell = stmt.args
-            if n < 1:
-                raise CompileError(f"{stmt.pos}: acquire needs at least one point")
+            if not _is_pow2(n):
+                raise CompileError(
+                    f"{stmt.pos}: acquire needs a power-of-two point count >= 2, got {n}")
             acq = AcquisitionSpec(n_points=n, dwell_s=dwell)
             continue
         try:

@@ -1,12 +1,14 @@
 """FID synthesis, spectra, J-doubling, integration, and calibration.
 
-Signal convention: s(t) = tr(rho(t) (I+ + S+)), evolved under weak-coupling
-free evolution with T2 decay on off-diagonal elements per dwell step. The
-transform halves the first point, zero-fills once, and scales by 2*dwell,
-which makes the integral of an isolated absorptive line equal the envelope
-amplitude of its time-domain component: a unit-area Lorentzian integrates
-to 1 over the full axis. Line full-width at half maximum is 1/(pi*T2) plus
-any apodization broadening.
+Signal convention: s(t) = tr(rho(t) (I+ + S+)) under weak-coupling free
+evolution, with T2 decay on every coherence. The FID is written in closed
+form as a sum of damped exponentials, one per coherence that F+ reads, in
+the eigenbasis of the one-dwell propagator (the Zeeman basis for weak
+coupling). The transform halves the first point, zero-fills once, and
+scales by 2*dwell, which makes the integral of an isolated absorptive line
+equal the envelope amplitude of its time-domain component: a unit-area
+Lorentzian integrates to 1 over the full axis. Line full-width at half
+maximum is 1/(pi*T2) plus any apodization broadening.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply, free_evolution, hard_pulse, selective_pulse
+from .channels import apply, free_evolution, selective_pulse
 from .states import (
     BELL_BASIS,
     BellPopulations,
@@ -24,9 +26,6 @@ from .states import (
     IX, IY, SX, SY,
     SpinSystemParams,
     StateValidationError,
-    make_pseudo_pure,
-    make_singlet,
-    make_thermal,
 )
 
 F_PLUS = (IX + 1j * IY) + (SX + 1j * SY)
@@ -93,19 +92,24 @@ class Spectrum:
 
 def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
                    n: int, dwell_s: float) -> Fid:
-    """Weak-coupling FID of rho0: record tr(rho F+), evolve one dwell,
-    decay off-diagonals by exp(-dwell/T2), repeat."""
+    """Weak-coupling FID of rho0 with T2 decay on every coherence.
+
+    In the eigenbasis V of the one-dwell propagator (eigenvalues lam) the
+    coherence rho[a, b] picks up z[a, b] = lam_a conj(lam_b) exp(-dwell/T2)
+    per dwell, so s_k = sum over a != b of (V^-1 rho V)[a, b]
+    (V^-1 F+ V)[b, a] z[a, b]**k. For weak coupling V is the Zeeman basis,
+    the basis the T2 decay is defined in, and F+ reads at most four
+    coherences."""
     if not _is_pow2(n):
         raise SpectroError(f"n must be a power of two >= 2, got {n}")
-    step = free_evolution(dwell_s, params, coupling_mode="weak").u
-    step_h = step.conj().T
-    decay = float(np.exp(-dwell_s / params.t2_s))
-    m = rho0.matrix.copy()
-    out = np.empty(n, dtype=complex)
-    for k in range(n):
-        out[k] = np.trace(m @ F_PLUS)
-        m = step @ m @ step_h
-        m = m * np.eye(4) + (m * _OFFDIAG) * decay
+    lam, v = np.linalg.eig(free_evolution(dwell_s, params, coupling_mode="weak").u)
+    v_inv = np.linalg.inv(v)
+    amp = (v_inv @ rho0.matrix @ v) * (v_inv @ F_PLUS @ v).T * _OFFDIAG
+    log_z = np.log(np.outer(lam, lam.conj())) - dwell_s / params.t2_s
+    k = np.arange(n)
+    out = np.zeros(n, dtype=complex)
+    for a, b in zip(*np.nonzero(amp)):
+        out += amp[a, b] * np.exp(log_z[a, b] * k)
     return Fid(samples=out, dwell_s=dwell_s)
 
 
@@ -156,18 +160,27 @@ def fourier(fid: Fid, apodize_hz: float = 0.0) -> Spectrum:
     return Spectrum(freqs_hz=freqs[order], values=values[order])
 
 
-def integrate(spectrum: Spectrum, lo_hz: float, hi_hz: float) -> float:
-    """Trapezoidal integral of the real part over [lo, hi]."""
-    f = spectrum.freqs_hz
+def _trapezoid_weights(freqs_hz: np.ndarray, lo_hz: float, hi_hz: float) -> np.ndarray:
+    """Weights w over the axis with integrate(spectrum, lo, hi) equal to
+    w @ spectrum.values.real: the trapezoid rule on the points in [lo, hi],
+    all zero when fewer than 2 points fall inside."""
     if not lo_hz < hi_hz:
         raise SpectroError(f"need lo < hi, got [{lo_hz}, {hi_hz}]")
-    if lo_hz < f[0] or hi_hz > f[-1]:
+    if lo_hz < freqs_hz[0] or hi_hz > freqs_hz[-1]:
         raise SpectroError(
-            f"region [{lo_hz}, {hi_hz}] outside axis [{f[0]}, {f[-1]}]")
-    mask = (f >= lo_hz) & (f <= hi_hz)
-    if mask.sum() < 2:
-        return 0.0
-    return float(np.trapezoid(spectrum.values[mask].real, f[mask]))
+            f"region [{lo_hz}, {hi_hz}] outside axis [{freqs_hz[0]}, {freqs_hz[-1]}]")
+    idx = np.flatnonzero((freqs_hz >= lo_hz) & (freqs_hz <= hi_hz))
+    half = np.diff(freqs_hz[idx]) / 2
+    w = np.zeros(len(freqs_hz))
+    w[idx[:-1]] += half
+    w[idx[1:]] += half
+    return w
+
+
+def integrate(spectrum: Spectrum, lo_hz: float, hi_hz: float) -> float:
+    """Trapezoidal integral of the real part over [lo, hi]."""
+    return float(_trapezoid_weights(spectrum.freqs_hz, lo_hz, hi_hz)
+                 @ spectrum.values.real)
 
 
 def component_regions(params: SpinSystemParams) -> tuple:
@@ -186,6 +199,23 @@ def component_regions(params: SpinSystemParams) -> tuple:
 def component_integrals(spectrum: Spectrum, params: SpinSystemParams) -> np.ndarray:
     """Integrals over the four component_regions, in their order."""
     return np.array([integrate(spectrum, lo, hi) for lo, hi in component_regions(params)])
+
+
+def _integral_map(params: SpinSystemParams, n: int, dwell_s: float) -> np.ndarray:
+    """(4, n) complex W with component_integrals(fourier(fid), params) equal
+    to Re(W @ fid.samples) for every n-point fid sampled at dwell_s.
+
+    Each row is the transform of that region's trapezoid weights, read back
+    onto the samples: the zero fill drops out, and the first-point halving
+    and the 2*dwell scale fold into W."""
+    freqs = np.fft.fftfreq(2 * n, dwell_s)
+    order = np.argsort(freqs)
+    w = np.zeros((4, 2 * n))
+    for row, (lo, hi) in zip(w, component_regions(params)):
+        row[order] = _trapezoid_weights(freqs[order], lo, hi)
+    out = 2 * dwell_s * np.fft.rfft(w)[:, :n]
+    out[:, 0] *= 0.5
+    return out
 
 
 def line_regions(params: SpinSystemParams, j_apparent_hz: float | None = None,

@@ -127,6 +127,28 @@ def test_run_bad_sequence_reports_position(tmp_path, capsys):
     assert "2:1" in capsys.readouterr().err
 
 
+def test_run_non_power_of_two_acquire_exit_2_without_run_dir(tmp_path, capsys):
+    seq = tmp_path / "n1000.pseq"
+    seq.write_text("selective I\nacquire 1000 0.000244140625\n")
+    assert run_cli("run", seq, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "2:1" in err and "1000" in err
+    assert not list((tmp_path / "out").glob("run_*"))
+
+
+def test_run_too_narrow_spectral_window_exit_2_without_run_dir(tmp_path, capsys):
+    # 16 points at 1 ms give 31.25 Hz bins, wider than the 7.5 Hz regions
+    seq = tmp_path / "narrow.pseq"
+    seq.write_text("selective I\nacquire 16 0.001\n")
+    with pytest.warns(UserWarning, match="secular approximation is marginal"):
+        code = run_cli("run", seq, "--delta-nu-hz", 30, "--j-hz", 7,
+                       "--out", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "fewer than 2" in err
+    assert not list((tmp_path / "out").glob("run_*"))
+
+
 def test_analyze_reported_mixture(tmp_path, capsys):
     state = write_mixture_state(tmp_path / "mix.json")
     assert run_cli("analyze", state, "--out", tmp_path) == 0

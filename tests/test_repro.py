@@ -76,6 +76,55 @@ def test_run_pipeline_bootstrap_keeps_replicates_past_epsilon_one(params, monkey
     assert res.epsilon_err == pytest.approx(0.6 * res.epsilon / np.sqrt(2), rel=1e-9)
 
 
+def fourier_path_epsilon_err(params, epsilon, sigma, seed, n_boot, readout):
+    """Reference bootstrap spread: every replicate J-doubles, transforms and
+    integrates its own noisy FIDs, as run_pipeline did before it folded
+    those steps into one linear map."""
+    fid_p = polarized_fid(params, epsilon, readout)
+    fid_t = thermal_fid(params, readout)
+    streams = np.random.SeedSequence(seed).spawn(2 * n_boot)
+    reps = []
+    for sp, st in zip(streams[::2], streams[1::2]):
+        doubled = spectro.j_double(spectro.add_noise(fid_p, sigma, sp),
+                                   params.j_hz, readout.j_double_rounds)
+        ph2 = spectro.component_integrals(spectro.fourier(doubled), params)
+        th = spectro.component_integrals(
+            spectro.fourier(spectro.add_noise(fid_t, sigma, st)), params)
+        reps.append(np.abs(ph2).sum() / np.abs(th).sum() * params.b_factor / 2)
+    return float(np.std(reps, ddof=1))
+
+
+@pytest.mark.parametrize("epsilon, sigma, seed", [
+    (0.916, 1e-4, 3), (0.6, 2e-3, 11), (0.3, 2e-2, 12345)])
+def test_run_pipeline_bootstrap_matches_fourier_path(params, epsilon, sigma, seed):
+    ro = ReadoutConfig()
+    got = run_pipeline(params, epsilon=epsilon, noise_sigma=sigma, seed=seed,
+                       n_boot=20, readout=ro).epsilon_err
+    want = fourier_path_epsilon_err(params, epsilon, sigma, seed, 20, ro)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, dwell_s", [(16384, 1 / 4096), (1024, 1 / 2048), (64, 1 / 1024)])
+def test_integral_map_matches_fourier_then_integrate(params, n, dwell_s):
+    w = spectro._integral_map(params, n, dwell_s)
+    assert w.shape == (4, n)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        fid = Fid(samples=rng.normal(size=n) + 1j * rng.normal(size=n), dwell_s=dwell_s)
+        want = spectro.component_integrals(spectro.fourier(fid), params)
+        assert np.abs((w @ fid.samples).real - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_integral_map_rejects_regions_outside_axis(params):
+    # a 600 Hz spectral window cannot hold the regions out to 1.5 * 246 Hz
+    spec = spectro.fourier(Fid(samples=np.ones(1024), dwell_s=1 / 600))
+    with pytest.raises(spectro.SpectroError, match="outside axis") as ref:
+        spectro.component_integrals(spec, params)
+    with pytest.raises(spectro.SpectroError) as got:
+        spectro._integral_map(params, 1024, 1 / 600)
+    assert str(got.value) == str(ref.value)
+
+
 def test_recovery_helpers_agree():
     got = measured_recovery(5.0, 2.0, rounds=0)
     want = antiphase_recovery_fraction(5.0, 2.0)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinpair.channels import apply, apply_channel, hard_pulse, selective_pulse
+from spinpair.channels import (
+    apply,
+    apply_channel,
+    free_evolution,
+    hard_pulse,
+    selective_pulse,
+)
 from spinpair.spectro import (
     CalibrationResult,
     Fid,
@@ -24,12 +30,15 @@ from spinpair.spectro import (
     synthesize_fid,
 )
 from spinpair.states import (
+    IX, IY, SX, SY,
     SpinSystemParams,
     bell_diagonal,
     make_pseudo_pure,
     make_singlet,
     make_thermal,
 )
+
+from conftest import random_density
 
 
 def lorentzian_fid(amp, f0_hz, t2_s, n=16384, dwell=1 / 4096.0):
@@ -86,6 +95,43 @@ def test_singlet_antiphase_fid_closed_form(params):
         * np.sin(np.pi * params.delta_nu_hz * t) * np.exp(-t / params.t2_s)
     assert np.abs(fid.samples - oracle).max() < 1e-13
     assert np.abs(fid.samples[0]) < 1e-15  # no net transverse signal
+
+
+def stepping_fid(matrices, params, n, dwell_s):
+    """Reference FIDs by direct stepping, one row per state: record
+    tr(rho F+), evolve one dwell, decay off-diagonals by exp(-dwell/T2),
+    repeat. The synthesis loop spinpair used before the closed form,
+    broadcast over a stack of density matrices."""
+    f_plus = (IX + 1j * IY) + (SX + 1j * SY)
+    offdiag = 1.0 - np.eye(4)
+    step = free_evolution(dwell_s, params, coupling_mode="weak").u
+    step_h = step.conj().T
+    decay = float(np.exp(-dwell_s / params.t2_s))
+    m = np.array(matrices, dtype=complex)
+    out = np.empty((len(m), n), dtype=complex)
+    for k in range(n):
+        out[:, k] = np.trace(m @ f_plus, axis1=-2, axis2=-1)
+        m = step @ m @ step_h
+        m = m * np.eye(4) + (m * offdiag) * decay
+    return out
+
+
+@pytest.mark.parametrize("p, dwell_s", [
+    (SpinSystemParams(), 1 / 4096),
+    (SpinSystemParams(delta_nu_hz=310.0, j_hz=11.5, t2_s=0.09), 1 / 1500),
+])
+def test_synthesize_fid_matches_stepping_oracle(p, dwell_s):
+    rng = np.random.default_rng(20260819)
+    states = [
+        apply(selective_pulse("I", p), make_singlet()),
+        apply_channel(hard_pulse(90.0, 90.0), make_thermal(p, mode="exact")),
+        apply_channel(hard_pulse(60.0, 0.0), make_pseudo_pure(0.916, make_singlet())),
+    ] + [random_density(rng) for _ in range(20)]
+    oracle = stepping_fid([s.matrix for s in states], p, 16384, dwell_s)
+    for n in (2, 256, 16384):
+        for rho, want in zip(states, oracle[:, :n]):
+            got = synthesize_fid(rho, p, n, dwell_s).samples
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_fourier_line_integral_equals_amplitude():
