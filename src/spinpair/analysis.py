@@ -107,21 +107,25 @@ def _h2(x: float) -> float:
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
-def eof(rho) -> float:
-    """Entanglement of formation in bits."""
-    c = concurrence(rho)
+def _eof_from_concurrence(c: float) -> float:
     if c >= 1.0:
         return 1.0
     return _h2((1 + math.sqrt(1 - c * c)) / 2)
 
 
+def eof(rho) -> float:
+    """Entanglement of formation in bits."""
+    return _eof_from_concurrence(concurrence(rho))
+
+
 def analyze(rho: DensityMatrix) -> EntanglementReport:
     mpt = min_pt_eigenvalue(rho)
+    c = concurrence(rho)
     return EntanglementReport(
         min_pt_eigenvalue=mpt,
         entangled=mpt < -ENTANGLE_TOL,
-        concurrence=concurrence(rho),
-        eof=eof(rho),
+        concurrence=c,
+        eof=_eof_from_concurrence(c),
         bell=to_bell_populations(rho),
     )
 

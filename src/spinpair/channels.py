@@ -1,16 +1,25 @@
-"""Completely positive trace-preserving maps on two-spin states.
+"""Trace-preserving linear maps on two-spin states.
 
-Pulses and free evolution are exact 4x4 unitaries built by eigendecomposition
-of their generators. Gradients are modeled as ideal instantaneous dephasing
-of every coherence connecting different total-m subspaces; spatial averaging
-over the sample is not simulated. Relaxation is a product of independent
-T1/T2 exponentials relaxing toward the exact thermal diagonal.
+Every channel is one 16x16 superoperator acting on vec(rho), the row-major
+flattening of the 4x4 density matrix, built once when the channel is
+made. Pulses and free evolution are exact 4x4 unitaries built by
+eigendecomposition of their generators. Gradients are modeled as ideal
+instantaneous dephasing of every coherence connecting different total-m
+subspaces; spatial averaging over the sample is not simulated.
+Relaxation is a product of independent T1/T2 exponentials relaxing toward
+the exact thermal diagonal.
+
+Each channel is checked at construction through its Choi matrix
+(Choi, Linear Algebra Appl. 10, 285 (1975)): a map that is not trace
+preserving is refused, and complete positivity is recorded in Channel.cp.
+Relaxation stops being completely positive once T2 exceeds about 4/3 T1,
+so such channels are accepted and apply revalidates the state after them.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +31,9 @@ from .states import (
     make_thermal,
 )
 
+TP_TOL = 1e-12
+CP_TOL = 1e-12
+
 
 class ChannelError(ValueError):
     """A channel produced (or was built from) an invalid state or input."""
@@ -32,7 +44,8 @@ _M_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])
 # keep only elements within one total-m subspace (diagonal + the 01/10 block)
 _ZEEMAN_MASK = (_M_TOTAL[:, None] == _M_TOTAL[None, :]).astype(float)
 _DIAG_MASK = np.eye(4)
-_OFFDIAG_MASK = 1.0 - np.eye(4)
+# positions of the populations rho[i, i] in vec(rho)
+_VEC_DIAG = np.arange(4) * 5
 
 
 def _unitary_from_generator(gen: np.ndarray) -> np.ndarray:
@@ -43,9 +56,14 @@ def _unitary_from_generator(gen: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Channel:
-    """One CPTP map. kind is one of unitary, delay, zeeman_dephase,
-    zq_dephase, relax. delay is free evolution carrying its duration;
-    relax carries precomputed decay factors and the equilibrium diagonal."""
+    """One trace-preserving map. kind is one of unitary, delay,
+    zeeman_dephase, zq_dephase, relax. delay is free evolution carrying its
+    duration; relax carries precomputed decay factors and the equilibrium
+    diagonal.
+
+    superop is the 16x16 matrix of the map on vec(rho); cp says whether
+    the map is completely positive (its Choi matrix is positive
+    semidefinite to CP_TOL)."""
 
     kind: str
     label: str
@@ -55,6 +73,8 @@ class Channel:
     f1: float | None = None
     f2: float | None = None
     eq_diag: np.ndarray | None = None
+    superop: np.ndarray = field(init=False, repr=False)
+    cp: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind in ("unitary", "delay"):
@@ -65,19 +85,39 @@ class Channel:
                 raise ChannelError(f"matrix not unitary, deviation {dev:.3e}")
         if self.t_s is not None and self.t_s < 0:
             raise ChannelError("negative duration")
+        sup = self._superoperator()
+        sup.setflags(write=False)
+        # Choi[(k, i), (l, j)] = Phi(|k><l|)[i, j]; tracing out the
+        # output pair (i = j) gives the identity iff Phi preserves trace
+        choi = sup.reshape(4, 4, 4, 4).transpose(2, 0, 3, 1)
+        tp_dev = np.abs(np.einsum("kili->kl", choi) - np.eye(4)).max()
+        if tp_dev > TP_TOL:
+            raise ChannelError(
+                f"channel {self.label} is not trace preserving: Choi partial "
+                f"trace deviates from identity by {tp_dev:.3e}")
+        object.__setattr__(self, "superop", sup)
+        # every kind here has an exactly Hermitian Choi matrix
+        object.__setattr__(self, "cp", bool(
+            np.linalg.eigvalsh(choi.reshape(16, 16)).min() >= -CP_TOL))
+
+    def _superoperator(self) -> np.ndarray:
+        if self.kind in ("unitary", "delay"):
+            return np.kron(self.u, self.u.conj())
+        if self.kind == "zeeman_dephase":
+            return np.diag(_ZEEMAN_MASK.reshape(16)).astype(complex)
+        if self.kind == "zq_dephase":
+            return np.diag(_DIAG_MASK.reshape(16)).astype(complex)
+        if self.kind == "relax":
+            # off-diagonals decay by f2; populations by f1, refilled toward
+            # eq_diag in proportion to the trace: linear, not affine
+            sup = np.diag(np.full(16, self.f2, dtype=complex))
+            sup[np.ix_(_VEC_DIAG, _VEC_DIAG)] = (
+                self.f1 * np.eye(4) + (1 - self.f1) * self.eq_diag[:, None])
+            return sup
+        raise ChannelError(f"unknown channel kind {self.kind!r}")
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        if self.kind in ("unitary", "delay"):
-            return self.u @ m @ self.u.conj().T
-        if self.kind == "zeeman_dephase":
-            return m * _ZEEMAN_MASK
-        if self.kind == "zq_dephase":
-            return m * _DIAG_MASK
-        if self.kind == "relax":
-            diag = m.diagonal().real
-            relaxed = self.eq_diag + (diag - self.eq_diag) * self.f1
-            return np.diag(relaxed.astype(complex)) + (m * _OFFDIAG_MASK) * self.f2
-        raise ChannelError(f"unknown channel kind {self.kind!r}")
+        return (self.superop @ np.reshape(m, 16)).reshape(4, 4)
 
     def __eq__(self, other):
         if not isinstance(other, Channel):
@@ -228,15 +268,27 @@ def filtration_sequence(params: SpinSystemParams,
 
 
 def apply(program: ChannelProgram, rho: DensityMatrix) -> DensityMatrix:
-    """Left-to-right composition; every intermediate state is revalidated,
-    so a defective channel raises instead of propagating garbage."""
-    for ch in program.channels:
-        rho = apply_channel(ch, rho)
+    """Left-to-right composition of the channels' superoperators.
+
+    The state is revalidated after every channel that is not completely
+    positive, the only kind that can take a valid state to an invalid one,
+    and always after the last channel; a broken state raises ChannelError
+    naming the channel after which it was found."""
+    m = rho.matrix
+    last = len(program.channels) - 1
+    for i, ch in enumerate(program.channels):
+        m = ch.apply_matrix(m)
+        if not ch.cp or i == last:
+            rho = _checked_state(ch, m)
     return rho
 
 
 def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
+    return _checked_state(channel, channel.apply_matrix(rho.matrix))
+
+
+def _checked_state(channel: Channel, m: np.ndarray) -> DensityMatrix:
     try:
-        return DensityMatrix(channel.apply_matrix(rho.matrix))
+        return DensityMatrix(m)
     except StateValidationError as exc:
         raise ChannelError(f"channel {channel.label} broke state invariants: {exc}") from exc

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -169,9 +171,9 @@ def cmd_run(args) -> int:
         "carrier_ppm": args.carrier_ppm,
     }, sort_keys=True)
     run_id = hashlib.sha256(run_key.encode()).hexdigest()[:12]
-    out = _outdir(args) / f"run_{run_id}"
-    out.mkdir(parents=True, exist_ok=True)
-
+    out = _outdir(args)
+    final_dir = out / f"run_{run_id}"
+    pops = to_bell_populations(final)
     manifest = {
         "command": "run",
         "version": __version__,
@@ -185,29 +187,39 @@ def cmd_run(args) -> int:
         "derived": {
             "total_duration_s": program.total_duration_s,
             "fidelity_vs_initial": fidelity(final, initial),
-            "final_bell": list(to_bell_populations(final).as_tuple()),
-            "final_off_bell": to_bell_populations(final).offBell,
+            "final_bell": list(pops.as_tuple()),
+            "final_off_bell": pops.offBell,
         },
     }
-    _write_json(out / "final_state.json", _state_payload(final))
-
     if acq is not None:
         manifest["derived"]["acquisition"] = {
             "n_points": acq.n_points, "dwell_s": acq.dwell_s,
             "component_regions_hz": [list(r) for r in regions],
             "component_integrals": integrals.tolist(),
         }
-        if args.csv:
-            (out / "fid.csv").write_text(
+    # written into a hidden sibling and moved into place whole, so a
+    # failed write leaves no run_<id>/ behind and a rerun replaces it; a
+    # stale sibling from a killed process of the same pid is cleared first
+    tmp = out / f".run_{run_id}.{os.getpid()}.tmp"
+    try:
+        shutil.rmtree(tmp, ignore_errors=True)
+        tmp.mkdir()
+        _write_json(tmp / "final_state.json", _state_payload(final))
+        if acq is not None and args.csv:
+            (tmp / "fid.csv").write_text(
                 _csv("t_s", fid.times_s, fid.samples), encoding="utf-8")
-            (out / "spectrum.csv").write_text(
+            (tmp / "spectrum.csv").write_text(
                 _csv("freq_hz", spec.freqs_hz, spec.values), encoding="utf-8")
-        if args.svg:
-            write_spectrum_svg(out / "spectrum.svg", spec, regions,
+        if acq is not None and args.svg:
+            write_spectrum_svg(tmp / "spectrum.svg", spec, regions,
                                program.params, carrier_ppm=args.carrier_ppm,
                                title=seq_path.name)
-    _write_json(out / "manifest.json", manifest)
-    print(out)
+        _write_json(tmp / "manifest.json", manifest)
+        shutil.rmtree(final_dir, ignore_errors=True)
+        os.replace(tmp, final_dir)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    print(final_dir)
     return 0
 
 
@@ -314,8 +326,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, StateValidationError, ChannelError, spectro.SpectroError,
-            seqdsl.CompileError, seqdsl.SequenceSyntaxError) as exc:
+    except (CliError, OSError, StateValidationError, ChannelError,
+            spectro.SpectroError, seqdsl.CompileError,
+            seqdsl.SequenceSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

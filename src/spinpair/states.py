@@ -54,7 +54,14 @@ PHI_MINUS_KET = (KET_00 - KET_11) / math.sqrt(2)
 BELL_BASIS = np.column_stack([SINGLET_KET, T0_KET, TPLUS_KET, TMINUS_KET])
 
 PRODUCT_AXES = ("e", "x", "y", "z")
-_SINGLE = {"e": SIGMA_E, "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+_PAULIS = (SIGMA_E, SIGMA_X, SIGMA_Y, SIGMA_Z)
+# PAULI_PRODUCTS[a, b] = sigma_a x sigma_b, indexed like PRODUCT_AXES
+PAULI_PRODUCTS = np.array([[np.kron(a, b) for b in _PAULIS] for a in _PAULIS])
+PAULI_PRODUCTS.setflags(write=False)
+# c[a, b] = tr(rho P[a, b]) * _PO_SCALE[a, b]; each P[a, b] squares to the
+# identity, so rho = sum of c[a, b] P[a, b] / (4 _PO_SCALE[a, b])
+_PO_SCALE = np.full((4, 4), 0.5)
+_PO_SCALE[0, 0] = 0.25
 
 
 class StateValidationError(ValueError):
@@ -271,33 +278,18 @@ def to_product_operators(rho: DensityMatrix) -> ProductOperatorCoeffs:
 
     The basis operators are E, Ia = sigma_a/2 x 1, Sb = 1 x sigma_b/2 and
     2IaSb = (sigma_a x sigma_b)/2; all but E have unit Frobenius norm
-    squared, so the coefficients are plain Hilbert-Schmidt projections.
+    squared, so the coefficients are plain Hilbert-Schmidt projections:
+    tr(rho sigma_a x sigma_b) / 2, and tr(rho) / 4 for E.
     """
-    m = rho.matrix
-    table = np.empty((4, 4))
-    for i, a in enumerate(PRODUCT_AXES):
-        for j, b in enumerate(PRODUCT_AXES):
-            op = np.kron(_SINGLE[a], _SINGLE[b])
-            if a == "e" and b == "e":
-                table[i, j] = m.trace().real / 4
-            else:
-                table[i, j] = np.trace(m @ op).real / 2
-    return ProductOperatorCoeffs(table)
+    traces = np.einsum("abij,ji->ab", PAULI_PRODUCTS, rho.matrix).real
+    return ProductOperatorCoeffs(traces * _PO_SCALE)
 
 
 def from_product_operators(coeffs: ProductOperatorCoeffs) -> DensityMatrix:
-    m = np.zeros((4, 4), dtype=complex)
-    for i, a in enumerate(PRODUCT_AXES):
-        for j, b in enumerate(PRODUCT_AXES):
-            c = coeffs.table[i, j]
-            if c == 0.0:
-                continue
-            op = np.kron(_SINGLE[a], _SINGLE[b])
-            if a == "e" and b == "e":
-                m += c * op
-            else:
-                m += c * op / 2
-    return DensityMatrix(m)
+    """Inverse of to_product_operators: E enters with weight 1, every other
+    sigma_a x sigma_b with weight 1/2."""
+    return DensityMatrix(np.einsum("ab,abij->ij", coeffs.table / (4 * _PO_SCALE),
+                                   PAULI_PRODUCTS))
 
 
 def to_bell_populations(rho: DensityMatrix) -> BellPopulations:

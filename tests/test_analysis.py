@@ -165,6 +165,21 @@ def test_analyze_flags_threshold_consistently(random_states):
         assert rep.entangled == (rep.min_pt_eigenvalue < -1e-10)
 
 
+def test_analyze_reports_concurrence_and_eof_exactly(random_states, rng):
+    # analyze derives the EoF from its one concurrence; both must equal
+    # the standalone functions bit for bit, on entangled states too
+    states = list(random_states[:50])
+    states += [make_pseudo_pure(e, make_singlet()) for e in np.linspace(0.3, 1.0, 15)]
+    for _ in range(50):
+        ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+        states.append(DensityMatrix(np.outer(ket, ket.conj()) / np.vdot(ket, ket).real))
+    assert any(concurrence(rho) > 0.1 for rho in states)
+    for rho in states:
+        rep = analyze(rho)
+        assert rep.concurrence == concurrence(rho)
+        assert rep.eof == eof(rho)
+
+
 def test_singlet_mixture_verdict_closed_form():
     # family: pS=a, pT0=(1-a)x, pT+-=(1-a)(1-x)/2 each. Bell-diagonal states
     # are entangled iff their largest population exceeds 1/2.

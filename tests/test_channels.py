@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from spinpair.channels import (
     Channel,
     ChannelError,
+    ChannelProgram,
     apply,
     apply_channel,
     filtration_sequence,
@@ -20,9 +21,11 @@ from spinpair.channels import (
     zeeman_dephase,
     zq_dephase,
 )
+from spinpair.seqdsl import SequenceAst, Statement, compile as seq_compile
 from spinpair.states import (
     DensityMatrix,
     SpinSystemParams,
+    StateValidationError,
     fidelity,
     make_named_state,
     make_singlet,
@@ -317,3 +320,126 @@ def test_free_evolution_time_additivity(t):
 def test_relax_is_positive_map(seed, t):
     rho = random_density(np.random.default_rng(seed))
     apply_channel(relax(t, SpinSystemParams()), rho)
+
+
+# The per-kind dispatch and the loop that revalidated every intermediate
+# state, as channels ran them before superoperators; oracles below.
+_M_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])
+_ZEEMAN_MASK = (_M_TOTAL[:, None] == _M_TOTAL[None, :]).astype(float)
+
+
+def oracle_apply_matrix(ch, m):
+    if ch.kind in ("unitary", "delay"):
+        return ch.u @ m @ ch.u.conj().T
+    if ch.kind == "zeeman_dephase":
+        return m * _ZEEMAN_MASK
+    if ch.kind == "zq_dephase":
+        return m * np.eye(4)
+    if ch.kind == "relax":
+        diag = m.diagonal().real
+        relaxed = ch.eq_diag + (diag - ch.eq_diag) * ch.f1
+        return np.diag(relaxed.astype(complex)) + (m * (1.0 - np.eye(4))) * ch.f2
+    raise AssertionError(ch.kind)
+
+
+def oracle_apply(program, rho):
+    for ch in program.channels:
+        try:
+            rho = DensityMatrix(oracle_apply_matrix(ch, rho.matrix))
+        except StateValidationError as exc:
+            raise ChannelError(
+                f"channel {ch.label} broke state invariants: {exc}") from exc
+    return rho
+
+
+NON_CP = SpinSystemParams(t1_s=0.5, t2_s=1.0)
+
+
+def every_constructor():
+    p = SpinSystemParams()
+    strong = SpinSystemParams(delta_nu_hz=6000.0)
+    return [hard_pulse(90, 0), hard_pulse(45, 135), hard_pulse(217.3, 31.0),
+            free_evolution(0.01, p), free_evolution(0.37, p, include_j=False),
+            free_evolution(2e-4, strong, coupling_mode="strong"),
+            zeeman_dephase(), zq_dephase(),
+            relax(0.0, p), relax(0.25, p), relax(1e4, p),
+            relax(0.1, NON_CP), relax(0.1, SpinSystemParams(t1_s=0.5, t2_s=1.5))]
+
+
+def test_superoperators_match_per_kind_oracle(random_states):
+    for ch in every_constructor():
+        for rho in random_states[:100]:
+            got = ch.apply_matrix(rho.matrix)
+            assert np.abs(got - oracle_apply_matrix(ch, rho.matrix)).max() <= 1e-13, ch.label
+
+
+def test_complete_positivity_flag():
+    p = SpinSystemParams()
+    assert hard_pulse(90, 0).cp and free_evolution(0.01, p).cp
+    assert zeeman_dephase().cp and zq_dephase().cp
+    assert relax(0.25, p).cp and relax(0.0, NON_CP).cp
+    # T2 = 2 T1: off-diagonals outlive the populations they hang between
+    assert not relax(0.1, NON_CP).cp
+
+
+def test_channel_not_trace_preserving_is_refused():
+    with pytest.raises(ChannelError, match="leaky.*not trace preserving"):
+        Channel(kind="relax", label="leaky", t_s=1.0, f1=0.5, f2=0.5,
+                eq_diag=np.full(4, 0.3))
+
+
+@pytest.mark.parametrize("tail", [(), (zq_dephase(),)])
+def test_non_cp_relax_breaking_a_state_names_the_channel(tail):
+    # a trailing zq_dephase would hide the negative intermediate state
+    p = SpinSystemParams(t1_s=0.5, t2_s=1.5)
+    ket = np.array([1, 1, 0, 0]) / math.sqrt(2)
+    rho = DensityMatrix(np.outer(ket, ket))
+    prog = ChannelProgram(channels=(relax(0.1, p),) + tail, params=p)
+    with pytest.raises(ChannelError, match=r"channel relax\(0\.1\) broke state invariants"):
+        apply(prog, rho)
+
+
+@st.composite
+def relaxing_program(draw):
+    """A compiled .pseq program whose T2 often exceeds 4/3 T1, so that
+    non-CP relax steps, and states they break, are common."""
+    t1 = draw(st.floats(0.2, 3.0))
+    headers = (("t1", t1), ("t2", t1 * draw(st.floats(0.1, 4.0))))
+    stmts = [Statement(op="relax", args=(draw(st.floats(0.01, 0.5)),))]
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from(
+            ["pulse", "selective", "delay", "gradient_period", "zqdephase", "relax"]))
+        if op == "pulse":
+            args = (draw(st.floats(0, 360)), draw(st.floats(0, 360)))
+        elif op == "selective":
+            args = (draw(st.sampled_from(["I", "S"])),)
+        elif op in ("delay", "relax"):
+            args = (draw(st.floats(0, 0.5)),)
+        else:
+            args = ()
+        stmts.insert(draw(st.integers(0, len(stmts))), Statement(op=op, args=args))
+    program, _ = seq_compile(SequenceAst(headers=headers, statements=tuple(stmts)),
+                             SpinSystemParams())
+    return program
+
+
+@settings(max_examples=200, deadline=None)
+@given(relaxing_program(), st.integers(0, 2 ** 32 - 1), st.integers(2, 5))
+def test_apply_matches_revalidating_oracle_on_sequences(program, seed, rank):
+    # rank 2 and 3 are pure states over 2 or 3 Zeeman kets, the kind a
+    # non-CP relax breaks; 4 is a pure and 5 a full-rank mixed state
+    rng = np.random.default_rng(seed)
+    if rank == 5:
+        rho = random_density(rng)
+    else:
+        ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+        ket[rng.permutation(4)[rank:]] = 0
+        rho = DensityMatrix(np.outer(ket, ket.conj()) / np.vdot(ket, ket).real)
+    try:
+        want = oracle_apply(program, rho)
+    except ChannelError as exc:
+        with pytest.raises(ChannelError) as got:
+            apply(program, rho)
+        assert str(got.value).split(":")[0] == str(exc).split(":")[0]
+        return
+    assert np.abs(apply(program, rho).matrix - want.matrix).max() <= 1e-12

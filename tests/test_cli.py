@@ -149,6 +149,37 @@ def test_run_too_narrow_spectral_window_exit_2_without_run_dir(tmp_path, capsys)
     assert not list((tmp_path / "out").glob("run_*"))
 
 
+def test_run_write_failure_exit_2_leaves_nothing(tmp_path, capsys, monkeypatch):
+    def refuse(path, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr("spinpair.cli.write_spectrum_svg", refuse)
+    out = tmp_path / "out"
+    assert run_cli("run", SEQ_DIR / "selective_i.pseq", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "No space left" in err
+    assert list(out.iterdir()) == []
+
+
+def test_output_path_that_is_a_file_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli("state", "singlet", "--out", blocker) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_run_rerun_replaces_run_dir(tmp_path, capsys):
+    # --csv is not part of the run id, so the rerun lands on the same id
+    out = tmp_path / "out"
+    assert run_cli("run", SEQ_DIR / "selective_i.pseq", "--out", out) == 0
+    first = Path(capsys.readouterr().out.strip())
+    assert (first / "fid.csv").is_file()
+    assert run_cli("run", SEQ_DIR / "selective_i.pseq", "--no-csv", "--out", out) == 0
+    second = Path(capsys.readouterr().out.strip())
+    assert second == first and list(out.iterdir()) == [second]
+    assert not (second / "fid.csv").exists()
+    assert (second / "manifest.json").is_file()
+
+
 def test_analyze_reported_mixture(tmp_path, capsys):
     state = write_mixture_state(tmp_path / "mix.json")
     assert run_cli("analyze", state, "--out", tmp_path) == 0

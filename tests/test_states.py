@@ -100,6 +100,44 @@ def test_product_operator_extraction_matches_trace_formula(rng):
             assert c[(a, b)] == pytest.approx(expect, abs=1e-12)
 
 
+def kron_to_product_operators(rho):
+    """The double np.kron loop to_product_operators used to run; oracle."""
+    m = rho.matrix
+    table = np.empty((4, 4))
+    for i, a in enumerate("exyz"):
+        for j, b in enumerate("exyz"):
+            op = np.kron(PAULI[a], PAULI[b])
+            if a == "e" and b == "e":
+                table[i, j] = m.trace().real / 4
+            else:
+                table[i, j] = np.trace(m @ op).real / 2
+    return table
+
+
+def kron_from_product_operators(table):
+    """The double np.kron loop from_product_operators used to run; oracle."""
+    m = np.zeros((4, 4), dtype=complex)
+    for i, a in enumerate("exyz"):
+        for j, b in enumerate("exyz"):
+            c = table[i, j]
+            if c == 0.0:
+                continue
+            op = np.kron(PAULI[a], PAULI[b])
+            if a == "e" and b == "e":
+                m += c * op
+            else:
+                m += c * op / 2
+    return m
+
+
+def test_product_operators_match_kron_oracle(random_states):
+    for rho in random_states[:300]:
+        c = to_product_operators(rho)
+        assert np.abs(c.table - kron_to_product_operators(rho)).max() <= 1e-15
+        back = from_product_operators(c).matrix
+        assert np.abs(back - kron_from_product_operators(c.table)).max() <= 1e-15
+
+
 def test_thermal_linearized():
     p = SpinSystemParams()
     b = PLANCK_H * p.nu_hz / (BOLTZMANN_K * p.temp_k)
