@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from spinpair.analysis import min_pt_eigenvalue, singlet_mixture_entangled
-from spinpair.states import bell_diagonal, make_pseudo_pure, make_singlet
+from spinpair.states import bell_diagonal_matrices, make_pseudo_pure, make_singlet
 
 
 def werner_crossing(tol: float = 1e-12) -> float:
@@ -49,18 +49,15 @@ def main() -> None:
           f"(deviation from 1/3: {abs(cross - 1 / 3):.2e})")
 
     n = args.grid
-    rows = []
-    exceptions = 0
-    for a in np.linspace(0.0, 1.0, n):
-        for x in np.linspace(0.0, 1.0, n):
-            rest = 1.0 - a
-            rho = bell_diagonal(a, rest * x, rest * (1 - x) / 2,
-                                rest * (1 - x) / 2)
-            mpt = min_pt_eigenvalue(rho.matrix)
-            verdict = singlet_mixture_entangled(float(a), float(x))
-            rows.append((float(a), float(x), mpt, int(verdict)))
-            if x <= 0.5 and verdict != (a > 0.5):
-                exceptions += 1
+    a, x = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n),
+                       indexing="ij")
+    rest = 1.0 - a
+    pops = np.stack([a, rest * x, rest * (1 - x) / 2, rest * (1 - x) / 2], axis=-1)
+    mpt = min_pt_eigenvalue(bell_diagonal_matrices(pops))
+    verdict = singlet_mixture_entangled(a, x)
+    rows = [(float(ai), float(xi), float(m), int(v))
+            for ai, xi, m, v in zip(a.ravel(), x.ravel(), mpt.ravel(), verdict.ravel())]
+    exceptions = int(np.count_nonzero((x <= 0.5) & (verdict != (a > 0.5))))
 
     out = Path(args.out)
     with out.open("w", newline="", encoding="utf-8") as fh:

@@ -20,7 +20,7 @@ from .states import (
     BellPopulations,
     DensityMatrix,
     SpinSystemParams,
-    bell_diagonal,
+    bell_diagonal_matrices,
     to_bell_populations,
 )
 
@@ -67,24 +67,30 @@ class EquivalentConditions:
         }
 
 
-def _as_matrix(rho) -> np.ndarray:
+def _as_matrix(rho, stack: bool = False) -> np.ndarray:
+    """rho as a complex 4x4 array, or with stack, a (..., 4, 4) array."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, complex)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4) or (m.ndim > 2 and not stack):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     return m
 
 
 def partial_transpose(rho) -> np.ndarray:
-    """Transpose on the second spin's indices. Accepts a DensityMatrix or a
-    plain 4x4 matrix; the output of a state is Hermitian but not necessarily
-    positive, so it comes back as a plain matrix."""
-    return (_as_matrix(rho).reshape(2, 2, 2, 2)
-            .transpose(0, 3, 2, 1)
-            .reshape(4, 4))
+    """Transpose on the second spin's indices. Accepts a DensityMatrix, a
+    plain 4x4 matrix or a (..., 4, 4) stack of them; the output of a state
+    is Hermitian but not necessarily positive, so it comes back as a plain
+    array of the input's shape."""
+    m = _as_matrix(rho, stack=True)
+    return (m.reshape(m.shape[:-2] + (2, 2, 2, 2))
+            .swapaxes(-3, -1)
+            .reshape(m.shape))
 
 
-def min_pt_eigenvalue(rho) -> float:
-    return float(np.linalg.eigvalsh(partial_transpose(rho)).min())
+def min_pt_eigenvalue(rho):
+    """Smallest eigenvalue of the partial transpose: a float for one
+    matrix, an array over the leading axes for a (..., 4, 4) stack."""
+    vals = np.linalg.eigvalsh(partial_transpose(rho)).min(axis=-1)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 _SY_SY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
@@ -130,14 +136,20 @@ def analyze(rho: DensityMatrix) -> EntanglementReport:
     )
 
 
-def singlet_mixture_entangled(a: float, x: float) -> bool:
+def singlet_mixture_entangled(a, x):
     """Entanglement verdict (by partial transpose) for the mixture
-    a*S0 + (1-a)*[x*T0 + (1-x)*(T+1 + T-1)/2]."""
-    if not (0 <= a <= 1 and 0 <= x <= 1):
+    a*S0 + (1-a)*[x*T0 + (1-x)*(T+1 + T-1)/2].
+
+    a and x broadcast against each other: scalars give a bool, arrays a
+    bool array. Every value must lie in [0, 1], which makes each mixture a
+    valid state, so the mixtures are not validated one by one."""
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+    if not ((0 <= a) & (a <= 1) & (0 <= x) & (x <= 1)).all():
         raise ValueError("a and x must lie in [0, 1]")
     rest = 1 - a
-    rho = bell_diagonal(a, rest * x, rest * (1 - x) / 2, rest * (1 - x) / 2)
-    return min_pt_eigenvalue(rho) < -ENTANGLE_TOL
+    pops = np.stack([a, rest * x, rest * (1 - x) / 2, rest * (1 - x) / 2], axis=-1)
+    entangled = min_pt_eigenvalue(bell_diagonal_matrices(pops)) < -ENTANGLE_TOL
+    return bool(entangled) if a.ndim == 0 else entangled
 
 
 def effective_conditions(epsilon: float, params: SpinSystemParams,

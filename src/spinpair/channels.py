@@ -28,6 +28,7 @@ from .states import (
     SpinSystemParams,
     StateValidationError,
     IX, IY, IZ, SX, SY, SZ,
+    check_density,
     make_thermal,
 )
 
@@ -117,7 +118,9 @@ class Channel:
         raise ChannelError(f"unknown channel kind {self.kind!r}")
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        return (self.superop @ np.reshape(m, 16)).reshape(4, 4)
+        """The map on a 4x4 matrix or a (..., 4, 4) stack of them."""
+        m = np.asarray(m)
+        return (self.superop @ m.reshape(m.shape[:-2] + (16, 1))).reshape(m.shape)
 
     def __eq__(self, other):
         if not isinstance(other, Channel):
@@ -267,28 +270,34 @@ def filtration_sequence(params: SpinSystemParams,
     )
 
 
-def apply(program: ChannelProgram, rho: DensityMatrix) -> DensityMatrix:
+def apply(program: ChannelProgram, rho):
     """Left-to-right composition of the channels' superoperators.
 
+    rho is a DensityMatrix, and the result is one, or a (..., 4, 4) stack
+    of density matrices, checked on entry and returned as an array.
     The state is revalidated after every channel that is not completely
     positive, the only kind that can take a valid state to an invalid one,
     and always after the last channel; a broken state raises ChannelError
     naming the channel after which it was found."""
-    m = rho.matrix
+    if isinstance(rho, DensityMatrix):
+        m, check = rho.matrix, DensityMatrix
+    else:
+        rho = m = check_density(rho)
+        check = check_density
     last = len(program.channels) - 1
     for i, ch in enumerate(program.channels):
         m = ch.apply_matrix(m)
         if not ch.cp or i == last:
-            rho = _checked_state(ch, m)
+            rho = _checked(ch, m, check)
     return rho
 
 
 def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
-    return _checked_state(channel, channel.apply_matrix(rho.matrix))
+    return _checked(channel, channel.apply_matrix(rho.matrix), DensityMatrix)
 
 
-def _checked_state(channel: Channel, m: np.ndarray) -> DensityMatrix:
+def _checked(channel: Channel, m: np.ndarray, check):
     try:
-        return DensityMatrix(m)
+        return check(m)
     except StateValidationError as exc:
         raise ChannelError(f"channel {channel.label} broke state invariants: {exc}") from exc

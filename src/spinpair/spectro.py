@@ -201,20 +201,24 @@ def component_integrals(spectrum: Spectrum, params: SpinSystemParams) -> np.ndar
     return np.array([integrate(spectrum, lo, hi) for lo, hi in component_regions(params)])
 
 
-def _integral_map(params: SpinSystemParams, n: int, dwell_s: float) -> np.ndarray:
-    """(4, n) complex W with component_integrals(fourier(fid), params) equal
-    to Re(W @ fid.samples) for every n-point fid sampled at dwell_s.
+@functools.lru_cache(maxsize=2)
+def _integral_map(regions: tuple, n: int, dwell_s: float) -> np.ndarray:
+    """Read-only (len(regions), n) complex W with Re(W @ fid.samples) equal
+    to the integrals of fourier(fid) over regions, in their order, for
+    every n-point fid sampled at dwell_s; regions is a tuple of (lo, hi)
+    pairs in Hz. The last two maps built stay cached.
 
     Each row is the transform of that region's trapezoid weights, read back
     onto the samples: the zero fill drops out, and the first-point halving
     and the 2*dwell scale fold into W."""
     freqs = np.fft.fftfreq(2 * n, dwell_s)
     order = np.argsort(freqs)
-    w = np.zeros((4, 2 * n))
-    for row, (lo, hi) in zip(w, component_regions(params)):
+    w = np.zeros((len(regions), 2 * n))
+    for row, (lo, hi) in zip(w, regions):
         row[order] = _trapezoid_weights(freqs[order], lo, hi)
     out = 2 * dwell_s * np.fft.rfft(w)[:, :n]
     out[:, 0] *= 0.5
+    out.setflags(write=False)
     return out
 
 

@@ -12,8 +12,9 @@ used throughout is (S0, T0, T+1, T-1).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,6 +75,43 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_density(m) -> np.ndarray:
+    """m as a complex (..., 4, 4) array, once every 4x4 matrix in it is a
+    density matrix: Hermitian to HERM_TOL, unit trace to TRACE_TOL and no
+    eigenvalue below -EIG_TOL.
+
+    The checks run in that order over the whole stack; the first one that
+    fails raises StateValidationError with the value of the first member
+    failing it, the message DensityMatrix gives for that member alone."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (4, 4):
+        raise StateValidationError(f"expected 4x4 matrices, got {m.shape}")
+    mh = m.conj().swapaxes(-1, -2)
+    dev = np.abs(m - mh).max(axis=(-2, -1))
+    bad = dev > HERM_TOL
+    if _any(bad):
+        raise StateValidationError(f"not Hermitian: max deviation {_first(dev, bad):.3e}")
+    tr = m.trace(axis1=-2, axis2=-1)
+    bad = abs(tr - 1.0) > TRACE_TOL
+    if _any(bad):
+        raise StateValidationError(f"trace {_first(tr, bad)} differs from 1 beyond tolerance")
+    # eigvalsh on the symmetrized matrix: the Hermiticity slack is 1e-12
+    eigmin = np.linalg.eigvalsh((m + mh) / 2).min(axis=-1)
+    bad = eigmin < -EIG_TOL
+    if _any(bad):
+        raise StateValidationError(f"negative eigenvalue {_first(eigmin, bad):.3e}")
+    return m
+
+
+def _any(mask) -> bool:
+    # bool() of the 0-d mask of one matrix costs a tenth of .any()
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+
+
+def _first(values, mask):
+    return np.asarray(values)[mask][0]
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A 4x4 complex Hermitian, unit-trace, positive matrix (read-only)."""
@@ -84,18 +122,7 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise StateValidationError(f"expected 4x4 matrix, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > HERM_TOL:
-            raise StateValidationError(
-                f"not Hermitian: max deviation {np.abs(m - m.conj().T).max():.3e}"
-            )
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise StateValidationError(f"trace {tr} differs from 1 beyond tolerance")
-        # eigvalsh on the symmetrized matrix: the Hermiticity slack is 1e-12
-        eigmin = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
-        if eigmin < -EIG_TOL:
-            raise StateValidationError(f"negative eigenvalue {eigmin:.3e}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", _frozen(check_density(m)))
 
     def __eq__(self, other):
         if not isinstance(other, DensityMatrix):
@@ -292,31 +319,52 @@ def from_product_operators(coeffs: ProductOperatorCoeffs) -> DensityMatrix:
                                    PAULI_PRODUCTS))
 
 
+_OFF_DIAG = 1.0 - np.eye(4)
+
+
+def bell_frame(m) -> tuple:
+    """Each 4x4 matrix of a (..., 4, 4) stack in the singlet-triplet basis:
+    its (..., 4) populations in the (S0, T0, T+1, T-1) order and its (...)
+    offBell residue, the Frobenius norm of the off-diagonal part."""
+    r = BELL_BASIS.conj().T @ m @ BELL_BASIS
+    off = (r * _OFF_DIAG).view(float)  # real and imaginary parts side by side
+    return r.diagonal(axis1=-2, axis2=-1).real, np.sqrt((off * off).sum(axis=(-2, -1)))
+
+
 def to_bell_populations(rho: DensityMatrix) -> BellPopulations:
-    r_bell = BELL_BASIS.conj().T @ rho.matrix @ BELL_BASIS
-    diag = r_bell.diagonal().real
-    off = r_bell - np.diag(r_bell.diagonal())
+    diag, off = bell_frame(rho.matrix)
     return BellPopulations(
         pS=float(diag[0]),
         pT0=float(diag[1]),
         pTplus=float(diag[2]),
         pTminus=float(diag[3]),
-        offBell=float(np.linalg.norm(off)),
+        offBell=float(off),
     )
+
+
+def bell_diagonal_matrices(pops) -> np.ndarray:
+    """(..., 4, 4) mixtures of the four singlet-triplet projectors with the
+    (..., 4) weights pops, in the (S0, T0, T+1, T-1) order; unvalidated."""
+    return (BELL_BASIS * np.asarray(pops)[..., None, :]) @ BELL_BASIS.conj().T
 
 
 def bell_diagonal(pS: float, pT0: float, pTplus: float, pTminus: float) -> DensityMatrix:
     """Mixture of the four singlet-triplet projectors with given weights."""
-    pops = np.array([pS, pT0, pTplus, pTminus])
-    return DensityMatrix(BELL_BASIS @ np.diag(pops.astype(complex)) @ BELL_BASIS.conj().T)
+    return DensityMatrix(bell_diagonal_matrices(np.array([pS, pT0, pTplus, pTminus])))
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity; reduces to <psi|rho|psi> for a pure sigma."""
+@functools.lru_cache(maxsize=4)
+def _sqrt_state(sigma: DensityMatrix) -> np.ndarray:
     # eigendecomposition route avoids a scipy dependency for sqrtm
     w, v = np.linalg.eigh(sigma.matrix)
     w = np.clip(w, 0, None)
-    sqrt_sigma = v @ np.diag(np.sqrt(w)) @ v.conj().T
+    return _frozen(v @ np.diag(np.sqrt(w)) @ v.conj().T)
+
+
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Uhlmann fidelity; reduces to <psi|rho|psi> for a pure sigma. The
+    square root of sigma is cached for the last few sigmas seen."""
+    sqrt_sigma = _sqrt_state(sigma)
     inner = sqrt_sigma @ rho.matrix @ sqrt_sigma
     vals = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0, None)
     return float(np.sqrt(vals).sum() ** 2)

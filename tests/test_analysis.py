@@ -338,3 +338,66 @@ def test_para_fraction_limits_and_monotonicity():
     assert vals[-1] > 0.25  # approaches 1/4 from above
     with pytest.raises(ValueError):
         para_fraction(0.0)
+
+
+def looped_partial_transpose(m):
+    """partial_transpose as it was written for one matrix at a time."""
+    return np.asarray(m).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
+def looped_min_pt_eigenvalue(m):
+    """min_pt_eigenvalue as it was written for one matrix at a time."""
+    return float(np.linalg.eigvalsh(looped_partial_transpose(m)).min())
+
+
+def looped_singlet_mixture_entangled(a, x):
+    """singlet_mixture_entangled as it was written for one point: a
+    validated bell_diagonal state per (a, x)."""
+    if not (0 <= a <= 1 and 0 <= x <= 1):
+        raise ValueError("a and x must lie in [0, 1]")
+    rest = 1 - a
+    rho = bell_diagonal(a, rest * x, rest * (1 - x) / 2, rest * (1 - x) / 2)
+    return looped_min_pt_eigenvalue(rho.matrix) < -1e-10
+
+
+def test_min_pt_eigenvalue_on_a_stack_matches_per_matrix(random_states):
+    stack = np.array([rho.matrix for rho in random_states])
+    got = min_pt_eigenvalue(stack)
+    assert got.shape == (1000,)
+    assert np.array_equal(got, [looped_min_pt_eigenvalue(m) for m in stack])
+    assert np.array_equal(min_pt_eigenvalue(stack.reshape(10, 100, 4, 4)),
+                          got.reshape(10, 100))
+    for rho, v in zip(random_states[:50], got):
+        single = min_pt_eigenvalue(rho)
+        assert type(single) is float and single == v
+    assert np.array_equal(partial_transpose(stack.reshape(10, 100, 4, 4)).reshape(1000, 4, 4),
+                          [looped_partial_transpose(m) for m in stack])
+    with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+        min_pt_eigenvalue(np.zeros((5, 3, 3)))
+    with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+        concurrence(stack)
+
+
+def test_singlet_mixture_grid_matches_per_point_oracle(rng):
+    a = np.linspace(0.0, 1.0, 51)[:, None]
+    for x in (np.linspace(0.0, 0.5, 51), np.linspace(0.0, 1.0, 51)):
+        got = singlet_mixture_entangled(a, x)
+        assert got.shape == (51, 51) and got.dtype == bool
+        want = [[looped_singlet_mixture_entangled(ai, xj) for xj in x] for ai in a[:, 0]]
+        assert np.array_equal(got, want)
+    pts = rng.uniform(size=(2, 500))
+    assert np.array_equal(singlet_mixture_entangled(*pts),
+                          [looped_singlet_mixture_entangled(*p) for p in pts.T])
+    xs = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(singlet_mixture_entangled(0.5, xs),
+                          [looped_singlet_mixture_entangled(0.5, x) for x in xs])
+    for a0, x0 in [(0.5, 0.0), (0.5, 0.5), (0.51, 0.2), (0.0, 1.0)]:
+        got = singlet_mixture_entangled(a0, x0)
+        assert type(got) is bool and got == looped_singlet_mixture_entangled(a0, x0)
+
+
+@pytest.mark.parametrize("a, x", [
+    (1.5, 0.2), (0.5, -0.1), (np.nan, 0.2), ([0.2, 1.2], 0.3), (0.4, [0.1, np.nan])])
+def test_singlet_mixture_entangled_refuses_values_outside_unit_interval(a, x):
+    with pytest.raises(ValueError, match="must lie in"):
+        singlet_mixture_entangled(a, x)

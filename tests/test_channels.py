@@ -443,3 +443,38 @@ def test_apply_matches_revalidating_oracle_on_sequences(program, seed, rank):
         assert str(got.value).split(":")[0] == str(exc).split(":")[0]
         return
     assert np.abs(apply(program, rho).matrix - want.matrix).max() <= 1e-12
+
+
+def test_apply_on_a_stack_matches_per_state_apply(random_states):
+    stack = np.array([rho.matrix for rho in random_states[:200]])
+    p = SpinSystemParams()
+    programs = [filtration_sequence(p), selective_pulse("S", p),
+                ChannelProgram(channels=tuple(every_constructor()[:-1]), params=p)]
+    for prog in programs:
+        got = apply(prog, stack.reshape(20, 10, 4, 4))
+        assert isinstance(got, np.ndarray) and got.shape == (20, 10, 4, 4)
+        want = np.array([apply(prog, rho).matrix for rho in random_states[:200]])
+        assert np.abs(got.reshape(200, 4, 4) - want).max() <= 1e-15
+        for ch in prog.channels:
+            single = np.array([ch.apply_matrix(m) for m in stack])
+            assert np.abs(ch.apply_matrix(stack) - single).max() <= 1e-15
+    # an empty program returns the checked stack itself
+    assert np.array_equal(apply(ChannelProgram(channels=(), params=p), stack), stack)
+
+
+def test_apply_on_a_stack_names_the_breaking_channel(random_states):
+    p = SpinSystemParams(t1_s=0.5, t2_s=1.5)
+    ket = np.array([1, 1, 0, 0]) / math.sqrt(2)
+    breaking = np.outer(ket, ket).astype(complex)
+    stack = np.array([random_states[0].matrix, breaking, random_states[1].matrix])
+    prog = ChannelProgram(channels=(relax(0.1, p), zq_dephase()), params=p)
+    with pytest.raises(ChannelError) as want:
+        apply(prog, DensityMatrix(breaking))
+    with pytest.raises(ChannelError) as got:
+        apply(prog, stack)
+    assert str(got.value) == str(want.value)
+    assert "channel relax(0.1) broke state invariants" in str(got.value)
+    # an invalid input is a state error, as building a DensityMatrix is
+    stack[2, 0, 1] = 0.3
+    with pytest.raises(StateValidationError, match="not Hermitian"):
+        apply(prog, stack)

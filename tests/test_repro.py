@@ -1,9 +1,15 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spinpair import spectro
+from spinpair import repro, spectro
+from spinpair.channels import apply, filtration_sequence
+from spinpair.cli import main
 from spinpair.repro import (
     antiphase_recovery_fraction,
+    antiphase_test_fid,
     format_repro_table,
     measured_recovery,
     paper_repro,
@@ -12,7 +18,11 @@ from spinpair.repro import (
     thermal_fid,
 )
 from spinpair.spectro import Fid, ReadoutConfig
-from spinpair.states import SpinSystemParams
+from spinpair.states import DensityMatrix, SpinSystemParams, to_bell_populations
+
+GOLDEN = Path(__file__).parent / "data" / "paper_repro.json"
+RESIDUE_ROWS = ("filtration: max off-diagonal residue over 1000 states",
+                "filtration: max |pT+1 - pT-1| over 1000 states")
 
 
 def test_fid_builders(params):
@@ -104,15 +114,22 @@ def test_run_pipeline_bootstrap_matches_fourier_path(params, epsilon, sigma, see
     assert got == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("n, dwell_s", [(16384, 1 / 4096), (1024, 1 / 2048), (64, 1 / 1024)])
+@pytest.mark.parametrize("n, dwell_s", [(16384, 1 / 4096), (1024, 1 / 2048), (64, 1 / 1024),
+                                        (65536, 1 / 1024)])
 def test_integral_map_matches_fourier_then_integrate(params, n, dwell_s):
-    w = spectro._integral_map(params, n, dwell_s)
-    assert w.shape == (4, n)
-    rng = np.random.default_rng(n)
-    for _ in range(5):
-        fid = Fid(samples=rng.normal(size=n) + 1j * rng.normal(size=n), dwell_s=dwell_s)
-        want = spectro.component_integrals(spectro.fourier(fid), params)
-        assert np.abs((w @ fid.samples).real - want).max() <= 1e-12 * np.abs(want).max()
+    # the component regions of run_pipeline and the one region of
+    # measured_recovery
+    for regions in (spectro.component_regions(params), ((100.0, 500.0),)):
+        w = spectro._integral_map(regions, n, dwell_s)
+        assert w.shape == (len(regions), n)
+        assert not w.flags.writeable
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            fid = Fid(samples=rng.normal(size=n) + 1j * rng.normal(size=n),
+                      dwell_s=dwell_s)
+            spec = spectro.fourier(fid)
+            want = np.array([spectro.integrate(spec, lo, hi) for lo, hi in regions])
+            assert np.abs((w @ fid.samples).real - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_integral_map_rejects_regions_outside_axis(params):
@@ -121,7 +138,7 @@ def test_integral_map_rejects_regions_outside_axis(params):
     with pytest.raises(spectro.SpectroError, match="outside axis") as ref:
         spectro.component_integrals(spec, params)
     with pytest.raises(spectro.SpectroError) as got:
-        spectro._integral_map(params, 1024, 1 / 600)
+        spectro._integral_map(spectro.component_regions(params), 1024, 1 / 600)
     assert str(got.value) == str(ref.value)
 
 
@@ -150,3 +167,80 @@ def test_paper_repro_flags_wrong_volume_fraction():
     assert failed and all("polarization" in n for n in failed)
     table = format_repro_table(rows)
     assert "FAIL" in table
+
+
+def looped_filtration_sweep(params, n, seed):
+    """The filtration sweep as paper_repro ran it, one state at a time:
+    draw, DensityMatrix, apply, to_bell_populations. Returns the states
+    and the two residues."""
+    filt = filtration_sequence(params)
+    rng = np.random.default_rng(seed)
+    states = []
+    max_off = max_imb = 0.0
+    for _ in range(n):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = a @ a.conj().T
+        states.append(DensityMatrix(m / m.trace()))
+        pops = to_bell_populations(apply(filt, states[-1]))
+        max_off = max(max_off, pops.offBell)
+        max_imb = max(max_imb, abs(pops.pTplus - pops.pTminus))
+    return states, (max_off, max_imb)
+
+
+@pytest.mark.parametrize("n, seed", [(1000, 20260819), (37, 5), (0, 1)])
+def test_filtration_sweep_matches_per_state_loop(params, n, seed, monkeypatch):
+    # the residues are rounding noise whatever the states, so the states
+    # the sweep draws are compared as well
+    stacks = []
+
+    def recording_apply(program, rho):
+        if isinstance(rho, np.ndarray):
+            stacks.append(rho)
+        return apply(program, rho)
+
+    monkeypatch.setattr(repro, "apply", recording_apply)
+    rows, _ = paper_repro(params, n_random_states=n, rng_seed=seed)
+    got = [r["value"] for r in rows if r["name"].startswith("filtration: max")]
+    states, want = looped_filtration_sweep(params, n, seed)
+    assert len(got) == 2
+    assert np.abs(np.subtract(got, want)).max() <= 1e-14
+    assert len(stacks) == 1 and stacks[0].shape == (n, 4, 4)
+    if n:
+        assert np.abs(stacks[0] - [rho.matrix for rho in states]).max() <= 1e-15
+
+
+def fourier_recovery(j_hz, fwhm_hz, rounds):
+    """measured_recovery through the transform and the trapezoid integral."""
+    fid = antiphase_test_fid(j_hz, fwhm_hz, 100.0)
+    if rounds:
+        fid = spectro.j_double(fid, j_hz, rounds)
+    return spectro.integrate(spectro.fourier(fid), 100.0, 500.0) / 0.5
+
+
+@pytest.mark.parametrize("rounds", range(5))
+def test_measured_recovery_matches_fourier_then_integrate(rounds):
+    for w in (0.6, 0.8, 1.0):
+        got = measured_recovery(5.0, w * 5.0, rounds)
+        assert type(got) is float
+        assert got == pytest.approx(fourier_recovery(5.0, w * 5.0, rounds), rel=1e-12)
+
+
+def test_paper_repro_matches_recorded_table(tmp_path, capsys):
+    # tests/data/paper_repro.json is `spinpair paper-repro` at the default
+    # parameters, recorded before the grid, the sweep and the recoveries
+    # were batched; the two residues are rounding noise, pinned absolutely
+    assert main(["paper-repro", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = json.loads((tmp_path / "paper_repro.json").read_text(encoding="utf-8"))
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert got["all_pass"] is want["all_pass"] is True
+    assert [r["name"] for r in got["rows"]] == [r["name"] for r in want["rows"]]
+    for g, w in zip(got["rows"], want["rows"]):
+        assert {k: v for k, v in g.items() if k != "value"} == \
+            {k: v for k, v in w.items() if k != "value"}, g["name"]
+        if g["name"] in RESIDUE_ROWS:
+            assert abs(g["value"] - w["value"]) <= 1e-14
+        elif isinstance(w["value"], str):
+            assert g["value"] == w["value"]
+        else:
+            assert g["value"] == pytest.approx(w["value"], rel=1e-12, abs=0), g["name"]

@@ -12,6 +12,8 @@ from spinpair.states import (
     NAMED_STATES,
     SpinSystemParams,
     StateValidationError,
+    bell_frame,
+    check_density,
     bell_diagonal,
     fidelity,
     from_product_operators,
@@ -284,3 +286,93 @@ def test_bell_diagonal_any_simplex_point_is_valid(a, b, c):
 def test_pseudo_pure_purity_monotone(eps):
     rho = make_pseudo_pure(eps, make_singlet())
     assert purity(rho) == pytest.approx(0.25 + 0.75 * eps * eps, abs=1e-12)
+
+
+def _refusal(make, *args):
+    with pytest.raises(StateValidationError) as exc:
+        make(*args)
+    return str(exc.value)
+
+
+def _nonherm(dev):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = dev
+    return m
+
+
+@pytest.mark.parametrize("bad, worse", [
+    (_nonherm(0.2), _nonherm(0.4)),
+    (np.eye(4, dtype=complex) * (1 + 1e-9) / 4, np.eye(4, dtype=complex) * (1 + 2e-9) / 4),
+    (np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex),
+     np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)),
+], ids=["nonherm", "trace", "negative"])
+def test_check_density_refuses_what_density_matrix_refuses(random_states, bad, worse):
+    stack = np.array([rho.matrix for rho in random_states[:20]])
+    assert np.array_equal(check_density(stack), stack)
+    stack[7] = bad
+    # same refusal as DensityMatrix gives that member alone, and the same
+    # for the member on its own as a 4x4 input
+    want = _refusal(DensityMatrix, bad)
+    assert _refusal(check_density, stack) == want
+    assert _refusal(check_density, stack.reshape(4, 5, 4, 4)) == want
+    assert _refusal(check_density, bad) == want
+    for rho in stack[np.arange(20) != 7]:
+        DensityMatrix(rho)
+    # with two members failing the same check, the message is the first's
+    stack[12] = worse
+    assert _refusal(DensityMatrix, worse) != want
+    assert _refusal(check_density, stack) == want
+
+
+def test_check_density_shapes():
+    assert check_density(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+    for shape in [(4,), (3, 3), (2, 4, 3)]:
+        with pytest.raises(StateValidationError, match="expected 4x4"):
+            check_density(np.zeros(shape))
+    with pytest.raises(StateValidationError, match="expected 4x4 matrix"):
+        DensityMatrix(np.array([np.eye(4) / 4] * 2))
+
+
+def loop_bell_populations(m):
+    """to_bell_populations as it was written for one matrix at a time."""
+    r_bell = BELL_BASIS.conj().T @ m @ BELL_BASIS
+    off = r_bell - np.diag(r_bell.diagonal())
+    return r_bell.diagonal().real, float(np.linalg.norm(off))
+
+
+def test_bell_frame_matches_per_state_oracle(random_states):
+    stack = np.array([rho.matrix for rho in random_states])
+    pops, off = bell_frame(stack)
+    assert pops.shape == (1000, 4) and off.shape == (1000,)
+    for rho, p, o in zip(random_states, pops, off):
+        want_p, want_o = loop_bell_populations(rho.matrix)
+        assert np.abs(p - want_p).max() <= 1e-15
+        assert abs(o - want_o) <= 1e-15
+        got = to_bell_populations(rho)
+        assert np.abs(np.subtract(got.as_tuple(), want_p)).max() <= 1e-15
+        assert abs(got.offBell - want_o) <= 1e-15
+
+
+def test_bell_diagonal_matches_diag_product(rng):
+    for _ in range(200):
+        p = rng.dirichlet(np.ones(4))
+        want = BELL_BASIS @ np.diag(p.astype(complex)) @ BELL_BASIS.conj().T
+        assert np.array_equal(bell_diagonal(*p).matrix, want)
+
+
+def uncached_fidelity(rho, sigma):
+    w, v = np.linalg.eigh(sigma.matrix)
+    w = np.clip(w, 0, None)
+    sqrt_sigma = v @ np.diag(np.sqrt(w)) @ v.conj().T
+    inner = sqrt_sigma @ rho.matrix @ sqrt_sigma
+    vals = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0, None)
+    return float(np.sqrt(vals).sum() ** 2)
+
+
+def test_fidelity_with_cached_root_matches_uncached(random_states):
+    # the cached square root is reused across calls and targets, and the
+    # values stay bit for bit those of recomputing it every call
+    targets = [make_singlet(), random_states[0], make_singlet(), random_states[1]]
+    for sigma in targets:
+        for rho in random_states[:100]:
+            assert fidelity(rho, sigma) == uncached_fidelity(rho, sigma)
