@@ -222,6 +222,20 @@ def _integral_map(regions: tuple, n: int, dwell_s: float) -> np.ndarray:
     return out
 
 
+def _noisy_integrals(y: np.ndarray, w: np.ndarray, sigma: float,
+                     z: np.ndarray) -> np.ndarray:
+    """Draws of Re(W @ (fid + noise)) for the noise add_noise adds, given
+    the noise-free y = Re(W @ fid.samples) and standard normals z of shape
+    (..., len(W)).
+
+    With independent N(0, sigma^2) real and imaginary parts per sample,
+    Re(W @ noise) is Gaussian with covariance sigma^2 Re(W W^H) = sigma^2
+    L L^T (L its Cholesky factor), so y + sigma * z @ L.T has exactly the
+    law of the integrals of the noisy FID, with len(W) normals per draw
+    instead of 2n."""
+    return y + sigma * z @ np.linalg.cholesky((w @ w.conj().T).real).T
+
+
 def line_regions(params: SpinSystemParams, j_apparent_hz: float | None = None,
                  widths: float = 3.0, apodize_hz: float = 0.0) -> tuple:
     """Narrow auto-placed windows: each doublet line +- widths linewidths

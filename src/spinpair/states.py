@@ -82,34 +82,47 @@ def check_density(m) -> np.ndarray:
 
     The checks run in that order over the whole stack; the first one that
     fails raises StateValidationError with the value of the first member
-    failing it, the message DensityMatrix gives for that member alone."""
+    failing it, the message DensityMatrix gives for that member alone.
+
+    Each check tests that its condition holds, so NaN fails it. A
+    non-finite entry makes the Hermiticity deviation NaN or inf, so it
+    fails the first check, which then names the entry."""
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise StateValidationError(f"expected 4x4 matrices, got {m.shape}")
     mh = m.conj().swapaxes(-1, -2)
     dev = np.abs(m - mh).max(axis=(-2, -1))
-    bad = dev > HERM_TOL
-    if _any(bad):
-        raise StateValidationError(f"not Hermitian: max deviation {_first(dev, bad):.3e}")
+    ok = dev <= HERM_TOL
+    if not _all(ok):
+        member = _first_failing(m, ok)
+        nonfinite = np.argwhere(~np.isfinite(member))
+        if len(nonfinite):
+            i, j = nonfinite[0]
+            raise StateValidationError(f"non-finite entry {member[i, j]} at [{i}, {j}]")
+        raise StateValidationError(f"not Hermitian: max deviation {_first_failing(dev, ok):.3e}")
     tr = m.trace(axis1=-2, axis2=-1)
-    bad = abs(tr - 1.0) > TRACE_TOL
-    if _any(bad):
-        raise StateValidationError(f"trace {_first(tr, bad)} differs from 1 beyond tolerance")
-    # eigvalsh on the symmetrized matrix: the Hermiticity slack is 1e-12
-    eigmin = np.linalg.eigvalsh((m + mh) / 2).min(axis=-1)
-    bad = eigmin < -EIG_TOL
-    if _any(bad):
-        raise StateValidationError(f"negative eigenvalue {_first(eigmin, bad):.3e}")
+    ok = abs(tr - 1.0) <= TRACE_TOL
+    if not _all(ok):
+        raise StateValidationError(f"trace {_first_failing(tr, ok)} differs from 1 beyond tolerance")
+    # eigvalsh on the symmetrized matrix: the Hermiticity slack is 1e-12.
+    # Finite entries near the float limit overflow in the sum
+    try:
+        eigmin = np.linalg.eigvalsh((m + mh) / 2).min(axis=-1)
+    except np.linalg.LinAlgError as exc:
+        raise StateValidationError(f"eigenvalues not computable: {exc}") from None
+    ok = eigmin >= -EIG_TOL
+    if not _all(ok):
+        raise StateValidationError(f"negative eigenvalue {_first_failing(eigmin, ok):.3e}")
     return m
 
 
-def _any(mask) -> bool:
-    # bool() of the 0-d mask of one matrix costs a tenth of .any()
-    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+def _all(mask) -> bool:
+    # bool() of the 0-d mask of one matrix costs a tenth of .all()
+    return bool(mask) if mask.ndim == 0 else bool(mask.all())
 
 
-def _first(values, mask):
-    return np.asarray(values)[mask][0]
+def _first_failing(values, ok):
+    return np.asarray(values)[~ok][0]
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,19 @@ def test_analyze_rejects_invalid_state(tmp_path, capsys):
     assert run_cli("analyze", tmp_path / "nope.json", "--out", tmp_path) == 2
 
 
+def test_analyze_rejects_non_finite_state(tmp_path, capsys):
+    re = np.eye(4) / 4
+    re[0, 0] = np.nan
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"basis": "zeeman", "re": re.tolist(),
+                               "im": np.zeros((4, 4)).tolist()}))
+    assert "NaN" in bad.read_text()
+    assert run_cli("analyze", bad, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "non-finite entry" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_calibrate_quoted_numbers(tmp_path, capsys):
     code = run_cli("calibrate", "--ph2-integrals", "77000",
                    "--thermal-integrals", "1", "--scan-norm", "1",

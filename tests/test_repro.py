@@ -23,6 +23,13 @@ from spinpair.states import DensityMatrix, SpinSystemParams, to_bell_populations
 GOLDEN = Path(__file__).parent / "data" / "paper_repro.json"
 RESIDUE_ROWS = ("filtration: max off-diagonal residue over 1000 states",
                 "filtration: max |pT+1 - pT-1| over 1000 states")
+NOISY_INTEGRALS = spectro._noisy_integrals
+
+
+def noise_factor(w):
+    """The Cholesky factor L behind _noisy_integrals: unit sigma and
+    identity normals read back L.T."""
+    return NOISY_INTEGRALS(np.zeros(len(w)), w, 1.0, np.eye(len(w))).T
 
 
 def test_fid_builders(params):
@@ -58,38 +65,82 @@ def test_run_pipeline_bootstrap_deterministic(params):
     assert a.epsilon_err != c.epsilon_err
 
 
-def test_run_pipeline_noise_streams_independent_across_seeds(params, monkeypatch):
-    noises = []
-    real_add_noise = spectro.add_noise
+@pytest.fixture
+def noisy_integral_calls(monkeypatch):
+    """Records every spectro._noisy_integrals call as (y, w, z, result)."""
+    calls = []
 
-    def recording_add_noise(fid, sigma, seed):
-        noisy = real_add_noise(fid, sigma, seed)
-        noises.append((noisy.samples - fid.samples).tobytes())
-        return noisy
+    def recording(y, w, sigma, z):
+        calls.append((y, w, z, NOISY_INTEGRALS(y, w, sigma, z)))
+        return calls[-1][-1]
 
-    monkeypatch.setattr(spectro, "add_noise", recording_add_noise)
+    monkeypatch.setattr(spectro, "_noisy_integrals", recording)
+    return calls
+
+
+def test_run_pipeline_noise_streams_independent_across_seeds(params, noisy_integral_calls):
+    # every replicate draws its own normals on every channel, over two seeds
     ro = ReadoutConfig(n_points=4096)
     for seed in (0, 2):
         run_pipeline(params, noise_sigma=1e-3, seed=seed, n_boot=4, readout=ro)
-    assert len(noises) == 16
-    assert len(set(noises)) == len(noises)
+    assert len(noisy_integral_calls) == 4
+    draws = [row.tobytes() for _, _, z, _ in noisy_integral_calls for row in z]
+    noises = [row.tobytes() for y, _, _, out in noisy_integral_calls for row in out - y]
+    assert len(draws) == len(noises) == 16
+    assert len(set(draws)) == len(set(noises)) == 16
+
+
+def test_run_pipeline_replicates_do_not_depend_on_n_boot(params, noisy_integral_calls):
+    run_pipeline(params, noise_sigma=2e-3, seed=7, n_boot=20)
+    run_pipeline(params, noise_sigma=2e-3, seed=7, n_boot=100)
+    short, long = noisy_integral_calls[:2], noisy_integral_calls[2:]
+    for (_, _, _, a), (_, _, _, b) in zip(short, long):
+        assert a.shape == (20, 4) and b.shape == (100, 4)
+        assert np.array_equal(a, b[:20])
 
 
 def test_run_pipeline_bootstrap_keeps_replicates_past_epsilon_one(params, monkeypatch):
-    # scaling the first replicate's polarized signal by 1.6 calibrates it
+    # scaling the first replicate's polarized integrals by 1.6 calibrates it
     # well past epsilon = 1; it widens the spread instead of aborting the run
-    scales = iter([1.6, 1.0, 1.0, 1.0])
-    monkeypatch.setattr(spectro, "add_noise", lambda fid, sigma, seed:
-                        Fid(samples=fid.samples * next(scales), dwell_s=fid.dwell_s))
+    scales = iter([[[1.6], [1.0]], [[1.0], [1.0]]])
+    monkeypatch.setattr(spectro, "_noisy_integrals",
+                        lambda y, w, sigma, z: y * np.array(next(scales)))
     res = run_pipeline(params, noise_sigma=1e-4, n_boot=2,
                        readout=ReadoutConfig(n_points=4096))
     assert res.epsilon_err == pytest.approx(0.6 * res.epsilon / np.sqrt(2), rel=1e-9)
 
 
+def test_noisy_integrals_factor_the_gram_matrix(params, noisy_integral_calls):
+    run_pipeline(params, noise_sigma=1e-3, n_boot=2)
+    assert len(noisy_integral_calls) == 2  # polarized, then thermal
+    for _, w, _, _ in noisy_integral_calls:
+        lo = noise_factor(w)
+        gram = w.real @ w.real.T + w.imag @ w.imag.T
+        assert np.array_equal(lo, np.tril(lo))
+        assert np.abs(lo @ lo.T - gram).max() <= 1e-12 * np.abs(gram).max()
+
+
+def test_integral_noise_law_matches_time_domain_draws(params, noisy_integral_calls):
+    # K add_noise draws at 1024 points; their integrals Re(W @ noise),
+    # whitened by the factor L, must have sample mean 0 and sample
+    # covariance I. The standard error of a whitened sample mean is
+    # 1/sqrt(K), of a sample variance sqrt(2/K) and of a sample covariance
+    # 1/sqrt(K), so every entry is held to 5 * sqrt(2/K) = 0.129
+    k, sigma = 3000, 1e-3
+    run_pipeline(params, noise_sigma=sigma, n_boot=2, readout=ReadoutConfig(n_points=1024))
+    zero = Fid(samples=np.zeros(1024), dwell_s=ReadoutConfig().dwell_s)
+    noise = np.array([spectro.add_noise(zero, sigma, seed).samples for seed in range(k)])
+    tol = 5 * np.sqrt(2 / k)
+    for _, w, _, _ in noisy_integral_calls:
+        white = np.linalg.solve(sigma * noise_factor(w), (noise @ w.T).real.T).T
+        assert np.abs(white.mean(axis=0)).max() <= tol
+        assert np.abs(np.cov(white, rowvar=False) - np.eye(4)).max() <= tol
+
+
 def fourier_path_epsilon_err(params, epsilon, sigma, seed, n_boot, readout):
-    """Reference bootstrap spread: every replicate J-doubles, transforms and
-    integrates its own noisy FIDs, as run_pipeline did before it folded
-    those steps into one linear map."""
+    """Reference bootstrap spread: every replicate adds time-domain noise to
+    both FIDs, then J-doubles, transforms and integrates them, as
+    run_pipeline did before it drew the integrals from their Gaussian law."""
     fid_p = polarized_fid(params, epsilon, readout)
     fid_t = thermal_fid(params, readout)
     streams = np.random.SeedSequence(seed).spawn(2 * n_boot)
@@ -106,12 +157,43 @@ def fourier_path_epsilon_err(params, epsilon, sigma, seed, n_boot, readout):
 
 @pytest.mark.parametrize("epsilon, sigma, seed", [
     (0.916, 1e-4, 3), (0.6, 2e-3, 11), (0.3, 2e-2, 12345)])
-def test_run_pipeline_bootstrap_matches_fourier_path(params, epsilon, sigma, seed):
+def test_run_pipeline_bootstrap_matches_fourier_path(params, noisy_integral_calls,
+                                                     epsilon, sigma, seed):
     ro = ReadoutConfig()
-    got = run_pipeline(params, epsilon=epsilon, noise_sigma=sigma, seed=seed,
-                       n_boot=20, readout=ro).epsilon_err
-    want = fourier_path_epsilon_err(params, epsilon, sigma, seed, 20, ro)
-    assert got == pytest.approx(want, rel=1e-10)
+    run_pipeline(params, epsilon=epsilon, noise_sigma=sigma, seed=seed, n_boot=2, readout=ro)
+    (y_p, w_p, _, _), (y_t, w_t, _, _) = noisy_integral_calls
+    # exact: the integrals of fid + n are y + Re(W n) for the same noise n
+    sp, st = np.random.SeedSequence(seed).spawn(2)
+    for fid, y, w, stream, rounds in (
+            (polarized_fid(params, epsilon, ro), y_p, w_p, sp, ro.j_double_rounds),
+            (thermal_fid(params, ro), y_t, w_t, st, 0)):
+        noisy = spectro.add_noise(fid, sigma, stream)
+        got = y + (w @ (noisy.samples - fid.samples)).real
+        if rounds:
+            noisy = spectro.j_double(noisy, params.j_hz, rounds)
+        want = spectro.component_integrals(spectro.fourier(noisy), params)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_run_pipeline_bootstrap_spread_matches_fourier_path(params, noisy_integral_calls):
+    # statistical: the spread of n_f = 400 time-domain replicates against
+    # the spread of n_i = 20000 replicates drawn from the law, at 1024
+    # points. The standard error of a sample standard deviation s over n
+    # draws with kurtosis kappa is s * sqrt((kappa - 1) / (4 n)); kappa is
+    # taken from the law's replicates, and the two spreads must agree
+    # within 4 standard errors of their difference
+    ro = ReadoutConfig(n_points=1024)
+    n_f, n_i = 400, 20000
+    for epsilon, sigma, seed in ((0.916, 1e-5, 5), (0.6, 2e-3, 11)):
+        noisy_integral_calls.clear()
+        got = run_pipeline(params, epsilon=epsilon, noise_sigma=sigma, seed=seed,
+                           n_boot=n_i, readout=ro)
+        (_, _, _, ph2), (_, _, _, th) = noisy_integral_calls
+        reps = np.abs(ph2).sum(axis=1) / np.abs(th).sum(axis=1) / got.max_enhancement
+        kappa = np.mean((reps - reps.mean()) ** 4) / reps.var() ** 2
+        se = got.epsilon_err * np.sqrt((kappa - 1) / 4 * (1 / n_f + 1 / n_i))
+        want = fourier_path_epsilon_err(params, epsilon, sigma, seed, n_f, ro)
+        assert abs(got.epsilon_err - want) <= 4 * se, (epsilon, sigma, kappa)
 
 
 @pytest.mark.parametrize("n, dwell_s", [(16384, 1 / 4096), (1024, 1 / 2048), (64, 1 / 1024),

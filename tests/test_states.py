@@ -300,12 +300,19 @@ def _nonherm(dev):
     return m
 
 
+def _with_entry(i, j, value):
+    m = np.eye(4, dtype=complex) / 4
+    m[i, j] = value
+    return m
+
+
 @pytest.mark.parametrize("bad, worse", [
     (_nonherm(0.2), _nonherm(0.4)),
     (np.eye(4, dtype=complex) * (1 + 1e-9) / 4, np.eye(4, dtype=complex) * (1 + 2e-9) / 4),
     (np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex),
      np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)),
-], ids=["nonherm", "trace", "negative"])
+    (_with_entry(0, 0, np.nan), _with_entry(2, 3, -np.inf)),
+], ids=["nonherm", "trace", "negative", "nonfinite"])
 def test_check_density_refuses_what_density_matrix_refuses(random_states, bad, worse):
     stack = np.array([rho.matrix for rho in random_states[:20]])
     assert np.array_equal(check_density(stack), stack)
@@ -322,6 +329,32 @@ def test_check_density_refuses_what_density_matrix_refuses(random_states, bad, w
     stack[12] = worse
     assert _refusal(DensityMatrix, worse) != want
     assert _refusal(check_density, stack) == want
+
+
+@pytest.mark.parametrize("m, message", [
+    (_with_entry(0, 0, np.nan), r"non-finite entry \(nan\+0j\) at \[0, 0\]"),
+    (_with_entry(1, 1, complex(0.25, np.nan)), r"non-finite entry .*nanj\) at \[1, 1\]"),
+    (_with_entry(0, 0, np.inf), r"non-finite entry \(inf\+0j\) at \[0, 0\]"),
+    (_with_entry(2, 3, -np.inf), r"non-finite entry \(-inf\+0j\) at \[2, 3\]"),
+    (np.full((4, 4), np.nan, dtype=complex), r"non-finite entry \(nan\+0j\) at \[0, 0\]"),
+], ids=["nan", "nan-imag", "inf-diagonal", "inf-off-diagonal", "all-nan"])
+def test_non_finite_entries_are_refused(m, message):
+    # inf - inf in the Hermiticity deviation warns; the refusal is the point
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StateValidationError, match=message):
+            DensityMatrix(m)
+        with pytest.raises(StateValidationError, match=message):
+            check_density(np.array([np.eye(4) / 4, m]))
+
+
+def test_entries_near_the_float_limit_are_refused():
+    # finite and Hermitian with unit trace, but the symmetrized sum
+    # overflows and the eigensolver does not converge
+    m = _with_entry(0, 1, 1.7e308)
+    m[1, 0] = 1.7e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StateValidationError, match="eigenvalues not computable"):
+            DensityMatrix(m)
 
 
 def test_check_density_shapes():
