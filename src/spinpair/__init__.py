@@ -26,7 +26,6 @@ from .channels import (
     ChannelError,
     ChannelProgram,
     apply,
-    apply_channel,
     filtration_sequence,
     free_evolution,
     gradient_period,
@@ -62,7 +61,6 @@ from .spectro import (
     imbalance_to_populations,
     integrate,
     j_double,
-    line_regions,
     readout_integrals,
     synthesize_fid,
 )

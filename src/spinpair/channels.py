@@ -1,13 +1,14 @@
 """Trace-preserving linear maps on two-spin states.
 
-Every channel is one 16x16 superoperator acting on vec(rho), the row-major
-flattening of the 4x4 density matrix, built once when the channel is
-made. Pulses and free evolution are exact 4x4 unitaries built by
-eigendecomposition of their generators. Gradients are modeled as ideal
-instantaneous dephasing of every coherence connecting different total-m
-subspaces; spatial averaging over the sample is not simulated.
-Relaxation is a product of independent T1/T2 exponentials relaxing toward
-the exact thermal diagonal.
+A channel is its 16x16 superoperator acting on vec(rho), the row-major
+flattening of the 4x4 density matrix: the matrix form of an NMR channel
+(Havel, J. Math. Phys. 44, 534 (2003)). Each builder computes its own map
+once. Pulses and free evolution are exact 4x4 unitaries U, built by
+eigendecomposition of their generators, acting as kron(U, conj(U)).
+Gradients are modeled as ideal instantaneous dephasing of every coherence
+connecting different total-m subspaces; spatial averaging over the sample
+is not simulated. Relaxation is a product of independent T1/T2
+exponentials relaxing toward the exact thermal diagonal.
 
 Each channel is checked at construction through its Choi matrix
 (Choi, Linear Algebra Appl. 10, 285 (1975)): a map that is not trace
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (
+    _M_TOTAL,
     DensityMatrix,
     SpinSystemParams,
     StateValidationError,
@@ -40,8 +42,6 @@ class ChannelError(ValueError):
     """A channel produced (or was built from) an invalid state or input."""
 
 
-# total m = mI + mS per Zeeman basis index; +1/2 for |0>
-_M_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])
 # keep only elements within one total-m subspace (diagonal + the 01/10 block)
 _ZEEMAN_MASK = (_M_TOTAL[:, None] == _M_TOTAL[None, :]).astype(float)
 _DIAG_MASK = np.eye(4)
@@ -55,38 +55,25 @@ def _unitary_from_generator(gen: np.ndarray) -> np.ndarray:
     return v @ np.diag(np.exp(-1j * w)) @ v.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
-    """One trace-preserving map. kind is one of unitary, delay,
-    zeeman_dephase, zq_dephase, relax. delay is free evolution carrying its
-    duration; relax carries precomputed decay factors and the equilibrium
-    diagonal.
+    """One trace-preserving map, held as its 16x16 matrix on vec(rho).
 
-    superop is the 16x16 matrix of the map on vec(rho); cp says whether
-    the map is completely positive (its Choi matrix is positive
-    semidefinite to CP_TOL)."""
+    superop is stored as a read-only copy; t_s is the duration, None for
+    an instantaneous map. A map that is not trace preserving raises
+    ChannelError; for a unitary kron(u, conj(u)) that is exactly the
+    condition u^H u = 1. cp says whether the map is completely positive
+    (its Choi matrix is positive semidefinite to CP_TOL)."""
 
-    kind: str
     label: str
-    u: np.ndarray | None = None
+    superop: np.ndarray = field(repr=False)
     t_s: float | None = None
-    j_active: bool | None = None
-    f1: float | None = None
-    f2: float | None = None
-    eq_diag: np.ndarray | None = None
-    superop: np.ndarray = field(init=False, repr=False)
     cp: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind in ("unitary", "delay"):
-            if self.u is None:
-                raise ChannelError(f"{self.kind} channel needs a matrix")
-            dev = np.abs(self.u.conj().T @ self.u - np.eye(4)).max()
-            if dev > 1e-12:
-                raise ChannelError(f"matrix not unitary, deviation {dev:.3e}")
         if self.t_s is not None and self.t_s < 0:
             raise ChannelError("negative duration")
-        sup = self._superoperator()
+        sup = np.array(self.superop, dtype=complex)
         sup.setflags(write=False)
         # Choi[(k, i), (l, j)] = Phi(|k><l|)[i, j]; tracing out the
         # output pair (i = j) gives the identity iff Phi preserves trace
@@ -97,44 +84,14 @@ class Channel:
                 f"channel {self.label} is not trace preserving: Choi partial "
                 f"trace deviates from identity by {tp_dev:.3e}")
         object.__setattr__(self, "superop", sup)
-        # every kind here has an exactly Hermitian Choi matrix
+        # every builder here gives an exactly Hermitian Choi matrix
         object.__setattr__(self, "cp", bool(
             np.linalg.eigvalsh(choi.reshape(16, 16)).min() >= -CP_TOL))
-
-    def _superoperator(self) -> np.ndarray:
-        if self.kind in ("unitary", "delay"):
-            return np.kron(self.u, self.u.conj())
-        if self.kind == "zeeman_dephase":
-            return np.diag(_ZEEMAN_MASK.reshape(16)).astype(complex)
-        if self.kind == "zq_dephase":
-            return np.diag(_DIAG_MASK.reshape(16)).astype(complex)
-        if self.kind == "relax":
-            # off-diagonals decay by f2; populations by f1, refilled toward
-            # eq_diag in proportion to the trace: linear, not affine
-            sup = np.diag(np.full(16, self.f2, dtype=complex))
-            sup[np.ix_(_VEC_DIAG, _VEC_DIAG)] = (
-                self.f1 * np.eye(4) + (1 - self.f1) * self.eq_diag[:, None])
-            return sup
-        raise ChannelError(f"unknown channel kind {self.kind!r}")
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """The map on a 4x4 matrix or a (..., 4, 4) stack of them."""
         m = np.asarray(m)
         return (self.superop @ m.reshape(m.shape[:-2] + (16, 1))).reshape(m.shape)
-
-    def __eq__(self, other):
-        if not isinstance(other, Channel):
-            return NotImplemented
-        def arr_eq(a, b):
-            if a is None or b is None:
-                return a is b
-            return np.array_equal(a, b)
-        return (self.kind == other.kind and self.label == other.label
-                and self.t_s == other.t_s and self.j_active == other.j_active
-                and self.f1 == other.f1 and self.f2 == other.f2
-                and arr_eq(self.u, other.u) and arr_eq(self.eq_diag, other.eq_diag))
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -158,20 +115,16 @@ def hard_pulse(angle_deg: float, phase_deg: float) -> Channel:
     """Non-selective rotation of both spins: exp(-i*theta*(cos(phi)Fx + sin(phi)Fy))."""
     theta = np.deg2rad(angle_deg)
     phi = np.deg2rad(phase_deg)
-    gen = theta * (np.cos(phi) * (IX + SX) + np.sin(phi) * (IY + SY))
-    return Channel(kind="unitary", label=f"pulse({angle_deg:g},{phase_deg:g})",
-                   u=_unitary_from_generator(gen))
+    u = _unitary_from_generator(
+        theta * (np.cos(phi) * (IX + SX) + np.sin(phi) * (IY + SY)))
+    return Channel(f"pulse({angle_deg:g},{phase_deg:g})", np.kron(u, u.conj()))
 
 
-def free_evolution(t_s: float, params: SpinSystemParams,
-                   coupling_mode: str = "weak", include_j: bool = True) -> Channel:
-    """Rotating-frame evolution at the doublet midpoint carrier.
-
-    Spin I sits at offset -delta_nu/2, spin S at +delta_nu/2. weak keeps
-    only the secular 2*pi*J*IzSz coupling; strong uses the full 2*pi*J*I.S.
-    include_j=False drops the coupling entirely (selective-pulse delays and
-    gradient periods assume this separation by default).
-    """
+def _propagator(t_s: float, params: SpinSystemParams,
+                coupling_mode: str = "weak", include_j: bool = True) -> np.ndarray:
+    """The 4x4 unitary exp(-i H t_s) of free_evolution, which FID
+    synthesis shares. Weak coupling with J active raises when
+    delta_nu <= J and warns when delta_nu <= 5J."""
     if t_s < 0:
         raise ChannelError("negative evolution time")
     if coupling_mode not in ("weak", "strong"):
@@ -191,20 +144,32 @@ def free_evolution(t_s: float, params: SpinSystemParams,
             h = h + 2 * np.pi * j * (IZ @ SZ)
         else:
             h = h + 2 * np.pi * j * (IX @ SX + IY @ SY + IZ @ SZ)
+    return _unitary_from_generator(h * t_s)
+
+
+def free_evolution(t_s: float, params: SpinSystemParams,
+                   coupling_mode: str = "weak", include_j: bool = True) -> Channel:
+    """Rotating-frame evolution at the doublet midpoint carrier.
+
+    Spin I sits at offset -delta_nu/2, spin S at +delta_nu/2. weak keeps
+    only the secular 2*pi*J*IzSz coupling; strong uses the full 2*pi*J*I.S.
+    include_j=False drops the coupling entirely (selective-pulse delays and
+    gradient periods assume this separation by default).
+    """
+    u = _propagator(t_s, params, coupling_mode, include_j)
     tag = coupling_mode if include_j else "nocoupling"
-    return Channel(kind="delay", label=f"evolve({t_s:g},{tag})",
-                   u=_unitary_from_generator(h * t_s), t_s=t_s, j_active=include_j)
+    return Channel(f"evolve({t_s:g},{tag})", np.kron(u, u.conj()), t_s=t_s)
 
 
 def zeeman_dephase() -> Channel:
     """Ideal gradient crush: zero every element connecting different total m."""
-    return Channel(kind="zeeman_dephase", label="zeeman_dephase")
+    return Channel("zeeman_dephase", np.diag(_ZEEMAN_MASK.reshape(16)))
 
 
 def zq_dephase() -> Channel:
     """Slow-addition model: additionally dephases the zero-quantum 01/10
     block, leaving only the Zeeman diagonal."""
-    return Channel(kind="zq_dephase", label="zq_dephase")
+    return Channel("zq_dephase", np.diag(_DIAG_MASK.reshape(16)))
 
 
 def relax(t_s: float, params: SpinSystemParams) -> Channel:
@@ -213,10 +178,13 @@ def relax(t_s: float, params: SpinSystemParams) -> Channel:
     if t_s < 0:
         raise ChannelError("negative relaxation time")
     eq = make_thermal(params, mode="exact").matrix.diagonal().real
-    return Channel(kind="relax", label=f"relax({t_s:g})", t_s=t_s,
-                   f1=float(np.exp(-t_s / params.t1_s)),
-                   f2=float(np.exp(-t_s / params.t2_s)),
-                   eq_diag=eq)
+    f1 = float(np.exp(-t_s / params.t1_s))
+    f2 = float(np.exp(-t_s / params.t2_s))
+    # off-diagonals decay by f2; populations by f1, refilled toward eq in
+    # proportion to the trace: linear, not affine
+    sup = np.diag(np.full(16, f2, dtype=complex))
+    sup[np.ix_(_VEC_DIAG, _VEC_DIAG)] = f1 * np.eye(4) + (1 - f1) * eq[:, None]
+    return Channel(f"relax({t_s:g})", sup, t_s=t_s)
 
 
 # Phase pairs (first, second) of the two hard 90s, per target spin. Pinned
@@ -270,8 +238,9 @@ def filtration_sequence(params: SpinSystemParams,
     )
 
 
-def apply(program: ChannelProgram, rho):
-    """Left-to-right composition of the channels' superoperators.
+def apply(program: Channel | ChannelProgram, rho):
+    """Left-to-right composition of the superoperators of a program's
+    channels, or of one channel.
 
     rho is a DensityMatrix, and the result is one, or a (..., 4, 4) stack
     of density matrices, checked on entry and returned as an array.
@@ -279,21 +248,18 @@ def apply(program: ChannelProgram, rho):
     positive, the only kind that can take a valid state to an invalid one,
     and always after the last channel; a broken state raises ChannelError
     naming the channel after which it was found."""
+    channels = (program,) if isinstance(program, Channel) else program.channels
     if isinstance(rho, DensityMatrix):
         m, check = rho.matrix, DensityMatrix
     else:
         rho = m = check_density(rho)
         check = check_density
-    last = len(program.channels) - 1
-    for i, ch in enumerate(program.channels):
+    last = len(channels) - 1
+    for i, ch in enumerate(channels):
         m = ch.apply_matrix(m)
         if not ch.cp or i == last:
             rho = _checked(ch, m, check)
     return rho
-
-
-def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
-    return _checked(channel, channel.apply_matrix(rho.matrix), DensityMatrix)
 
 
 def _checked(channel: Channel, m: np.ndarray, check):

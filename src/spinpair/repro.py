@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import analysis, spectro
-from .channels import apply, filtration_sequence, hard_pulse, selective_pulse, zq_dephase, ChannelProgram
+from .channels import apply, filtration_sequence, hard_pulse, selective_pulse, zq_dephase
 from .spectro import CalibrationResult, Fid, ReadoutConfig
 from .states import (
     SpinSystemParams,
@@ -47,9 +47,7 @@ def polarized_fid(params: SpinSystemParams, epsilon: float,
 def thermal_fid(params: SpinSystemParams,
                 readout: ReadoutConfig = ReadoutConfig()) -> Fid:
     """FID of the exact thermal state after a hard 90 about +y."""
-    rho = apply(
-        ChannelProgram(channels=(hard_pulse(90.0, 90.0),), params=params),
-        make_thermal(params, mode="exact"))
+    rho = apply(hard_pulse(90.0, 90.0), make_thermal(params, mode="exact"))
     return spectro.synthesize_fid(rho, params, readout.n_points, readout.dwell_s)
 
 
@@ -171,8 +169,7 @@ def paper_repro(params: SpinSystemParams | None = None,
                      c["z", "x"], +0.5, 1e-9, "abs"))
 
     # hard 90 about y on the linearized thermal state: B/4 on Ix and Sx
-    rho = apply(ChannelProgram(channels=(hard_pulse(90.0, 90.0),), params=params),
-                make_thermal(params, mode="linearized"))
+    rho = apply(hard_pulse(90.0, 90.0), make_thermal(params, mode="linearized"))
     ct = to_product_operators(rho)
     rows.append(_row("thermal readout: coefficient of Ix",
                      ct["x", "e"], b / 4, 1e-12, "abs"))
@@ -255,7 +252,7 @@ def paper_repro(params: SpinSystemParams | None = None,
         max_imb, 1e-9, "<="))
 
     # slow-addition dephasing of the singlet
-    dephased = apply(ChannelProgram(channels=(zq_dephase(),), params=params), singlet)
+    dephased = apply(zq_dephase(), singlet)
     target = bell_diagonal(0.5, 0.5, 0.0, 0.0)
     rows.append(_row("zq dephasing: max deviation from equal S0/T0 mixture",
                      float(np.abs(dephased.matrix - target.matrix).max()),

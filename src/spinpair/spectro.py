@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply, free_evolution, selective_pulse
+from .channels import _propagator, apply, selective_pulse
 from .states import (
+    _OFF_DIAG,
     BELL_BASIS,
     BellPopulations,
     DensityMatrix,
@@ -29,8 +30,6 @@ from .states import (
 )
 
 F_PLUS = (IX + 1j * IY) + (SX + 1j * SY)
-
-_OFFDIAG = 1.0 - np.eye(4)
 
 
 class SpectroError(ValueError):
@@ -99,12 +98,13 @@ def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
     per dwell, so s_k = sum over a != b of (V^-1 rho V)[a, b]
     (V^-1 F+ V)[b, a] z[a, b]**k. For weak coupling V is the Zeeman basis,
     the basis the T2 decay is defined in, and F+ reads at most four
-    coherences."""
+    coherences. The propagator is free_evolution's, so delta_nu <= J
+    raises ChannelError and delta_nu <= 5J warns."""
     if not _is_pow2(n):
         raise SpectroError(f"n must be a power of two >= 2, got {n}")
-    lam, v = np.linalg.eig(free_evolution(dwell_s, params, coupling_mode="weak").u)
+    lam, v = np.linalg.eig(_propagator(dwell_s, params))
     v_inv = np.linalg.inv(v)
-    amp = (v_inv @ rho0.matrix @ v) * (v_inv @ F_PLUS @ v).T * _OFFDIAG
+    amp = (v_inv @ rho0.matrix @ v) * (v_inv @ F_PLUS @ v).T * _OFF_DIAG
     log_z = np.log(np.outer(lam, lam.conj())) - dwell_s / params.t2_s
     k = np.arange(n)
     out = np.zeros(n, dtype=complex)
@@ -234,20 +234,6 @@ def _noisy_integrals(y: np.ndarray, w: np.ndarray, sigma: float,
     law of the integrals of the noisy FID, with len(W) normals per draw
     instead of 2n."""
     return y + sigma * z @ np.linalg.cholesky((w @ w.conj().T).real).T
-
-
-def line_regions(params: SpinSystemParams, j_apparent_hz: float | None = None,
-                 widths: float = 3.0, apodize_hz: float = 0.0) -> tuple:
-    """Narrow auto-placed windows: each doublet line +- widths linewidths
-    (FWHM). Useful for crowded spectra; quantitative area ratios prefer
-    component_regions, which keeps tail truncation negligible."""
-    ja = params.j_hz if j_apparent_hz is None else j_apparent_hz
-    fwhm = 1 / (np.pi * params.t2_s) + apodize_hz
-    out = []
-    for center in (-params.delta_nu_hz / 2, +params.delta_nu_hz / 2):
-        for line in (center - ja / 2, center + ja / 2):
-            out.append((line - widths * fwhm, line + widths * fwhm))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,11 @@ TMINUS_KET = KET_00
 PHI_PLUS_KET = (KET_00 + KET_11) / math.sqrt(2)
 PHI_MINUS_KET = (KET_00 - KET_11) / math.sqrt(2)
 
+# total m = mI + mS per Zeeman basis index; +1/2 for |0>
+_M_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])
+# ones on the off-diagonal elements, the coherences, of a 4x4 matrix
+_OFF_DIAG = 1.0 - np.eye(4)
+
 # Columns in the fixed Bell-population order (S0, T0, T+1, T-1).
 BELL_BASIS = np.column_stack([SINGLET_KET, T0_KET, TPLUS_KET, TMINUS_KET])
 
@@ -91,7 +96,8 @@ def check_density(m) -> np.ndarray:
     if m.shape[-2:] != (4, 4):
         raise StateValidationError(f"expected 4x4 matrices, got {m.shape}")
     mh = m.conj().swapaxes(-1, -2)
-    dev = np.abs(m - mh).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+        dev = np.abs(m - mh).max(axis=(-2, -1))
     ok = dev <= HERM_TOL
     if not _all(ok):
         member = _first_failing(m, ok)
@@ -307,8 +313,7 @@ def make_thermal(params: SpinSystemParams, mode: str = "linearized") -> DensityM
             )
         return DensityMatrix(E4 / 4 + (b / 4) * (IZ + SZ))
     if mode == "exact":
-        m_total = np.array([1.0, 0.0, 0.0, -1.0])
-        weights = np.exp(b * m_total)
+        weights = np.exp(b * _M_TOTAL)
         return DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
     raise ValueError(f"unknown thermal mode {mode!r}")
 
@@ -330,9 +335,6 @@ def from_product_operators(coeffs: ProductOperatorCoeffs) -> DensityMatrix:
     sigma_a x sigma_b with weight 1/2."""
     return DensityMatrix(np.einsum("ab,abij->ij", coeffs.table / (4 * _PO_SCALE),
                                    PAULI_PRODUCTS))
-
-
-_OFF_DIAG = 1.0 - np.eye(4)
 
 
 def bell_frame(m) -> tuple:

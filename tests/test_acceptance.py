@@ -22,7 +22,6 @@ from spinpair.analysis import (
 )
 from spinpair.channels import (
     apply,
-    apply_channel,
     filtration_sequence,
     hard_pulse,
     selective_pulse,
@@ -70,7 +69,7 @@ def test_criterion_01_selective_readout_is_exact_antiphase(capsys):
 def test_criterion_02_thermal_readout_inphase(capsys):
     p = SpinSystemParams()
     b = p.b_factor
-    c = to_product_operators(apply_channel(hard_pulse(90.0, 90.0),
+    c = to_product_operators(apply(hard_pulse(90.0, 90.0),
                                            make_thermal(p)))
     devs = []
     for a in "exyz":
@@ -166,7 +165,7 @@ def test_criterion_08_filtration(capsys, random_states):
 
 
 def test_criterion_09_zero_quantum_dephasing(capsys):
-    out = apply_channel(zq_dephase(), make_singlet())
+    out = apply(zq_dephase(), make_singlet())
     target = bell_diagonal(0.5, 0.5, 0.0, 0.0)
     dev = float(np.abs(out.matrix - target.matrix).max())
     rep = analyze(out)
@@ -218,7 +217,7 @@ def test_criterion_13_property_suites(capsys, random_states):
     for i, rho in enumerate(random_states):
         for ch in battery:
             try:
-                out = apply_channel(ch, rho)
+                out = apply(ch, rho)
             except Exception as exc:  # noqa: BLE001 - recorded, not hidden
                 failures.append(f"channel {ch.label} state {i}: {exc}")
                 continue

@@ -11,7 +11,6 @@ from spinpair.channels import (
     ChannelError,
     ChannelProgram,
     apply,
-    apply_channel,
     filtration_sequence,
     free_evolution,
     gradient_period,
@@ -47,7 +46,13 @@ KX, KY, KZ = (np.kron(ID2, m) / 2 for m in (SX, SY, SZ))
 
 def ap(ch, mat):
     """Apply a channel to a raw matrix, returning a raw matrix."""
-    return apply_channel(ch, DensityMatrix(mat)).matrix
+    return apply(ch, DensityMatrix(mat)).matrix
+
+
+def unitary_superop(u):
+    """The map rho -> u rho u^H on the row-major vec(rho)."""
+    return np.kron(u, u.conj())
+
 
 def hamiltonian(params, include_j=True, strong=False):
     h = 2 * math.pi * (-params.delta_nu_hz / 2) * IZ \
@@ -71,7 +76,7 @@ def test_hard_pulse_matches_expm_oracle():
     for angle, phase in [(90, 0), (90, 90), (180, 0), (45, 135), (30, 270)]:
         ch = hard_pulse(angle, phase)
         u_oracle = scipy.linalg.expm(-1j * pulse_generator(angle, phase))
-        assert np.allclose(ch.u, u_oracle, atol=1e-12)
+        assert np.allclose(ch.superop, unitary_superop(u_oracle), atol=1e-12)
 
 
 def test_free_evolution_matches_expm_oracle():
@@ -79,17 +84,17 @@ def test_free_evolution_matches_expm_oracle():
     for t in (1e-4, 5.08130081300813e-4, 0.01, 0.37):
         ch = free_evolution(t, p)
         u_oracle = scipy.linalg.expm(-1j * t * hamiltonian(p))
-        assert np.allclose(ch.u, u_oracle, atol=1e-10)
+        assert np.allclose(ch.superop, unitary_superop(u_oracle), atol=1e-10)
         ch_nj = free_evolution(t, p, include_j=False)
         u_nj = scipy.linalg.expm(-1j * t * hamiltonian(p, include_j=False))
-        assert np.allclose(ch_nj.u, u_nj, atol=1e-10)
+        assert np.allclose(ch_nj.superop, unitary_superop(u_nj), atol=1e-10)
 
 
 def test_free_evolution_strong_coupling_oracle():
     p = SpinSystemParams(delta_nu_hz=6000.0)
     ch = free_evolution(2e-4, p, coupling_mode="strong")
     u_oracle = scipy.linalg.expm(-1j * 2e-4 * hamiltonian(p, strong=True))
-    assert np.allclose(ch.u, u_oracle, atol=1e-10)
+    assert np.allclose(ch.superop, unitary_superop(u_oracle), atol=1e-10)
 
 
 def test_free_evolution_weak_coupling_validity_enforced():
@@ -117,7 +122,7 @@ def test_unitarity_validation():
     bad = np.eye(4, dtype=complex)
     bad[0, 0] = 1.1
     with pytest.raises(ChannelError):
-        Channel(kind="unitary", label="bad", u=bad)
+        Channel("bad", np.kron(bad, bad.conj()))
 
 
 def test_channels_preserve_state_validity(random_states):
@@ -226,11 +231,10 @@ def test_selective_pulse_spectator_thermal():
 def test_selective_pulse_structure():
     p = SpinSystemParams()
     prog = selective_pulse("I", p)
-    assert len(prog.channels) == 3
-    assert prog.channels[0].kind == "unitary"
-    assert prog.channels[1].kind == "delay"
-    assert prog.channels[1].t_s == pytest.approx(1 / (4 * p.delta_nu_hz))
-    assert prog.channels[2].kind == "unitary"
+    tau = 1 / (4 * p.delta_nu_hz)
+    assert [c.label for c in prog.channels] == [
+        "pulse(90,135)", f"evolve({tau:g},nocoupling)", "pulse(90,0)"]
+    assert prog.channels[1].t_s == pytest.approx(tau)
     with pytest.raises(ValueError):
         selective_pulse("Q", p)
 
@@ -240,7 +244,7 @@ def test_gradient_period_structure_and_effect(rng):
     chans = gradient_period(p)
     assert len(chans) == 2
     assert chans[0].t_s == pytest.approx(1 / p.delta_nu_hz)
-    assert chans[1].kind == "zeeman_dephase"
+    assert chans[1].label == "zeeman_dephase"
     # the delta-nu evolution over 1/delta-nu then zeeman dephasing leaves
     # singlet and T0 populations untouched
     rho = random_density(rng)
@@ -279,11 +283,13 @@ def test_filtration_preserves_singlet_fraction(random_states):
 
 
 def test_filtration_channel_count():
-    prog = filtration_sequence(SpinSystemParams())
+    p = SpinSystemParams()
+    prog = filtration_sequence(p)
     assert len(prog.channels) == 5
-    kinds = [c.kind for c in prog.channels]
-    assert kinds == ["delay", "zeeman_dephase", "unitary", "delay",
-                     "zeeman_dephase"]
+    evolve = f"evolve({1 / p.delta_nu_hz:g},nocoupling)"
+    labels = [c.label for c in prog.channels]
+    assert labels == [evolve, "zeeman_dephase", "pulse(90,0)", evolve,
+                      "zeeman_dephase"]
 
 
 def test_apply_rejects_negative_duration():
@@ -302,50 +308,101 @@ def test_program_total_duration():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0, 360), st.floats(0, 360))
 def test_hard_pulse_unitary_property(angle, phase):
-    ch = hard_pulse(angle, phase)
-    assert np.allclose(ch.u @ ch.u.conj().T, np.eye(4), atol=1e-12)
+    sup = hard_pulse(angle, phase).superop
+    assert np.allclose(sup @ sup.conj().T, np.eye(16), atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(1e-6, 10.0))
 def test_free_evolution_time_additivity(t):
     p = SpinSystemParams()
-    u1 = free_evolution(t, p).u
-    u2 = free_evolution(2 * t, p).u
-    assert np.allclose(u1 @ u1, u2, atol=1e-9)
+    s1 = free_evolution(t, p).superop
+    s2 = free_evolution(2 * t, p).superop
+    assert np.allclose(s1 @ s1, s2, atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 3.0))
 def test_relax_is_positive_map(seed, t):
     rho = random_density(np.random.default_rng(seed))
-    apply_channel(relax(t, SpinSystemParams()), rho)
+    apply(relax(t, SpinSystemParams()), rho)
 
 
-# The per-kind dispatch and the loop that revalidated every intermediate
-# state, as channels ran them before superoperators; oracles below.
+# The per-kind formulas, built from each constructor's inputs, and the loop
+# that revalidated every intermediate state, as channels ran them before
+# superoperators; oracles below.
 _M_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])
 _ZEEMAN_MASK = (_M_TOTAL[:, None] == _M_TOTAL[None, :]).astype(float)
 
 
-def oracle_apply_matrix(ch, m):
-    if ch.kind in ("unitary", "delay"):
-        return ch.u @ m @ ch.u.conj().T
-    if ch.kind == "zeeman_dephase":
-        return m * _ZEEMAN_MASK
-    if ch.kind == "zq_dephase":
-        return m * np.eye(4)
-    if ch.kind == "relax":
+def unitary_oracle(u):
+    return lambda m: u @ m @ u.conj().T
+
+
+def pulse_oracle(angle_deg, phase_deg):
+    return unitary_oracle(scipy.linalg.expm(-1j * pulse_generator(angle_deg, phase_deg)))
+
+
+def evolution_oracle(t, params, include_j=True, strong=False):
+    return unitary_oracle(scipy.linalg.expm(-1j * t * hamiltonian(params, include_j, strong)))
+
+
+def mask_oracle(mask):
+    return lambda m: m * mask
+
+
+def relax_formula(f1, f2, eq_diag):
+    def oracle(m):
         diag = m.diagonal().real
-        relaxed = ch.eq_diag + (diag - ch.eq_diag) * ch.f1
-        return np.diag(relaxed.astype(complex)) + (m * (1.0 - np.eye(4))) * ch.f2
-    raise AssertionError(ch.kind)
+        relaxed = eq_diag + (diag - eq_diag) * f1
+        return np.diag(relaxed.astype(complex)) + (m * (1.0 - np.eye(4))) * f2
+    return oracle
+
+
+def relax_oracle(t, params):
+    return relax_formula(math.exp(-t / params.t1_s), math.exp(-t / params.t2_s),
+                         make_thermal(params, mode="exact").matrix.diagonal().real)
+
+
+def superop_of(oracle):
+    """The 16x16 matrix on the row-major vec(rho) of a map on 4x4 matrices:
+    column 4k + l is the image of |k><l|."""
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    return np.array([oracle(e).reshape(16) for e in units]).T
+
+
+def statement_oracles(program):
+    """One oracle per channel of a compiled program, in order, rebuilt from
+    its source statements and params."""
+    p = program.params
+    out = []
+    for op, *args in program.statements:
+        if op == "pulse":
+            out.append(pulse_oracle(*args))
+        elif op == "selective":
+            first, second = {"I": (135.0, 0.0), "S": (45.0, 180.0)}[args[0]]
+            out += [pulse_oracle(90.0, first),
+                    evolution_oracle(1 / (4 * p.delta_nu_hz), p, include_j=False),
+                    pulse_oracle(90.0, second)]
+        elif op == "delay":
+            out.append(evolution_oracle(args[0], p))
+        elif op == "gradient_period":
+            out += [evolution_oracle(1 / p.delta_nu_hz, p, include_j=False),
+                    mask_oracle(_ZEEMAN_MASK)]
+        elif op == "zqdephase":
+            out.append(mask_oracle(np.eye(4)))
+        elif op == "relax":
+            out.append(relax_oracle(args[0], p))
+        else:
+            raise AssertionError(op)
+    assert len(out) == len(program.channels)
+    return out
 
 
 def oracle_apply(program, rho):
-    for ch in program.channels:
+    for ch, oracle in zip(program.channels, statement_oracles(program)):
         try:
-            rho = DensityMatrix(oracle_apply_matrix(ch, rho.matrix))
+            rho = DensityMatrix(oracle(rho.matrix))
         except StateValidationError as exc:
             raise ChannelError(
                 f"channel {ch.label} broke state invariants: {exc}") from exc
@@ -356,21 +413,30 @@ NON_CP = SpinSystemParams(t1_s=0.5, t2_s=1.0)
 
 
 def every_constructor():
+    """(channel, oracle) pairs covering every constructor and input kind."""
     p = SpinSystemParams()
     strong = SpinSystemParams(delta_nu_hz=6000.0)
-    return [hard_pulse(90, 0), hard_pulse(45, 135), hard_pulse(217.3, 31.0),
-            free_evolution(0.01, p), free_evolution(0.37, p, include_j=False),
-            free_evolution(2e-4, strong, coupling_mode="strong"),
-            zeeman_dephase(), zq_dephase(),
-            relax(0.0, p), relax(0.25, p), relax(1e4, p),
-            relax(0.1, NON_CP), relax(0.1, SpinSystemParams(t1_s=0.5, t2_s=1.5))]
+    pulses = [(hard_pulse(a, ph), pulse_oracle(a, ph))
+              for a, ph in ((90, 0), (45, 135), (217.3, 31.0))]
+    relaxes = [(relax(t, q), relax_oracle(t, q))
+               for t, q in ((0.0, p), (0.25, p), (1e4, p), (0.1, NON_CP),
+                            (0.1, SpinSystemParams(t1_s=0.5, t2_s=1.5)))]
+    return pulses + [
+        (free_evolution(0.01, p), evolution_oracle(0.01, p)),
+        (free_evolution(0.37, p, include_j=False),
+         evolution_oracle(0.37, p, include_j=False)),
+        (free_evolution(2e-4, strong, coupling_mode="strong"),
+         evolution_oracle(2e-4, strong, strong=True)),
+        (zeeman_dephase(), mask_oracle(_ZEEMAN_MASK)),
+        (zq_dephase(), mask_oracle(np.eye(4))),
+    ] + relaxes
 
 
 def test_superoperators_match_per_kind_oracle(random_states):
-    for ch in every_constructor():
+    for ch, oracle in every_constructor():
         for rho in random_states[:100]:
             got = ch.apply_matrix(rho.matrix)
-            assert np.abs(got - oracle_apply_matrix(ch, rho.matrix)).max() <= 1e-13, ch.label
+            assert np.abs(got - oracle(rho.matrix)).max() <= 1e-13, ch.label
 
 
 def test_complete_positivity_flag():
@@ -384,8 +450,7 @@ def test_complete_positivity_flag():
 
 def test_channel_not_trace_preserving_is_refused():
     with pytest.raises(ChannelError, match="leaky.*not trace preserving"):
-        Channel(kind="relax", label="leaky", t_s=1.0, f1=0.5, f2=0.5,
-                eq_diag=np.full(4, 0.3))
+        Channel("leaky", superop_of(relax_formula(0.5, 0.5, np.full(4, 0.3))), t_s=1.0)
 
 
 @pytest.mark.parametrize("tail", [(), (zq_dephase(),)])
@@ -449,13 +514,15 @@ def test_apply_on_a_stack_matches_per_state_apply(random_states):
     stack = np.array([rho.matrix for rho in random_states[:200]])
     p = SpinSystemParams()
     programs = [filtration_sequence(p), selective_pulse("S", p),
-                ChannelProgram(channels=tuple(every_constructor()[:-1]), params=p)]
+                ChannelProgram(channels=tuple(ch for ch, _ in every_constructor()[:-1]),
+                               params=p),
+                relax(0.25, p)]
     for prog in programs:
         got = apply(prog, stack.reshape(20, 10, 4, 4))
         assert isinstance(got, np.ndarray) and got.shape == (20, 10, 4, 4)
         want = np.array([apply(prog, rho).matrix for rho in random_states[:200]])
         assert np.abs(got.reshape(200, 4, 4) - want).max() <= 1e-15
-        for ch in prog.channels:
+        for ch in (prog,) if isinstance(prog, Channel) else prog.channels:
             single = np.array([ch.apply_matrix(m) for m in stack])
             assert np.abs(ch.apply_matrix(stack) - single).max() <= 1e-15
     # an empty program returns the checked stack itself

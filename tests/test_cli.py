@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spinpair
 from spinpair.cli import main
 from spinpair.states import bell_diagonal
 
@@ -228,6 +230,28 @@ def test_analyze_rejects_non_finite_state(tmp_path, capsys):
     assert run_cli("analyze", bad, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "non-finite entry" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_refuses_infinite_state_with_one_error_line(tmp_path):
+    # run as a separate process so stderr is exactly what a user sees,
+    # numpy warnings included
+    re = np.eye(4) / 4
+    re[0, 1] = re[1, 0] = np.inf
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps({"basis": "zeeman", "re": re.tolist(),
+                               "im": np.zeros((4, 4)).tolist()}))
+    assert "Infinity" in bad.read_text()
+    src = str(Path(spinpair.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "spinpair.cli", "analyze", str(bad),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error:") and "non-finite entry" in lines[0]
     assert not (tmp_path / "out").exists()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinpair.channels import filtration_sequence, selective_pulse
+from spinpair.channels import filtration_sequence, free_evolution, selective_pulse
 from spinpair.seqdsl import (
     AcquisitionSpec,
     CompileError,
@@ -135,9 +135,8 @@ def test_compile_selective_example(params):
     ref = selective_pulse("I", params)
     assert len(program.channels) == len(ref.channels) == 3
     for got, want in zip(program.channels, ref.channels):
-        assert got.kind == want.kind
-        if got.u is not None:
-            assert np.allclose(got.u, want.u, atol=1e-12)
+        assert got.label == want.label
+        assert np.allclose(got.superop, want.superop, atol=1e-12)
     assert program.channels[1].t_s == pytest.approx(1 / (4 * 492.0))
 
 
@@ -147,9 +146,8 @@ def test_compile_filtration_matches_builder(params):
     ref = filtration_sequence(params)
     assert len(program.channels) == len(ref.channels) == 5
     for got, want in zip(program.channels, ref.channels):
-        assert got.kind == want.kind
-        if got.u is not None:
-            assert np.allclose(got.u, want.u, atol=1e-12)
+        assert got.label == want.label
+        assert np.allclose(got.superop, want.superop, atol=1e-12)
         if got.t_s is not None:
             assert got.t_s == pytest.approx(want.t_s)
 
@@ -187,7 +185,10 @@ def test_statement_after_acquire_rejected(params):
 def test_delay_uses_active_j(params):
     program, _ = seq_compile(parse("delta_nu 492.0\ndelay 0.01\n"), params)
     ch = program.channels[0]
-    assert ch.j_active
+    assert ch.label == "evolve(0.01,weak)"
+    assert np.array_equal(ch.superop, free_evolution(0.01, program.params).superop)
+    no_j = free_evolution(0.01, program.params, include_j=False).superop
+    assert not np.allclose(ch.superop, no_j, atol=1e-12)
     assert ch.t_s == pytest.approx(0.01)
 
 
@@ -198,9 +199,8 @@ def test_program_to_text_round_trip(params):
     assert acq2 == acq
     assert len(program2.channels) == len(program.channels)
     for a, b in zip(program.channels, program2.channels):
-        assert a.kind == b.kind
-        if a.u is not None:
-            assert np.allclose(a.u, b.u, atol=1e-12)
+        assert a.label == b.label
+        assert np.allclose(a.superop, b.superop, atol=1e-12)
     # all seven headers are emitted so the program is self-contained
     for key in ("nu", "delta_nu", "j", "temp", "t1", "t2", "f_active"):
         assert f"\n{key} " in "\n" + text

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinpair.channels import (
+    ChannelError,
     apply,
-    apply_channel,
-    free_evolution,
     hard_pulse,
     selective_pulse,
 )
@@ -25,12 +24,11 @@ from spinpair.spectro import (
     imbalance_to_populations,
     integrate,
     j_double,
-    line_regions,
     readout_integrals,
     synthesize_fid,
 )
 from spinpair.states import (
-    IX, IY, SX, SY,
+    IX, IY, IZ, SX, SY, SZ,
     SpinSystemParams,
     bell_diagonal,
     make_pseudo_pure,
@@ -71,13 +69,18 @@ def test_synthesize_requires_power_of_two(params):
     with pytest.raises(SpectroError):
         synthesize_fid(rho, params, 1000, 1 / 4096)
     synthesize_fid(rho, params, 64, 1 / 4096)
+    # the FID is always weak coupling, under free_evolution's validity rules
+    with pytest.raises(ChannelError, match="weak coupling needs delta_nu > J"):
+        synthesize_fid(rho, SpinSystemParams(delta_nu_hz=4.0, j_hz=5.0), 64, 1 / 4096)
+    with pytest.warns(UserWarning, match="secular approximation is marginal"):
+        synthesize_fid(rho, SpinSystemParams(delta_nu_hz=20.0, j_hz=5.0), 64, 1 / 4096)
 
 
 def test_thermal_fid_closed_form(params):
     # two in-phase doublets at -+delta_nu/2, J split, T2 decay:
     # s(t) = (B/2) cos(pi delta_nu t) cos(pi J t) exp(-t/T2)
     b = params.b_factor
-    rho = apply_channel(hard_pulse(90.0, 90.0), make_thermal(params))
+    rho = apply(hard_pulse(90.0, 90.0), make_thermal(params))
     fid = synthesize_fid(rho, params, 256, 1 / 4096)
     t = fid.times_s
     oracle = (b / 2) * np.cos(np.pi * params.delta_nu_hz * t) \
@@ -104,7 +107,9 @@ def stepping_fid(matrices, params, n, dwell_s):
     broadcast over a stack of density matrices."""
     f_plus = (IX + 1j * IY) + (SX + 1j * SY)
     offdiag = 1.0 - np.eye(4)
-    step = free_evolution(dwell_s, params, coupling_mode="weak").u
+    # the weak-coupling Hamiltonian is diagonal in the Zeeman basis
+    h = 2 * np.pi * (params.delta_nu_hz / 2 * (SZ - IZ) + params.j_hz * IZ @ SZ)
+    step = np.diag(np.exp(-1j * dwell_s * h.diagonal().real))
     step_h = step.conj().T
     decay = float(np.exp(-dwell_s / params.t2_s))
     m = np.array(matrices, dtype=complex)
@@ -124,8 +129,8 @@ def test_synthesize_fid_matches_stepping_oracle(p, dwell_s):
     rng = np.random.default_rng(20260819)
     states = [
         apply(selective_pulse("I", p), make_singlet()),
-        apply_channel(hard_pulse(90.0, 90.0), make_thermal(p, mode="exact")),
-        apply_channel(hard_pulse(60.0, 0.0), make_pseudo_pure(0.916, make_singlet())),
+        apply(hard_pulse(90.0, 90.0), make_thermal(p, mode="exact")),
+        apply(hard_pulse(60.0, 0.0), make_pseudo_pure(0.916, make_singlet())),
     ] + [random_density(rng) for _ in range(20)]
     oracle = stepping_fid([s.matrix for s in states], p, 16384, dwell_s)
     for n in (2, 256, 16384):
@@ -190,16 +195,6 @@ def test_component_regions_layout(params):
     assert np.allclose(np.asarray(regs), np.asarray(expect))
 
 
-def test_line_regions_cover_lines(params):
-    regs = line_regions(params)
-    fwhm = 1 / (math.pi * params.t2_s)
-    lines = [-246 - 2.5, -246 + 2.5, 246 - 2.5, 246 + 2.5]
-    assert len(regs) == 4
-    for (lo, hi), f0 in zip(regs, lines):
-        assert lo == pytest.approx(f0 - 3 * fwhm)
-        assert hi == pytest.approx(f0 + 3 * fwhm)
-
-
 def test_integrate_validation():
     spec = fourier(lorentzian_fid(1.0, 0.0, 0.5))
     with pytest.raises(SpectroError):
@@ -212,7 +207,7 @@ def test_integrate_validation():
 
 def test_thermal_component_integrals(params):
     b = params.b_factor
-    rho = apply_channel(hard_pulse(90.0, 90.0), make_thermal(params))
+    rho = apply(hard_pulse(90.0, 90.0), make_thermal(params))
     spec = fourier(synthesize_fid(rho, params, 16384, 1 / 4096))
     ints = component_integrals(spec, params)
     # four in-phase components of B/8 each, small tail losses only

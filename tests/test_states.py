@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,16 +332,26 @@ def test_check_density_refuses_what_density_matrix_refuses(random_states, bad, w
     assert _refusal(check_density, stack) == want
 
 
+def _symmetric_inf_pair():
+    m = _with_entry(0, 1, np.inf)
+    m[1, 0] = np.inf
+    return m
+
+
 @pytest.mark.parametrize("m, message", [
     (_with_entry(0, 0, np.nan), r"non-finite entry \(nan\+0j\) at \[0, 0\]"),
     (_with_entry(1, 1, complex(0.25, np.nan)), r"non-finite entry .*nanj\) at \[1, 1\]"),
     (_with_entry(0, 0, np.inf), r"non-finite entry \(inf\+0j\) at \[0, 0\]"),
     (_with_entry(2, 3, -np.inf), r"non-finite entry \(-inf\+0j\) at \[2, 3\]"),
+    (_symmetric_inf_pair(), r"non-finite entry \(inf\+0j\) at \[0, 1\]"),
     (np.full((4, 4), np.nan, dtype=complex), r"non-finite entry \(nan\+0j\) at \[0, 0\]"),
-], ids=["nan", "nan-imag", "inf-diagonal", "inf-off-diagonal", "all-nan"])
+], ids=["nan", "nan-imag", "inf-diagonal", "inf-off-diagonal", "inf-symmetric-pair",
+        "all-nan"])
 def test_non_finite_entries_are_refused(m, message):
-    # inf - inf in the Hermiticity deviation warns; the refusal is the point
-    with np.errstate(invalid="ignore"):
+    # inf - inf in the Hermiticity deviation is NaN, which the check
+    # refuses; numpy must not warn about it on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(StateValidationError, match=message):
             DensityMatrix(m)
         with pytest.raises(StateValidationError, match=message):
