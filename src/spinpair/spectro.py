@@ -9,6 +9,13 @@ scales by 2*dwell, which makes the integral of an isolated absorptive line
 equal the envelope amplitude of its time-domain component: a unit-area
 Lorentzian integrates to 1 over the full axis. Line full-width at half
 maximum is 1/(pi*T2) plus any apodization broadening.
+
+Every step of the selective population readout (selective 90, FID,
+J-doubling, transform, four component integrals) is linear in rho, so the
+whole readout is one cached (4, 16) complex map R on vec(rho), the
+row-major flattening of the density matrix: the integrals are
+Re(R @ vec(rho)). No FID is synthesized and no transform is taken to read
+a state out; fourier and integrate remain for spectra that are shown.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _propagator, apply, selective_pulse
+from .channels import _propagator, selective_pulse
 from .states import (
     _OFF_DIAG,
     BELL_BASIS,
@@ -89,6 +96,18 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
 
+def _fid_modes(params: SpinSystemParams, dwell_s: float) -> tuple:
+    """(v, v_inv, f_read, log_z) of synthesize_fid: the eigenvectors V of
+    the one-dwell propagator and V^-1, f_read = (V^-1 F+ V).T, and
+    log_z[a, b] = log(lam_a conj(lam_b)) - dwell/T2, the per-dwell log
+    factor of coherence (a, b)."""
+    lam, v = np.linalg.eig(_propagator(dwell_s, params))
+    v_inv = np.linalg.inv(v)
+    f_read = (v_inv @ F_PLUS @ v).T
+    log_z = np.log(np.outer(lam, lam.conj())) - dwell_s / params.t2_s
+    return v, v_inv, f_read, log_z
+
+
 def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
                    n: int, dwell_s: float) -> Fid:
     """Weak-coupling FID of rho0 with T2 decay on every coherence.
@@ -102,10 +121,8 @@ def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
     raises ChannelError and delta_nu <= 5J warns."""
     if not _is_pow2(n):
         raise SpectroError(f"n must be a power of two >= 2, got {n}")
-    lam, v = np.linalg.eig(_propagator(dwell_s, params))
-    v_inv = np.linalg.inv(v)
-    amp = (v_inv @ rho0.matrix @ v) * (v_inv @ F_PLUS @ v).T * _OFF_DIAG
-    log_z = np.log(np.outer(lam, lam.conj())) - dwell_s / params.t2_s
+    v, v_inv, f_read, log_z = _fid_modes(params, dwell_s)
+    amp = (v_inv @ rho0.matrix @ v) * f_read * _OFF_DIAG
     k = np.arange(n)
     out = np.zeros(n, dtype=complex)
     for a, b in zip(*np.nonzero(amp)):
@@ -132,13 +149,17 @@ def j_double(fid: Fid, j_apparent_hz: float, rounds: int) -> Fid:
         raise SpectroError("rounds must be >= 0")
     if not j_apparent_hz > 0:
         raise SpectroError("apparent J must be positive")
-    t = fid.times_s
-    out = np.array(fid.samples)
-    ja = j_apparent_hz
-    for _ in range(rounds):
-        out = out * (2 * np.cos(np.pi * ja * t))
-        ja *= 2
-    return Fid(samples=out, dwell_s=fid.dwell_s)
+    return Fid(samples=fid.samples * _j_modulation(j_apparent_hz, rounds, fid.times_s),
+               dwell_s=fid.dwell_s)
+
+
+def _j_modulation(j_hz: float, rounds: int, t: np.ndarray) -> np.ndarray:
+    """The real factor j_double multiplies samples at times t by: the
+    product of 2cos(pi * J * 2^r * t) over rounds r."""
+    out = np.ones(len(t))
+    for r in range(rounds):
+        out *= 2 * np.cos(np.pi * (j_hz * 2 ** r) * t)
+    return out
 
 
 def fourier(fid: Fid, apodize_hz: float = 0.0) -> Spectrum:
@@ -302,27 +323,81 @@ class ReadoutConfig:
     j_double_rounds: int = 4
     target_spin: str = "I"
 
+    def __post_init__(self):
+        if not _is_pow2(self.n_points):
+            raise SpectroError(
+                f"n_points must be a power of two >= 2, got {self.n_points}")
+        if not self.dwell_s > 0:
+            raise SpectroError(f"dwell must be positive, got {self.dwell_s}")
+        if self.j_double_rounds < 0:
+            raise SpectroError(
+                f"j_double_rounds must be >= 0, got {self.j_double_rounds}")
+        if self.target_spin not in ("I", "S"):
+            raise SpectroError(
+                f"target_spin must be 'I' or 'S', got {self.target_spin!r}")
 
-def readout_integrals(rho: DensityMatrix, params: SpinSystemParams,
-                      readout: ReadoutConfig = ReadoutConfig()) -> np.ndarray:
-    """Push a state through the selective readout: selective 90, FID,
-    J-doubling, and the four component_regions integrals."""
-    prepared = apply(selective_pulse(readout.target_spin, params), rho)
-    fid = synthesize_fid(prepared, params, readout.n_points, readout.dwell_s)
-    fid = j_double(fid, params.j_hz, readout.j_double_rounds)
-    return component_integrals(fourier(fid), params)
+
+@functools.lru_cache(maxsize=2)
+def _readout_modulation(j_hz: float, rounds: int, n: int, dwell_s: float) -> np.ndarray:
+    """Read-only _j_modulation on the n sample times of the readout."""
+    out = _j_modulation(j_hz, rounds, np.arange(n) * dwell_s)
+    out.setflags(write=False)
+    return out
+
+
+def _doubled_map(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
+    """(4, n) complex W_p with Re(W_p @ fid.samples) equal to the
+    component_integrals of fourier(j_double(fid, J, rounds)) for every
+    n-point readout fid: the component _integral_map times the doubling
+    modulation."""
+    n, dwell_s = readout.n_points, readout.dwell_s
+    return (_integral_map(component_regions(params), n, dwell_s)
+            * _readout_modulation(params.j_hz, readout.j_double_rounds, n, dwell_s))
 
 
 @functools.lru_cache(maxsize=8)
+def _readout_map(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
+    """Read-only (4, 16) complex R with readout_integrals(rho) equal to
+    Re(R @ rho.matrix.ravel()). The last eight maps built stay cached.
+
+    The pulsed state P enters the FID through the read coherences (a, b)
+    of synthesize_fid, each as f_read[a, b] (V^-1 P V)[a, b] z_ab^k, so
+    its doubled integrals are the sum over (a, b) of f_read[a, b]
+    (W_p @ z_ab^k) (V^-1 P V)[a, b], one n-point exponential at a time.
+    vec(P) is the selective pulse's superoperators applied to vec(rho),
+    first channel first, so R takes them on the right in reverse order."""
+    v, v_inv, f_read, log_z = _fid_modes(params, readout.dwell_s)
+    w_p = _doubled_map(params, readout)
+    k = np.arange(readout.n_points)
+    out = np.zeros((4, 16), dtype=complex)
+    for a, b in zip(*np.nonzero(f_read * _OFF_DIAG)):
+        # (V^-1 P V)[a, b] = sum over (i, j) of v_inv[a, i] P[i, j] v[j, b]
+        out += np.outer(f_read[a, b] * (w_p @ np.exp(log_z[a, b] * k)),
+                        np.outer(v_inv[a], v[:, b]).ravel())
+    for ch in reversed(selective_pulse(readout.target_spin, params).channels):
+        out = out @ ch.superop
+    out.setflags(write=False)
+    return out
+
+
+def readout_integrals(rho: DensityMatrix, params: SpinSystemParams,
+                      readout: ReadoutConfig = ReadoutConfig()) -> np.ndarray:
+    """The four component_regions integrals of the selective readout of
+    rho: selective 90, FID, J-doubling, transform and integration, all
+    linear in rho, read as one product Re(R @ vec(rho)) with the cached
+    (4, 16) map of _readout_map. It equals the integrals of
+    fourier(j_double(synthesize_fid(...))) to rounding."""
+    return (_readout_map(params, readout) @ rho.matrix.ravel()).real
+
+
+# vec of the Bell projectors |b_k><b_k|, one per column
+_BELL_PROJECTORS = np.einsum("ik,jk->ijk", BELL_BASIS, BELL_BASIS.conj()).reshape(16, 4)
+
+
 def _readout_matrix(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
     """Columns are the component integrals of each singlet-triplet basis
-    state pushed through the readout. Built numerically, never hand-derived."""
-    cols = []
-    for k in range(4):
-        ket = BELL_BASIS[:, k]
-        basis_state = DensityMatrix(np.outer(ket, ket.conj()))
-        cols.append(readout_integrals(basis_state, params, readout))
-    return np.column_stack(cols)
+    state pushed through the readout: R applied to the Bell projectors."""
+    return (_readout_map(params, readout) @ _BELL_PROJECTORS).real
 
 
 # orthonormal basis of the sum-zero subspace of R^4; any population vector

@@ -292,6 +292,15 @@ def test_paper_repro_detects_wrong_f_active(tmp_path, capsys):
     assert any("polarization" in r["name"] for r in failed)
 
 
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "spinpair", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for sub in ("state", "run", "analyze", "calibrate", "paper-repro"):
+        assert sub in proc.stdout
+
+
 def test_console_script_installed():
     exe = shutil.which("spinpair")
     if exe is None:

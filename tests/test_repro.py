@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from spinpair.states import DensityMatrix, SpinSystemParams, to_bell_populations
 
 GOLDEN = Path(__file__).parent / "data" / "paper_repro.json"
 RESIDUE_ROWS = ("filtration: max off-diagonal residue over 1000 states",
-                "filtration: max |pT+1 - pT-1| over 1000 states")
+                "filtration: max |pT+1 - pT-1| over 1000 states",
+                "population inversion: max deviation from reported fractions")
 NOISY_INTEGRALS = spectro._noisy_integrals
 
 
@@ -232,6 +234,39 @@ def test_recovery_helpers_agree():
         0.7577621168183132, abs=1e-12)
 
 
+def test_measured_recovery_broadcasts_over_widths():
+    widths = np.array([[0.6, 0.8, 1.0], [0.2, 1.5, 3.0]]) * 5.0
+    for rounds in (0, 1, 4):
+        got = measured_recovery(5.0, widths, rounds)
+        assert got.shape == widths.shape
+        want = [[measured_recovery(5.0, w, rounds) for w in row] for row in widths]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def fid_path_epsilon(params, epsilon, readout):
+    """Noise-free run_pipeline as it read the polarized channel: the
+    pulsed FID, then the component map times the J-doubling of ones."""
+    w_t = spectro._integral_map(spectro.component_regions(params),
+                                readout.n_points, readout.dwell_s)
+    ones = Fid(samples=np.ones(readout.n_points), dwell_s=readout.dwell_s)
+    w_p = w_t * spectro.j_double(ones, params.j_hz, readout.j_double_rounds).samples
+    y_p = (w_p @ polarized_fid(params, epsilon, readout).samples).real
+    y_t = (w_t @ thermal_fid(params, readout).samples).real
+    cal_params = dataclasses.replace(params, f_active=1.0)
+    return spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params).epsilon
+
+
+@pytest.mark.parametrize("delta_nu, epsilon, readout", [
+    (492.0, 0.916, ReadoutConfig()),
+    (420.0, 0.6, ReadoutConfig(n_points=4096, j_double_rounds=2)),
+    (580.0, 0.3, ReadoutConfig(target_spin="S", j_double_rounds=0)),
+])
+def test_run_pipeline_matches_fid_path(delta_nu, epsilon, readout):
+    params = SpinSystemParams(delta_nu_hz=delta_nu)
+    got = run_pipeline(params, epsilon=epsilon, n_boot=0, readout=readout).epsilon
+    assert got == pytest.approx(fid_path_epsilon(params, epsilon, readout), rel=1e-12)
+
+
 def test_paper_repro_rows_and_formatting(params):
     rows, ok = paper_repro(params, n_random_states=50)
     assert ok
@@ -310,7 +345,9 @@ def test_measured_recovery_matches_fourier_then_integrate(rounds):
 def test_paper_repro_matches_recorded_table(tmp_path, capsys):
     # tests/data/paper_repro.json is `spinpair paper-repro` at the default
     # parameters, recorded before the grid, the sweep and the recoveries
-    # were batched; the two residues are rounding noise, pinned absolutely
+    # were batched and before the readout became one (4, 16) map; the two
+    # filtration residues and the inversion residual are rounding noise,
+    # pinned absolutely
     assert main(["paper-repro", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     got = json.loads((tmp_path / "paper_repro.json").read_text(encoding="utf-8"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinpair import spectro
 from spinpair.channels import (
     ChannelError,
     apply,
@@ -28,7 +29,9 @@ from spinpair.spectro import (
     synthesize_fid,
 )
 from spinpair.states import (
+    BELL_BASIS,
     IX, IY, IZ, SX, SY, SZ,
+    DensityMatrix,
     SpinSystemParams,
     bell_diagonal,
     make_pseudo_pure,
@@ -293,6 +296,49 @@ def test_readout_integrals_shape(params):
     vals = readout_integrals(make_singlet(), params, ReadoutConfig())
     assert len(vals) == 4
     assert vals[0] > 0 > vals[1]
+
+
+def fourier_readout_integrals(rho, params, readout):
+    """The readout as it was computed before it became one (4, 16) map:
+    selective pulse, FID, J-doubling, transform, four integrals."""
+    prepared = apply(selective_pulse(readout.target_spin, params), rho)
+    fid = synthesize_fid(prepared, params, readout.n_points, readout.dwell_s)
+    fid = j_double(fid, params.j_hz, readout.j_double_rounds)
+    return component_integrals(fourier(fid), params)
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+@pytest.mark.parametrize("rounds", [0, 2, 4])
+@pytest.mark.parametrize("target", ["I", "S"])
+@pytest.mark.parametrize("delta_nu", [420.0, 500.0, 580.0])
+def test_readout_map_matches_fourier_path(delta_nu, target, rounds, n):
+    params = SpinSystemParams(delta_nu_hz=delta_nu)
+    ro = ReadoutConfig(n_points=n, j_double_rounds=rounds, target_spin=target)
+    r = spectro._readout_map(params, ro)
+    assert r.shape == (4, 16) and not r.flags.writeable
+    bell = [DensityMatrix(np.outer(k, k.conj())) for k in BELL_BASIS.T]
+    want = np.column_stack([fourier_readout_integrals(b, params, ro) for b in bell])
+    got = spectro._readout_matrix(params, ro)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    rng = np.random.default_rng(int(delta_nu) + 10 * rounds + n)
+    for _ in range(20):
+        rho = random_density(rng)
+        want = fourier_readout_integrals(rho, params, ro)
+        got = readout_integrals(rho, params, ro)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("n_points", 1000, "power of two"),
+    ("n_points", 1, "power of two"),
+    ("dwell_s", -1 / 4096, "dwell"),
+    ("dwell_s", 0.0, "dwell"),
+    ("j_double_rounds", -1, "j_double_rounds"),
+    ("target_spin", "X", "target_spin"),
+])
+def test_readout_config_refuses_invalid_fields(field, value, match):
+    with pytest.raises(SpectroError, match=match):
+        ReadoutConfig(**{field: value})
 
 
 def test_imbalance_recovers_singlet(params):
