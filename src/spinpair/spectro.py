@@ -130,11 +130,16 @@ def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
     return Fid(samples=out, dwell_s=dwell_s)
 
 
+def check_noise_sigma(sigma: float) -> None:
+    """Raise SpectroError unless sigma is finite and non-negative."""
+    if not 0 <= sigma < np.inf:
+        raise SpectroError(f"noise sigma must be finite and non-negative, got {sigma!r}")
+
+
 def add_noise(fid: Fid, sigma: float,
               seed: int | np.random.SeedSequence) -> Fid:
     """Additive complex Gaussian noise, explicitly seeded."""
-    if sigma < 0:
-        raise SpectroError("noise sigma must be non-negative")
+    check_noise_sigma(sigma)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0, sigma, fid.n) + 1j * rng.normal(0, sigma, fid.n)
     return Fid(samples=fid.samples + noise, dwell_s=fid.dwell_s)
@@ -243,18 +248,18 @@ def _integral_map(regions: tuple, n: int, dwell_s: float) -> np.ndarray:
     return out
 
 
-def _noisy_integrals(y: np.ndarray, w: np.ndarray, sigma: float,
+def _noisy_integrals(y: np.ndarray, lo: np.ndarray, sigma: float,
                      z: np.ndarray) -> np.ndarray:
     """Draws of Re(W @ (fid + noise)) for the noise add_noise adds, given
-    the noise-free y = Re(W @ fid.samples) and standard normals z of shape
+    the noise-free y = Re(W @ fid.samples), the Cholesky factor L of
+    Re(W W^H) (see _noise_factors) and standard normals z of shape
     (..., len(W)).
 
     With independent N(0, sigma^2) real and imaginary parts per sample,
     Re(W @ noise) is Gaussian with covariance sigma^2 Re(W W^H) = sigma^2
-    L L^T (L its Cholesky factor), so y + sigma * z @ L.T has exactly the
-    law of the integrals of the noisy FID, with len(W) normals per draw
-    instead of 2n."""
-    return y + sigma * z @ np.linalg.cholesky((w @ w.conj().T).real).T
+    L L^T, so y + sigma * z @ L.T has exactly the law of the integrals of
+    the noisy FID, with len(W) normals per draw instead of 2n."""
+    return y + sigma * z @ lo.T
 
 
 @dataclass(frozen=True)
@@ -353,6 +358,16 @@ def _doubled_map(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray
     n, dwell_s = readout.n_points, readout.dwell_s
     return (_integral_map(component_regions(params), n, dwell_s)
             * _readout_modulation(params.j_hz, readout.j_double_rounds, n, dwell_s))
+
+
+def _noise_factors(params: SpinSystemParams, readout: ReadoutConfig) -> tuple:
+    """Cholesky factors (L_p, L_t) of Re(W W^H) for the doubled map W_p of
+    the selective readout and the component map W_t of the thermal
+    reference, the factors _noisy_integrals takes."""
+    n, dwell_s = readout.n_points, readout.dwell_s
+    return tuple(np.linalg.cholesky((w @ w.conj().T).real)
+                 for w in (_doubled_map(params, readout),
+                           _integral_map(component_regions(params), n, dwell_s)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -19,6 +19,14 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def subprocess_env():
+    """The environment with the imported spinpair's source first on
+    PYTHONPATH, for running the CLI in a separate process."""
+    src = str(Path(spinpair.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def write_mixture_state(path):
     rho = bell_diagonal(0.937, 0.045, 0.009, 0.009).matrix
     payload = {"basis": "zeeman",
@@ -242,17 +250,39 @@ def test_analyze_refuses_infinite_state_with_one_error_line(tmp_path):
     bad.write_text(json.dumps({"basis": "zeeman", "re": re.tolist(),
                                "im": np.zeros((4, 4)).tolist()}))
     assert "Infinity" in bad.read_text()
-    src = str(Path(spinpair.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "spinpair.cli", "analyze", str(bad),
                            "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error:") and "non-finite entry" in lines[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])
+def test_run_refuses_bad_noise_sigma_with_one_error_line(tmp_path, sigma):
+    # a separate process, so a numpy warning on stderr would show
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "spinpair", "run",
+                           str(SEQ_DIR / "selective_i.pseq"), "--noise-sigma", sigma,
+                           "--out", str(out)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error:") and "noise sigma" in lines[0]
+    assert not out.exists()
+
+
+def test_paper_repro_runs_without_scipy(tmp_path):
+    # the runtime needs numpy only: scipy is blocked before spinpair loads
+    code = ("import runpy, sys; sys.modules['scipy'] = None; "
+            "runpy.run_module('spinpair', run_name='__main__', alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-c", code, "paper-repro", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "paper_repro.json").exists()
 
 
 def test_calibrate_quoted_numbers(tmp_path, capsys):

@@ -19,7 +19,13 @@ from spinpair.repro import (
     thermal_fid,
 )
 from spinpair.spectro import Fid, ReadoutConfig
-from spinpair.states import DensityMatrix, SpinSystemParams, to_bell_populations
+from spinpair.states import (
+    DensityMatrix,
+    SpinSystemParams,
+    make_pseudo_pure,
+    make_singlet,
+    to_bell_populations,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "paper_repro.json"
 RESIDUE_ROWS = ("filtration: max off-diagonal residue over 1000 states",
@@ -28,10 +34,19 @@ RESIDUE_ROWS = ("filtration: max off-diagonal residue over 1000 states",
 NOISY_INTEGRALS = spectro._noisy_integrals
 
 
-def noise_factor(w):
-    """The Cholesky factor L behind _noisy_integrals: unit sigma and
-    identity normals read back L.T."""
-    return NOISY_INTEGRALS(np.zeros(len(w)), w, 1.0, np.eye(len(w))).T
+def noise_factor(lo):
+    """The Cholesky factor L behind _noisy_integrals, given the factor
+    argument run_pipeline passed it: unit sigma and identity normals read
+    back L.T."""
+    return NOISY_INTEGRALS(np.zeros(len(lo)), lo, 1.0, np.eye(len(lo))).T
+
+
+def noise_maps(params, ro):
+    """The (4, n) maps W_p (polarized) and W_t (thermal) whose Gram
+    matrices run_pipeline's two noise factors come from."""
+    return (spectro._doubled_map(params, ro),
+            spectro._integral_map(spectro.component_regions(params),
+                                  ro.n_points, ro.dwell_s))
 
 
 def test_fid_builders(params):
@@ -67,13 +82,83 @@ def test_run_pipeline_bootstrap_deterministic(params):
     assert a.epsilon_err != c.epsilon_err
 
 
+@pytest.mark.parametrize("noise_sigma, n_boot", [
+    (-1.0, 100), (float("nan"), 100), (float("inf"), 100), (1e-3, -5)])
+def test_run_pipeline_refuses_bad_noise_inputs(params, noise_sigma, n_boot):
+    with pytest.raises(spectro.SpectroError):
+        run_pipeline(params, noise_sigma=noise_sigma, n_boot=n_boot)
+
+
+@pytest.mark.parametrize("noise_sigma, n_boot", [(0.0, 100), (1e-3, 0)])
+def test_run_pipeline_zero_noise_or_replicates_is_noise_free(params, noise_sigma, n_boot):
+    res = run_pipeline(params, noise_sigma=noise_sigma, n_boot=n_boot)
+    assert res == run_pipeline(params, n_boot=0)
+    assert res.epsilon_err == 0.0
+
+
+def uncached_run_pipeline(params, epsilon, noise_sigma, seed, n_boot, readout):
+    """(epsilon, epsilon_err) of run_pipeline as it read before its thermal
+    reference and noise factors were cached: the thermal FID and both
+    Cholesky factors built on every call."""
+    cal_params = dataclasses.replace(params, f_active=1.0)
+    y_p = spectro.readout_integrals(make_pseudo_pure(epsilon, make_singlet()),
+                                    params, readout)
+    w_t = spectro._integral_map(spectro.component_regions(params),
+                                readout.n_points, readout.dwell_s)
+    y_t = (w_t @ thermal_fid(params, readout).samples).real
+    result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params)
+    err = 0.0
+    if noise_sigma > 0 and n_boot > 0:
+        w_p = spectro._doubled_map(params, readout)
+        z = np.random.default_rng(seed).standard_normal((n_boot, 2, 4))
+        ph2, th = (y + noise_sigma * zc @ np.linalg.cholesky((w @ w.conj().T).real).T
+                   for y, w, zc in ((y_p, w_p, z[:, 0]), (y_t, w_t, z[:, 1])))
+        reps = np.abs(ph2).sum(axis=1) / np.abs(th).sum(axis=1) / result.max_enhancement
+        err = float(np.std(reps, ddof=1)) if n_boot > 1 else 0.0
+    return result.epsilon, err
+
+
+@pytest.mark.parametrize("epsilon, sigma, seed, n_boot", [
+    (0.916, 0.0, 0, 100), (0.8, 0.01, 5, 100), (0.6, 1e-4, 3, 20), (0.3, 2e-2, 12345, 100)])
+def test_run_pipeline_matches_uncached_oracle(params, epsilon, sigma, seed, n_boot):
+    ro = ReadoutConfig()
+    want = uncached_run_pipeline(params, epsilon, sigma, seed, n_boot, ro)
+    for _ in range(2):  # the first call may fill the caches, the second reads them
+        got = run_pipeline(params, epsilon, sigma, seed, n_boot, ro)
+        assert (got.epsilon, got.epsilon_err) == want
+
+
+def test_warm_run_pipeline_synthesizes_no_fid(monkeypatch):
+    # a (params, readout) pair no other test uses, so the first calls are cold
+    params = SpinSystemParams(delta_nu_hz=511.0)
+    ro = ReadoutConfig(n_points=4096, j_double_rounds=3)
+    calls = [(0.916, 0.0, 0, 0), (0.8, 1e-3, 5, 50), (0.6, 0.0, 0, 100)]
+    cold = [run_pipeline(params, *args, readout=ro) for args in calls]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm run_pipeline call built an FID or applied a channel")
+
+    monkeypatch.setattr(spectro, "synthesize_fid", refuse)
+    monkeypatch.setattr(repro, "apply", refuse)
+    warm = [run_pipeline(params, *args, readout=ro) for args in calls]
+    assert warm == cold
+
+
+def test_cached_thermal_integrals_are_read_only(params):
+    ro = ReadoutConfig(n_points=1024)
+    run_pipeline(params, readout=ro)
+    cached = repro._thermal_integrals(params, ro)
+    with pytest.raises(ValueError):
+        cached[0] = 1.0
+
+
 @pytest.fixture
 def noisy_integral_calls(monkeypatch):
-    """Records every spectro._noisy_integrals call as (y, w, z, result)."""
+    """Records every spectro._noisy_integrals call as (y, lo, z, result)."""
     calls = []
 
-    def recording(y, w, sigma, z):
-        calls.append((y, w, z, NOISY_INTEGRALS(y, w, sigma, z)))
+    def recording(y, lo, sigma, z):
+        calls.append((y, lo, z, NOISY_INTEGRALS(y, lo, sigma, z)))
         return calls[-1][-1]
 
     monkeypatch.setattr(spectro, "_noisy_integrals", recording)
@@ -106,7 +191,7 @@ def test_run_pipeline_bootstrap_keeps_replicates_past_epsilon_one(params, monkey
     # well past epsilon = 1; it widens the spread instead of aborting the run
     scales = iter([[[1.6], [1.0]], [[1.0], [1.0]]])
     monkeypatch.setattr(spectro, "_noisy_integrals",
-                        lambda y, w, sigma, z: y * np.array(next(scales)))
+                        lambda y, lo, sigma, z: y * np.array(next(scales)))
     res = run_pipeline(params, noise_sigma=1e-4, n_boot=2,
                        readout=ReadoutConfig(n_points=4096))
     assert res.epsilon_err == pytest.approx(0.6 * res.epsilon / np.sqrt(2), rel=1e-9)
@@ -115,8 +200,9 @@ def test_run_pipeline_bootstrap_keeps_replicates_past_epsilon_one(params, monkey
 def test_noisy_integrals_factor_the_gram_matrix(params, noisy_integral_calls):
     run_pipeline(params, noise_sigma=1e-3, n_boot=2)
     assert len(noisy_integral_calls) == 2  # polarized, then thermal
-    for _, w, _, _ in noisy_integral_calls:
-        lo = noise_factor(w)
+    maps = noise_maps(params, ReadoutConfig())
+    for (_, arg, _, _), w in zip(noisy_integral_calls, maps, strict=True):
+        lo = noise_factor(arg)
         gram = w.real @ w.real.T + w.imag @ w.imag.T
         assert np.array_equal(lo, np.tril(lo))
         assert np.abs(lo @ lo.T - gram).max() <= 1e-12 * np.abs(gram).max()
@@ -133,8 +219,9 @@ def test_integral_noise_law_matches_time_domain_draws(params, noisy_integral_cal
     zero = Fid(samples=np.zeros(1024), dwell_s=ReadoutConfig().dwell_s)
     noise = np.array([spectro.add_noise(zero, sigma, seed).samples for seed in range(k)])
     tol = 5 * np.sqrt(2 / k)
-    for _, w, _, _ in noisy_integral_calls:
-        white = np.linalg.solve(sigma * noise_factor(w), (noise @ w.T).real.T).T
+    maps = noise_maps(params, ReadoutConfig(n_points=1024))
+    for (_, lo, _, _), w in zip(noisy_integral_calls, maps, strict=True):
+        white = np.linalg.solve(sigma * noise_factor(lo), (noise @ w.T).real.T).T
         assert np.abs(white.mean(axis=0)).max() <= tol
         assert np.abs(np.cov(white, rowvar=False) - np.eye(4)).max() <= tol
 
@@ -163,7 +250,8 @@ def test_run_pipeline_bootstrap_matches_fourier_path(params, noisy_integral_call
                                                      epsilon, sigma, seed):
     ro = ReadoutConfig()
     run_pipeline(params, epsilon=epsilon, noise_sigma=sigma, seed=seed, n_boot=2, readout=ro)
-    (y_p, w_p, _, _), (y_t, w_t, _, _) = noisy_integral_calls
+    (y_p, _, _, _), (y_t, _, _, _) = noisy_integral_calls
+    w_p, w_t = noise_maps(params, ro)
     # exact: the integrals of fid + n are y + Re(W n) for the same noise n
     sp, st = np.random.SeedSequence(seed).spawn(2)
     for fid, y, w, stream, rounds in (
