@@ -135,6 +135,7 @@ def _csv(axis_name: str, axis, values) -> str:
 def cmd_run(args) -> int:
     params = _params_from_args(args)
     spectro.check_noise_sigma(args.noise_sigma)
+    spectro.check_seed(args.seed)
     seq_path = Path(args.sequence)
     try:
         text = seq_path.read_text(encoding="utf-8")

@@ -136,10 +136,19 @@ def check_noise_sigma(sigma: float) -> None:
         raise SpectroError(f"noise sigma must be finite and non-negative, got {sigma!r}")
 
 
+def check_seed(seed: int | np.random.SeedSequence) -> None:
+    """Raise SpectroError if seed is a negative integer, which
+    np.random.default_rng refuses."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise SpectroError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def add_noise(fid: Fid, sigma: float,
               seed: int | np.random.SeedSequence) -> Fid:
-    """Additive complex Gaussian noise, explicitly seeded."""
+    """Additive complex Gaussian noise, explicitly seeded. A negative or
+    non-finite sigma, or a negative integer seed, raises SpectroError."""
     check_noise_sigma(sigma)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0, sigma, fid.n) + 1j * rng.normal(0, sigma, fid.n)
     return Fid(samples=fid.samples + noise, dwell_s=fid.dwell_s)
@@ -182,8 +191,7 @@ def fourier(fid: Fid, apodize_hz: float = 0.0) -> Spectrum:
     x = np.concatenate([x, np.zeros(fid.n, dtype=complex)])
     values = 2 * fid.dwell_s * np.fft.fft(x)
     freqs = np.fft.fftfreq(2 * fid.n, fid.dwell_s)
-    order = np.argsort(freqs)
-    return Spectrum(freqs_hz=freqs[order], values=values[order])
+    return Spectrum(freqs_hz=np.fft.fftshift(freqs), values=np.fft.fftshift(values))
 
 
 def _trapezoid_weights(freqs_hz: np.ndarray, lo_hz: float, hi_hz: float) -> np.ndarray:
@@ -238,7 +246,8 @@ def _integral_map(regions: tuple, n: int, dwell_s: float) -> np.ndarray:
     onto the samples: the zero fill drops out, and the first-point halving
     and the 2*dwell scale fold into W."""
     freqs = np.fft.fftfreq(2 * n, dwell_s)
-    order = np.argsort(freqs)
+    # fftfreq's ascending order, without a sort
+    order = np.fft.fftshift(np.arange(2 * n))
     w = np.zeros((len(regions), 2 * n))
     for row, (lo, hi) in zip(w, regions):
         row[order] = _trapezoid_weights(freqs[order], lo, hi)

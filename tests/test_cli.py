@@ -275,6 +275,22 @@ def test_run_refuses_bad_noise_sigma_with_one_error_line(tmp_path, sigma):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["0.01", "0"])
+def test_run_refuses_negative_seed_with_one_error_line(tmp_path, sigma):
+    # with noise, numpy's default_rng would raise its own ValueError from
+    # add_noise; without it, the seed would still name the run
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "spinpair", "run",
+                           str(SEQ_DIR / "selective_i.pseq"), "--noise-sigma", sigma,
+                           "--seed", "-1", "--out", str(out)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0] == "error: seed must be a non-negative integer, got -1"
+    assert not out.exists()
+
+
 def test_paper_repro_runs_without_scipy(tmp_path):
     # the runtime needs numpy only: scipy is blocked before spinpair loads
     code = ("import runpy, sys; sys.modules['scipy'] = None; "

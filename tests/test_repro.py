@@ -89,6 +89,12 @@ def test_run_pipeline_refuses_bad_noise_inputs(params, noise_sigma, n_boot):
         run_pipeline(params, noise_sigma=noise_sigma, n_boot=n_boot)
 
 
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])
+def test_run_pipeline_refuses_negative_seed(params, noise_sigma):
+    with pytest.raises(spectro.SpectroError, match="seed must be a non-negative integer, got -1"):
+        run_pipeline(params, noise_sigma=noise_sigma, seed=-1)
+
+
 @pytest.mark.parametrize("noise_sigma, n_boot", [(0.0, 100), (1e-3, 0)])
 def test_run_pipeline_zero_noise_or_replicates_is_noise_free(params, noise_sigma, n_boot):
     res = run_pipeline(params, noise_sigma=noise_sigma, n_boot=n_boot)
@@ -428,6 +434,62 @@ def test_measured_recovery_matches_fourier_then_integrate(rounds):
         got = measured_recovery(5.0, w * 5.0, rounds)
         assert type(got) is float
         assert got == pytest.approx(fourier_recovery(5.0, w * 5.0, rounds), rel=1e-12)
+
+
+def doubled_fid_recovery(j_hz, fwhm_hz, rounds):
+    """measured_recovery as it read before the doubling identity: the
+    integral map times the undamped test FID, times the doubling
+    modulation, then one envelope and one dot product per width."""
+    center, n, dwell_s = 100.0, 65536, 1.0 / 1024.0
+    w = spectro._integral_map(((center, center + 400.0),), n, dwell_s)[0]
+    g = (w * antiphase_test_fid(j_hz, 0.0, center, n, dwell_s).samples).real.copy()
+    t = np.arange(n) * dwell_s
+    g *= spectro._j_modulation(j_hz, rounds, t)
+    out = np.array([g @ np.exp(-np.pi * f * t) for f in np.ravel(fwhm_hz)]) / 0.5
+    return float(out[0]) if np.ndim(fwhm_hz) == 0 else out.reshape(np.shape(fwhm_hz))
+
+
+@pytest.mark.parametrize("rounds", range(6))
+@pytest.mark.parametrize("j_hz", [2.0, 5.0, 7.3])
+def test_measured_recovery_matches_doubled_fid_oracle(j_hz, rounds):
+    widths = np.linspace(0.3, 2.0, 7) * j_hz
+    got = measured_recovery(j_hz, widths, rounds)
+    want = doubled_fid_recovery(j_hz, widths, rounds)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # R rounds on splitting J are no rounds on splitting 2^R J
+    assert got == pytest.approx(measured_recovery(2 ** rounds * j_hz, widths, 0), rel=1e-12)
+
+
+def test_measured_recovery_builds_no_fid_and_no_modulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("measured_recovery must not build this")
+
+    widths = np.array([3.0, 5.0])
+    want = [doubled_fid_recovery(5.0, widths, rounds) for rounds in (0, 4)]
+    monkeypatch.setattr(repro, "antiphase_test_fid", refuse)
+    monkeypatch.setattr(spectro, "_j_modulation", refuse)
+    got = [measured_recovery(5.0, widths, rounds) for rounds in (0, 4)]
+    assert np.abs(np.subtract(got, want)).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_recovery_carrier_is_read_only_and_cached():
+    measured_recovery(5.0, 4.0, 1)
+    c = repro._recovery_carrier(100.0, 65536, 1.0 / 1024.0)
+    assert c.dtype == float and c.shape == (65536,)
+    assert not c.flags.writeable
+    assert repro._recovery_carrier(100.0, 65536, 1.0 / 1024.0) is c
+    with pytest.raises(ValueError):
+        c[0] = 1.0
+
+
+def test_measured_recovery_refuses_bad_rounds():
+    with pytest.raises(spectro.SpectroError, match="rounds must be >= 0"):
+        measured_recovery(5.0, 4.0, -1)
+    # the doubling loop took range(rounds), which refuses a float
+    for rounds in (1.5, 2.0):
+        with pytest.raises(TypeError):
+            measured_recovery(5.0, 4.0, rounds)
+    assert measured_recovery(5.0, 4.0, np.int64(2)) == measured_recovery(5.0, 4.0, 2)
 
 
 def test_paper_repro_matches_recorded_table(tmp_path, capsys):

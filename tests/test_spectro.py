@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,28 @@ def test_fourier_energy_identity():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def argsort_fourier(fid):
+    """fourier as it ordered its axis, with np.argsort of fftfreq."""
+    x = np.array(fid.samples)
+    x[0] *= 0.5
+    values = 2 * fid.dwell_s * np.fft.fft(np.concatenate([x, np.zeros(fid.n, dtype=complex)]))
+    freqs = np.fft.fftfreq(2 * fid.n, fid.dwell_s)
+    order = np.argsort(freqs)
+    return freqs[order], values[order]
+
+
+@pytest.mark.parametrize("m", [4, 8, 64, 1024, 32768, 131072])
+def test_fftshift_is_fftfreq_ascending_order(m):
+    for dwell_s in (1 / 4096, 1 / 1024, 1e-3):
+        assert np.array_equal(np.fft.fftshift(np.arange(m)),
+                              np.argsort(np.fft.fftfreq(m, dwell_s)))
+    fid = lorentzian_fid(1.0, 100.0, 0.5, n=m // 2)
+    spec = fourier(fid)
+    freqs, values = argsort_fourier(fid)
+    assert np.array_equal(spec.freqs_hz, freqs)
+    assert np.array_equal(spec.values, values)
+
+
 def test_component_regions_layout(params):
     regs = component_regions(params)
     q = params.delta_nu_hz / 4
@@ -244,6 +267,15 @@ def test_add_noise_deterministic():
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
     assert np.std((a.samples - fid.samples).real) == pytest.approx(0.1, rel=0.2)
+
+
+def test_add_noise_refuses_negative_seed():
+    fid = lorentzian_fid(1.0, 10.0, 0.5, n=256)
+    for seed in (-1, np.int64(-3)):
+        with pytest.raises(SpectroError, match=re.escape(f"non-negative integer, got {seed!r}")):
+            add_noise(fid, 0.1, seed=seed)
+    assert np.array_equal(add_noise(fid, 0.1, seed=0).samples,
+                          add_noise(fid, 0.1, seed=np.random.SeedSequence(0)).samples)
 
 
 def test_j_double_modulates_samples():
