@@ -14,9 +14,10 @@ separate cleanly instead of chewing into each other.
 import argparse
 from pathlib import Path
 
-from spinpair.repro import polarized_fid, thermal_fid
-from spinpair.spectro import ReadoutConfig, add_noise, component_regions, fourier, j_double
-from spinpair.states import SpinSystemParams
+from spinpair.channels import apply, hard_pulse, selective_pulse
+from spinpair.spectro import (
+    ReadoutConfig, add_noise, component_regions, fourier, j_double, synthesize_fid)
+from spinpair.states import SpinSystemParams, make_pseudo_pure, make_singlet, make_thermal
 from spinpair.svgplot import write_spectrum_svg
 
 
@@ -34,9 +35,15 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
     regions = component_regions(params)
 
-    fid_p = polarized_fid(params, args.epsilon, readout)
+    n, dwell_s = readout.n_points, readout.dwell_s
+    # the pseudo-pure singlet after the selective readout pulse
+    rho_p = apply(selective_pulse(readout.target_spin, params),
+                  make_pseudo_pure(args.epsilon, make_singlet()))
+    fid_p = synthesize_fid(rho_p, params, n, dwell_s)
     doubled = j_double(fid_p, params.j_hz, readout.j_double_rounds)
-    fid_t = thermal_fid(params, readout)
+    # the exact thermal state after a hard 90 about +y
+    rho_t = apply(hard_pulse(90.0, 90.0), make_thermal(params, mode="exact"))
+    fid_t = synthesize_fid(rho_t, params, n, dwell_s)
     noisy = add_noise(fid_p, args.noise_sigma, args.seed)
 
     jobs = [

@@ -153,8 +153,8 @@ def free_evolution(t_s: float, params: SpinSystemParams,
 
     Spin I sits at offset -delta_nu/2, spin S at +delta_nu/2. weak keeps
     only the secular 2*pi*J*IzSz coupling; strong uses the full 2*pi*J*I.S.
-    include_j=False drops the coupling entirely (selective-pulse delays and
-    gradient periods assume this separation by default).
+    include_j=False drops the coupling entirely (selective-pulse delays
+    always assume this separation, gradient periods by default).
     """
     u = _propagator(t_s, params, coupling_mode, include_j)
     tag = coupling_mode if include_j else "nocoupling"
@@ -195,8 +195,7 @@ def relax(t_s: float, params: SpinSystemParams) -> Channel:
 _SELECTIVE_PHASES = {"I": (135.0, 0.0), "S": (45.0, 180.0)}
 
 
-def selective_pulse(target_spin: str, params: SpinSystemParams,
-                    j_during_delay: bool = False) -> ChannelProgram:
+def selective_pulse(target_spin: str, params: SpinSystemParams) -> ChannelProgram:
     """90-degree rotation of one spin about its +y axis, built from two hard
     90s separated by 1/(4*delta_nu) of chemical-shift evolution. The other
     spin returns to its initial z alignment up to a z phase."""
@@ -206,7 +205,7 @@ def selective_pulse(target_spin: str, params: SpinSystemParams,
     tau = 1.0 / (4.0 * params.delta_nu_hz)
     chans = (
         hard_pulse(90.0, p1),
-        free_evolution(tau, params, include_j=j_during_delay),
+        free_evolution(tau, params, include_j=False),
         hard_pulse(90.0, p2),
     )
     return ChannelProgram(channels=chans, params=params,

@@ -3,8 +3,11 @@
 run_pipeline drives the whole chain: pseudo-pure singlet -> selective
 readout -> FID -> J-doubling -> integration, thermal reference -> hard 90 ->
 FID -> integration, then calibration of the polarization from the ratio.
-The thermal reference's integrals depend only on (params, readout), so
-they are built once per pair and cached; a warm call synthesizes no FID.
+Both acquisitions are linear in the state, so each is read through a
+(4, 16) map on vec(rho) from spectro._acquisition_map, blind to the
+identity, and run_pipeline never synthesizes an FID. The thermal
+reference's integrals depend only on (params, readout), so they are built
+once per pair and cached.
 Simulated acquisitions see the entire sample, so calibration inside the
 pipeline always runs with f_active = 1 regardless of the experiment value
 carried in params.
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import analysis, spectro
 from .channels import apply, filtration_sequence, hard_pulse, selective_pulse, zq_dephase
-from .spectro import CalibrationResult, Fid, ReadoutConfig
+from .spectro import CalibrationResult, ReadoutConfig
 from .states import (
     SpinSystemParams,
     bell_diagonal,
@@ -44,28 +47,15 @@ from .states import (
 PAPER_BELL_FRACTIONS = (0.937, 0.045, 0.009, 0.009)
 
 
-def polarized_fid(params: SpinSystemParams, epsilon: float,
-                  readout: ReadoutConfig = ReadoutConfig()) -> Fid:
-    """FID of the pseudo-pure singlet after the selective readout pulse."""
-    rho = make_pseudo_pure(epsilon, make_singlet())
-    prepared = apply(selective_pulse(readout.target_spin, params), rho)
-    return spectro.synthesize_fid(prepared, params, readout.n_points, readout.dwell_s)
-
-
-def thermal_fid(params: SpinSystemParams,
-                readout: ReadoutConfig = ReadoutConfig()) -> Fid:
-    """FID of the exact thermal state after a hard 90 about +y."""
-    rho = apply(hard_pulse(90.0, 90.0), make_thermal(params, mode="exact"))
-    return spectro.synthesize_fid(rho, params, readout.n_points, readout.dwell_s)
-
-
 @functools.lru_cache(maxsize=8)
 def _thermal_integrals(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
-    """Read-only component integrals of thermal_fid, Re(W_t @ samples) for
-    the component _integral_map W_t. The last eight stay cached."""
+    """Read-only component integrals of the exact thermal state after a
+    hard 90 about +y: Re(A @ vec(rho)) for the _acquisition_map A of that
+    pulse and the component _integral_map. The last eight stay cached."""
     w_t = spectro._integral_map(spectro.component_regions(params),
                                 readout.n_points, readout.dwell_s)
-    out = (w_t @ thermal_fid(params, readout).samples).real
+    a = spectro._acquisition_map(params, (hard_pulse(90.0, 90.0),), w_t, readout.dwell_s)
+    out = (a @ make_thermal(params, mode="exact").matrix.ravel()).real
     out.setflags(write=False)
     return out
 
@@ -81,13 +71,13 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
     J-doubling, the transform and the integration are linear in the FID,
     so both channels reduce to one (4, n) map W each, and a channel's
     noisy integrals are Gaussian with covariance noise_sigma^2 Re(W W^H).
-    The noise-free polarized integrals come from readout_integrals, which
-    needs no FID, and the thermal integrals are cached per (params,
-    readout) (_thermal_integrals), so a warm call synthesizes none. Each
-    replicate draws its four integrals per channel from that exact law
-    (spectro._noisy_integrals, with the Cholesky factors of
-    spectro._noise_factors): replicate i takes the normals [i, 0]
-    (polarized) and [i, 1] (thermal) of
+    The noise-free integrals of both channels come from a (4, 16) map on
+    vec(rho), so no call synthesizes an FID: the polarized ones from
+    readout_integrals, the thermal ones from _thermal_integrals, cached
+    per (params, readout). Each replicate draws its four integrals per
+    channel from that exact law (spectro._noisy_integrals, with the
+    Cholesky factors of spectro._noise_factors): replicate i takes the
+    normals [i, 0] (polarized) and [i, 1] (thermal) of
     default_rng(seed).standard_normal((n_boot, 2, 4)), so it does not
     depend on n_boot. A noise_sigma that is negative or not finite, a
     negative seed or a negative n_boot raises SpectroError; noise_sigma = 0
@@ -128,17 +118,6 @@ def antiphase_recovery_fraction(splitting_hz: float, fwhm_hz: float) -> float:
     return (2 / math.pi) * math.atan(splitting_hz / fwhm_hz)
 
 
-def antiphase_test_fid(j_hz: float, fwhm_hz: float, center_hz: float,
-                       n: int = 65536, dwell_s: float = 1.0 / 1024.0) -> Fid:
-    """Synthetic single-spin antiphase doublet: i sin(pi J t) modulation on
-    a Lorentzian envelope of the given FWHM, line areas +-1/2."""
-    t = np.arange(n) * dwell_s
-    s = (1j * np.sin(np.pi * j_hz * t)
-         * np.exp(2j * np.pi * center_hz * t)
-         * np.exp(-np.pi * fwhm_hz * t))
-    return Fid(samples=s, dwell_s=dwell_s)
-
-
 @functools.lru_cache(maxsize=1)
 def _recovery_carrier(center_hz: float, n: int, dwell_s: float) -> np.ndarray:
     """Read-only real c = -Im(W * exp(2 pi i center t)) for the
@@ -159,8 +138,9 @@ def measured_recovery(j_hz: float, fwhm_hz: float | np.ndarray,
     given number of doubling rounds, relative to its true area of 1/2.
 
     fwhm_hz may be an array; the result then has its shape, and is a float
-    for a scalar. The doublet is antiphase_test_fid's and the doubling is
-    j_double's, but neither is built: since
+    for a scalar. The doublet is i sin(pi J t) exp(2 pi i 100 t) on a
+    Lorentzian envelope of the given FWHM (line areas +-1/2) and the
+    doubling is j_double's, but neither is built: since
     sin(a) * prod over r < R of 2cos(2^r a) = sin(2^R a), R rounds turn
     the doublet of splitting J into the undoubled one of splitting 2^R J.
     Its integral is then c @ (sin(pi 2^R J t) exp(-pi fwhm t)) with the

@@ -10,12 +10,16 @@ equal the envelope amplitude of its time-domain component: a unit-area
 Lorentzian integrates to 1 over the full axis. Line full-width at half
 maximum is 1/(pi*T2) plus any apodization broadening.
 
-Every step of the selective population readout (selective 90, FID,
-J-doubling, transform, four component integrals) is linear in rho, so the
-whole readout is one cached (4, 16) complex map R on vec(rho), the
+Every step of an acquisition (the pulses before it, FID, J-doubling,
+transform, integration) is linear in rho, so one builder,
+_acquisition_map, folds them into a single complex map A on vec(rho), the
 row-major flattening of the density matrix: the integrals are
-Re(R @ vec(rho)). No FID is synthesized and no transform is taken to read
-a state out; fourier and integrate remain for spectra that are shown.
+Re(A @ vec(rho)). A is blind to the identity part of rho, which has no
+coherence to read. The selective population readout is the cached (4, 16)
+map of _readout_map; the thermal reference of run_pipeline is the same
+builder after a hard 90. No FID is synthesized and no transform is taken
+to read a state out; fourier and integrate remain for spectra that are
+shown.
 """
 
 from __future__ import annotations
@@ -244,13 +248,11 @@ def _integral_map(regions: tuple, n: int, dwell_s: float) -> np.ndarray:
 
     Each row is the transform of that region's trapezoid weights, read back
     onto the samples: the zero fill drops out, and the first-point halving
-    and the 2*dwell scale fold into W."""
-    freqs = np.fft.fftfreq(2 * n, dwell_s)
-    # fftfreq's ascending order, without a sort
-    order = np.fft.fftshift(np.arange(2 * n))
-    w = np.zeros((len(regions), 2 * n))
-    for row, (lo, hi) in zip(w, regions):
-        row[order] = _trapezoid_weights(freqs[order], lo, hi)
+    and the 2*dwell scale fold into W. The ascending axis is fftfreq's own
+    arithmetic, so it equals fourier's axis bit for bit."""
+    freqs = np.arange(-n, n) * (1.0 / (2 * n * dwell_s))
+    w = np.array([np.fft.ifftshift(_trapezoid_weights(freqs, lo, hi))
+                  for lo, hi in regions])
     out = 2 * dwell_s * np.fft.rfft(w)[:, :n]
     out[:, 0] *= 0.5
     out.setflags(write=False)
@@ -299,14 +301,14 @@ class CalibrationResult:
 
 def calibrate(ph2_integrals, thermal_integrals, scan_norm: float,
               params: SpinSystemParams,
-              max_enhancement: float | None = None,
-              epsilon_err: float = 0.0) -> CalibrationResult:
+              max_enhancement: float | None = None) -> CalibrationResult:
     """Polarization from hyperpolarized vs thermal multiplet integrals.
 
     Signals are summed absolute component integrals. scan_norm rescales for
     unequal averaging between the two acquisitions (1 when both are single
     simulated shots). max_enhancement defaults to 2/B from params; passing
     an externally quoted value reproduces someone else's arithmetic.
+    epsilon_err is 0; run_pipeline's bootstrap replaces it.
     """
     sig_ph2 = float(np.abs(np.asarray(ph2_integrals, dtype=float)).sum())
     sig_th = float(np.abs(np.asarray(thermal_integrals, dtype=float)).sum())
@@ -321,7 +323,7 @@ def calibrate(ph2_integrals, thermal_integrals, scan_norm: float,
         raise SpectroError("max_enhancement must be positive")
     return CalibrationResult(
         epsilon=corrected / max_enh,
-        epsilon_err=epsilon_err,
+        epsilon_err=0.0,
         raw_ratio=raw,
         corrected_ratio=corrected,
         max_enhancement=max_enh,
@@ -379,29 +381,44 @@ def _noise_factors(params: SpinSystemParams, readout: ReadoutConfig) -> tuple:
                            _integral_map(component_regions(params), n, dwell_s)))
 
 
+def _acquisition_map(params: SpinSystemParams, channels: tuple, w: np.ndarray,
+                     dwell_s: float) -> np.ndarray:
+    """Read-only (len(w), 16) complex A with Re(A @ vec(rho)) equal to
+    Re(w @ synthesize_fid(P, params, n, dwell_s).samples), where P is rho
+    after the channels, first channel first, and w is an (m, n) map on the
+    samples.
+
+    P enters the FID through the read coherences (a, b) of synthesize_fid,
+    each as f_read[a, b] (V^-1 P V)[a, b] z_ab^k, so its integrals are the
+    sum over (a, b) of f_read[a, b] (w @ z_ab^k) (V^-1 P V)[a, b], one
+    n-point exponential at a time. vec(P) is the channels' superoperators
+    applied to vec(rho), so A takes them on the right in reverse order.
+
+    A is blind to the identity: vec(I) has no read coherence, and only a
+    superoperator's rounding (up to 1.5e-16 off the diagonal for a hard
+    90) would let the I/4 part of a state leak into the integrals."""
+    v, v_inv, f_read, log_z = _fid_modes(params, dwell_s)
+    k = np.arange(w.shape[1])
+    out = np.zeros((len(w), 16), dtype=complex)
+    for a, b in zip(*np.nonzero(f_read * _OFF_DIAG)):
+        # (V^-1 P V)[a, b] = sum over (i, j) of v_inv[a, i] P[i, j] v[j, b]
+        out += np.outer(f_read[a, b] * (w @ np.exp(log_z[a, b] * k)),
+                        np.outer(v_inv[a], v[:, b]).ravel())
+    for ch in reversed(channels):
+        out = out @ ch.superop
+    vec_i = np.eye(4).ravel()
+    out -= np.outer(out @ vec_i, vec_i) / 4
+    out.setflags(write=False)
+    return out
+
+
 @functools.lru_cache(maxsize=8)
 def _readout_map(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
     """Read-only (4, 16) complex R with readout_integrals(rho) equal to
-    Re(R @ rho.matrix.ravel()). The last eight maps built stay cached.
-
-    The pulsed state P enters the FID through the read coherences (a, b)
-    of synthesize_fid, each as f_read[a, b] (V^-1 P V)[a, b] z_ab^k, so
-    its doubled integrals are the sum over (a, b) of f_read[a, b]
-    (W_p @ z_ab^k) (V^-1 P V)[a, b], one n-point exponential at a time.
-    vec(P) is the selective pulse's superoperators applied to vec(rho),
-    first channel first, so R takes them on the right in reverse order."""
-    v, v_inv, f_read, log_z = _fid_modes(params, readout.dwell_s)
-    w_p = _doubled_map(params, readout)
-    k = np.arange(readout.n_points)
-    out = np.zeros((4, 16), dtype=complex)
-    for a, b in zip(*np.nonzero(f_read * _OFF_DIAG)):
-        # (V^-1 P V)[a, b] = sum over (i, j) of v_inv[a, i] P[i, j] v[j, b]
-        out += np.outer(f_read[a, b] * (w_p @ np.exp(log_z[a, b] * k)),
-                        np.outer(v_inv[a], v[:, b]).ravel())
-    for ch in reversed(selective_pulse(readout.target_spin, params).channels):
-        out = out @ ch.superop
-    out.setflags(write=False)
-    return out
+    Re(R @ rho.matrix.ravel()): the _acquisition_map of the selective
+    pulse and the doubled map. The last eight maps built stay cached."""
+    return _acquisition_map(params, selective_pulse(readout.target_spin, params).channels,
+                            _doubled_map(params, readout), readout.dwell_s)
 
 
 def readout_integrals(rho: DensityMatrix, params: SpinSystemParams,

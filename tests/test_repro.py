@@ -5,25 +5,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fid_oracles import antiphase_test_fid, polarized_fid, thermal_fid
 from spinpair import repro, spectro
-from spinpair.channels import apply, filtration_sequence
+from spinpair.channels import apply, filtration_sequence, hard_pulse
 from spinpair.cli import main
 from spinpair.repro import (
     antiphase_recovery_fraction,
-    antiphase_test_fid,
     format_repro_table,
     measured_recovery,
     paper_repro,
-    polarized_fid,
     run_pipeline,
-    thermal_fid,
 )
 from spinpair.spectro import Fid, ReadoutConfig
 from spinpair.states import (
+    IX,
+    SX,
     DensityMatrix,
     SpinSystemParams,
     make_pseudo_pure,
     make_singlet,
+    make_thermal,
     to_bell_populations,
 )
 
@@ -103,15 +104,16 @@ def test_run_pipeline_zero_noise_or_replicates_is_noise_free(params, noise_sigma
 
 
 def uncached_run_pipeline(params, epsilon, noise_sigma, seed, n_boot, readout):
-    """(epsilon, epsilon_err) of run_pipeline as it read before its thermal
-    reference and noise factors were cached: the thermal FID and both
-    Cholesky factors built on every call."""
+    """(epsilon, epsilon_err) of run_pipeline with nothing cached: the
+    thermal acquisition map and both Cholesky factors built on every
+    call."""
     cal_params = dataclasses.replace(params, f_active=1.0)
     y_p = spectro.readout_integrals(make_pseudo_pure(epsilon, make_singlet()),
                                     params, readout)
     w_t = spectro._integral_map(spectro.component_regions(params),
                                 readout.n_points, readout.dwell_s)
-    y_t = (w_t @ thermal_fid(params, readout).samples).real
+    a_t = spectro._acquisition_map(params, (hard_pulse(90.0, 90.0),), w_t, readout.dwell_s)
+    y_t = (a_t @ make_thermal(params, mode="exact").matrix.ravel()).real
     result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params)
     err = 0.0
     if noise_sigma > 0 and n_boot > 0:
@@ -135,19 +137,44 @@ def test_run_pipeline_matches_uncached_oracle(params, epsilon, sigma, seed, n_bo
 
 
 def test_warm_run_pipeline_synthesizes_no_fid(monkeypatch):
-    # a (params, readout) pair no other test uses, so the first calls are cold
+    # a (params, readout) pair no other test uses, so the first calls are
+    # cold; neither they nor the warm ones may build an FID
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run_pipeline call built an FID or applied a channel")
+
+    monkeypatch.setattr(spectro, "synthesize_fid", refuse)
+    monkeypatch.setattr(repro, "apply", refuse)
     params = SpinSystemParams(delta_nu_hz=511.0)
     ro = ReadoutConfig(n_points=4096, j_double_rounds=3)
     calls = [(0.916, 0.0, 0, 0), (0.8, 1e-3, 5, 50), (0.6, 0.0, 0, 100)]
     cold = [run_pipeline(params, *args, readout=ro) for args in calls]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a warm run_pipeline call built an FID or applied a channel")
-
-    monkeypatch.setattr(spectro, "synthesize_fid", refuse)
-    monkeypatch.setattr(repro, "apply", refuse)
     warm = [run_pipeline(params, *args, readout=ro) for args in calls]
     assert warm == cold
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+@pytest.mark.parametrize("delta_nu", [300.0, 420.0, 492.0, 511.0, 580.0])
+def test_thermal_integrals_match_exact_reference(delta_nu, n):
+    # the exact Boltzmann state is (1 + t 2Iz)(1 + t 2Sz)/4 with
+    # t = tanh(B/2), and an exact 90 about +y turns each z into an x
+    params = SpinSystemParams(delta_nu_hz=delta_nu)
+    ro = ReadoutConfig(n_points=n)
+    t = np.tanh(params.b_factor / 2)
+    exact = np.eye(4) / 4 + (t / 2) * (IX + SX) + t ** 2 * (IX @ SX)
+    pulsed = apply(hard_pulse(90.0, 90.0), make_thermal(params, mode="exact"))
+    assert np.abs(pulsed.matrix - exact).max() <= 1e-15
+    w_t = spectro._integral_map(spectro.component_regions(params), n, ro.dwell_s)
+    ref = (w_t @ spectro.synthesize_fid(DensityMatrix(exact), params, n,
+                                        ro.dwell_s).samples).real
+
+    def rel(y):
+        return np.abs(y - ref).max() / np.abs(ref).max()
+
+    got = rel(repro._thermal_integrals(params, ro))
+    # the FID of the pulsed state carries the identity leak of the pulse
+    oracle = rel((w_t @ thermal_fid(params, ro).samples).real)
+    assert got <= 1e-11
+    assert got <= oracle / 10, (got, oracle)
 
 
 def test_cached_thermal_integrals_are_read_only(params):
@@ -466,7 +493,6 @@ def test_measured_recovery_builds_no_fid_and_no_modulation(monkeypatch):
 
     widths = np.array([3.0, 5.0])
     want = [doubled_fid_recovery(5.0, widths, rounds) for rounds in (0, 4)]
-    monkeypatch.setattr(repro, "antiphase_test_fid", refuse)
     monkeypatch.setattr(spectro, "_j_modulation", refuse)
     got = [measured_recovery(5.0, widths, rounds) for rounds in (0, 4)]
     assert np.abs(np.subtract(got, want)).max() <= 1e-12 * np.abs(want).max()

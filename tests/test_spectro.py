@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -206,6 +207,9 @@ def test_fftshift_is_fftfreq_ascending_order(m):
     for dwell_s in (1 / 4096, 1 / 1024, 1e-3):
         assert np.array_equal(np.fft.fftshift(np.arange(m)),
                               np.argsort(np.fft.fftfreq(m, dwell_s)))
+        # the ascending axis _integral_map builds without fftfreq
+        assert np.array_equal(np.arange(-(m // 2), m // 2) * (1.0 / (m * dwell_s)),
+                              np.sort(np.fft.fftfreq(m, dwell_s)))
     fid = lorentzian_fid(1.0, 100.0, 0.5, n=m // 2)
     spec = fourier(fid)
     freqs, values = argsort_fourier(fid)
@@ -453,8 +457,8 @@ def test_calibrate_rejects_unphysical(params):
 
 
 def test_calibration_result_dict(params):
-    res = calibrate([1000.0], [1.0], scan_norm=1.0, params=params,
-                    epsilon_err=0.019)
+    res = dataclasses.replace(calibrate([1000.0], [1.0], scan_norm=1.0, params=params),
+                              epsilon_err=0.019)
     d = res.as_dict()
     assert set(d) == {"epsilon", "epsilon_err", "raw_ratio",
                       "corrected_ratio", "max_enhancement"}
