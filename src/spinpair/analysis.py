@@ -11,7 +11,7 @@ mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,13 +40,7 @@ class EntanglementReport:
     bell: BellPopulations
 
     def as_dict(self) -> dict:
-        return {
-            "min_pt_eigenvalue": self.min_pt_eigenvalue,
-            "entangled": self.entangled,
-            "concurrence": self.concurrence,
-            "eof": self.eof,
-            "bell": self.bell.as_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -60,11 +54,7 @@ class EquivalentConditions:
             raise ValueError("equivalent conditions must be positive")
 
     def as_dict(self) -> dict:
-        return {
-            "temp_k_at_field": self.temp_k_at_field,
-            "field_t_at_temp": self.field_t_at_temp,
-            "gamma_hz_per_t": self.gamma_hz_per_t,
-        }
+        return asdict(self)
 
 
 def _as_matrix(rho, stack: bool = False) -> np.ndarray:

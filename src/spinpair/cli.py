@@ -10,6 +10,7 @@ and every float prints as its shortest round-trip decimal. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -45,10 +46,8 @@ class CliError(Exception):
 
 def _params_from_args(args) -> SpinSystemParams:
     try:
-        return SpinSystemParams(
-            nu_hz=args.nu_hz, delta_nu_hz=args.delta_nu_hz, j_hz=args.j_hz,
-            temp_k=args.temp_k, t1_s=args.t1_s, t2_s=args.t2_s,
-            f_active=args.f_active)
+        return SpinSystemParams(**{f.name: getattr(args, f.name)
+                                   for f in dataclasses.fields(SpinSystemParams)})
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -81,7 +80,7 @@ def _state_payload(rho: DensityMatrix) -> dict:
         "basis": "zeeman",
         "re": [[float(v) for v in row] for row in rho.matrix.real],
         "im": [[float(v) for v in row] for row in rho.matrix.imag],
-        "bell": [pops.pS, pops.pT0, pops.pTplus, pops.pTminus],
+        "bell": list(pops.as_tuple()),
         "off_bell": pops.offBell,
         "product_operators": to_product_operators(rho).as_dict(),
     }
@@ -272,14 +271,8 @@ def cmd_paper_repro(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("system parameters")
-    defaults = SpinSystemParams()
-    g.add_argument("--nu-hz", type=float, default=defaults.nu_hz)
-    g.add_argument("--delta-nu-hz", type=float, default=defaults.delta_nu_hz)
-    g.add_argument("--j-hz", type=float, default=defaults.j_hz)
-    g.add_argument("--temp-k", type=float, default=defaults.temp_k)
-    g.add_argument("--t1-s", type=float, default=defaults.t1_s)
-    g.add_argument("--t2-s", type=float, default=defaults.t2_s)
-    g.add_argument("--f-active", type=float, default=defaults.f_active)
+    for f in dataclasses.fields(SpinSystemParams):
+        g.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="spinpair_out", help="output directory")
 

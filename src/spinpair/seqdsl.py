@@ -15,13 +15,16 @@ Grammar, one statement per line, units fixed (degrees, seconds, Hz):
 Headers override the params object handed to compile. No loops, no
 variables, no phase cycling: the sequences this encodes are short and
 linear, and anything fancier belongs in Python.
+
+_STATEMENTS is the one list of statements: parse reads each statement's
+argument kinds from it, and compile checks and lowers through it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .channels import (
     ChannelError,
@@ -36,12 +39,11 @@ from .channels import (
 from .spectro import _is_pow2
 from .states import SpinSystemParams
 
-HEADER_KEYS = ("nu", "delta_nu", "j", "temp", "t1", "t2", "f_active")
-
 _HEADER_TO_PARAM = {
     "nu": "nu_hz", "delta_nu": "delta_nu_hz", "j": "j_hz", "temp": "temp_k",
     "t1": "t1_s", "t2": "t2_s", "f_active": "f_active",
 }
+HEADER_KEYS = tuple(_HEADER_TO_PARAM)
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -99,17 +101,20 @@ class SequenceAst:
         return dict(self.headers)
 
 
-# statement name -> argument kinds, one character per argument
-# kinds: f = finite float, t = finite float >= 0, n = int >= 1, d = float > 0,
-# T = spin target token
-_STMT_ARGS = {
-    "pulse": "ff",
-    "selective": "T",
-    "delay": "t",
-    "gradient_period": "",
-    "zqdephase": "",
-    "relax": "t",
-    "acquire": "nd",
+# statement name -> (argument kinds, needs delta_nu, lowering), the one
+# list of statements. Kinds are one character per argument: f = finite
+# float, t = finite float >= 0, n = int >= 1, d = float > 0, T = spin target
+# token. A lowering takes the effective params and the arguments and
+# returns the statement's channels; acquire has none, as compile turns it
+# into the AcquisitionSpec.
+_STATEMENTS = {
+    "pulse": ("ff", False, lambda eff, angle, phase: (hard_pulse(angle, phase),)),
+    "selective": ("T", True, lambda eff, spin: selective_pulse(spin, eff).channels),
+    "delay": ("t", False, lambda eff, t: (free_evolution(t, eff),)),
+    "gradient_period": ("", True, gradient_period),
+    "zqdephase": ("", False, lambda eff: (zq_dephase(),)),
+    "relax": ("t", False, lambda eff, t: (relax_channel(t, eff),)),
+    "acquire": ("nd", False, None),
 }
 
 
@@ -138,6 +143,24 @@ def _parse_value(kind: str, token: str):
     if kind == "d" and v <= 0:
         return None, f"expected a positive value, got {token!r}"
     return v, None
+
+
+def _read_args(op: str, tokens: list) -> tuple:
+    """(args, None) for the argument tokens of statement op, read by their
+    kinds in _STATEMENTS, or (None, (i, message)) for the first problem,
+    with i the index of the bad token, or -1 for the statement itself."""
+    if op not in _STATEMENTS:
+        return None, (-1, f"unknown statement {op!r}")
+    kinds = _STATEMENTS[op][0]
+    if len(tokens) != len(kinds):
+        return None, (-1, f"{op} takes {len(kinds)} argument(s), got {len(tokens)}")
+    args = []
+    for i, (kind, token) in enumerate(zip(kinds, tokens)):
+        val, err = _parse_value(kind, token)
+        if err:
+            return None, (i, err)
+        args.append(val)
+    return tuple(args), None
 
 
 def parse(text: str) -> SequenceAst:
@@ -170,29 +193,16 @@ def parse(text: str) -> SequenceAst:
             header_pos[word] = pos
             continue
 
-        spec = _STMT_ARGS.get(word)
-        if spec is None:
-            errors.append(ParseError(pos, f"unknown statement {word!r}"))
-            continue
-        if len(rest) != len(spec):
+        args, err = _read_args(word, [token for token, _ in rest])
+        if err:
+            i, message = err
             errors.append(ParseError(
-                pos, f"{word} takes {len(spec)} argument(s), got {len(rest)}"))
-            continue
-        args = []
-        bad = False
-        for kind, (token, tcol) in zip(spec, rest):
-            val, err = _parse_value(kind, token)
-            if err:
-                errors.append(ParseError(SourcePos(lineno, tcol), err))
-                bad = True
-                break
-            args.append(val)
-        if bad:
+                pos if i < 0 else SourcePos(lineno, rest[i][1]), message))
             continue
         if word == "acquire" and any(s.op == "acquire" for s in statements):
             errors.append(ParseError(pos, "duplicate acquire statement"))
             continue
-        statements.append(Statement(op=word, args=tuple(args), pos=pos))
+        statements.append(Statement(op=word, args=args, pos=pos))
 
     if errors:
         raise SequenceSyntaxError(errors)
@@ -229,70 +239,59 @@ def compile(ast: SequenceAst, params: SpinSystemParams | None = None):
     Header values override fields of params. Without a params object the
     statements that need delta_nu (selective, gradient_period) insist on a
     delta_nu header; everything else falls back to the demo defaults.
+
+    The AST's values are read back from their text by parse's own rules,
+    so an AST that parse would refuse as text (an unknown header or
+    statement, a wrong argument count, a value out of its domain) raises
+    CompileError.
     """
-    headers = ast.header_dict()
-    needs_dnu = any(s.op in ("selective", "gradient_period") for s in ast.statements)
+    headers = dict(ast.headers)
+    for key, value in headers.items():
+        if key not in HEADER_KEYS:
+            raise CompileError(f"unknown header {key!r}")
+        headers[key], err = _parse_value("d", str(value))
+        if err:
+            raise CompileError(f"header {key}: {err}")
+    checked = []
+    for stmt in ast.statements:
+        args, err = _read_args(stmt.op, [str(a) for a in stmt.args])
+        if err:
+            raise CompileError(f"{stmt.pos}: {err[1]}")
+        checked.append((stmt, args))
+    needs_dnu = any(_STATEMENTS[stmt.op][1] for stmt, _ in checked)
     if params is None and needs_dnu and "delta_nu" not in headers:
         raise CompileError(
             "sequence uses selective/gradient_period but sets no delta_nu "
             "header and no params were given")
     base = params if params is not None else SpinSystemParams()
-    overrides = {_HEADER_TO_PARAM[k]: v for k, v in headers.items()}
     try:
-        eff = SpinSystemParams(**{
-            **{f: getattr(base, f) for f in _HEADER_TO_PARAM.values()},
-            **overrides,
-        })
+        eff = replace(base, **{_HEADER_TO_PARAM[k]: v for k, v in headers.items()})
     except ValueError as exc:
         raise CompileError(f"bad header value: {exc}") from exc
 
     channels = []
     statements = []
     acq = None
-    for stmt in ast.statements:
+    for stmt, args in checked:
         if acq is not None:
             raise CompileError(
                 f"{stmt.pos}: statement after acquire; acquire must be last")
-        if stmt.op == "acquire":
-            n, dwell = stmt.args
+        lower = _STATEMENTS[stmt.op][2]
+        if lower is None:
+            n, dwell = args
             if not _is_pow2(n):
                 raise CompileError(
                     f"{stmt.pos}: acquire needs a power-of-two point count >= 2, got {n}")
             acq = AcquisitionSpec(n_points=n, dwell_s=dwell)
             continue
         try:
-            _lower_statement(stmt, eff, channels, statements)
+            channels.extend(lower(eff, *args))
         except ChannelError as exc:
             raise CompileError(f"{stmt.pos}: {exc}") from exc
+        statements.append((stmt.op, *args))
     program = ChannelProgram(channels=tuple(channels), params=eff,
                              statements=tuple(statements))
     return program, acq
-
-
-def _lower_statement(stmt: Statement, eff: SpinSystemParams,
-                     channels: list, statements: list) -> None:
-    if stmt.op == "pulse":
-        a, p = stmt.args
-        channels.append(hard_pulse(a, p))
-        statements.append(("pulse", float(a), float(p)))
-    elif stmt.op == "selective":
-        sub = selective_pulse(stmt.args[0], eff)
-        channels.extend(sub.channels)
-        statements.append(("selective", stmt.args[0]))
-    elif stmt.op == "delay":
-        channels.append(free_evolution(stmt.args[0], eff))
-        statements.append(("delay", float(stmt.args[0])))
-    elif stmt.op == "gradient_period":
-        channels.extend(gradient_period(eff))
-        statements.append(("gradient_period",))
-    elif stmt.op == "zqdephase":
-        channels.append(zq_dephase())
-        statements.append(("zqdephase",))
-    elif stmt.op == "relax":
-        channels.append(relax_channel(stmt.args[0], eff))
-        statements.append(("relax", float(stmt.args[0])))
-    else:  # pragma: no cover - parser only emits known ops
-        raise CompileError(f"{stmt.pos}: unknown op {stmt.op!r}")
 
 
 def program_to_text(program: ChannelProgram, acq: AcquisitionSpec | None = None) -> str:

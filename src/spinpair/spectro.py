@@ -25,7 +25,8 @@ shown.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -100,16 +101,19 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
 
-def _fid_modes(params: SpinSystemParams, dwell_s: float) -> tuple:
-    """(v, v_inv, f_read, log_z) of synthesize_fid: the eigenvectors V of
-    the one-dwell propagator and V^-1, f_read = (V^-1 F+ V).T, and
-    log_z[a, b] = log(lam_a conj(lam_b)) - dwell/T2, the per-dwell log
-    factor of coherence (a, b)."""
+def _fid_modes(params: SpinSystemParams, n: int, dwell_s: float) -> tuple:
+    """The modes (c, e) of synthesize_fid, one row per coherence (a, b)
+    that F+ reads: the n samples are the sum over rows r of
+    (c @ vec(rho))[r] e[r]. Row r of the (r, 16) c is f_read[a, b]
+    vec(outer(V^-1[a], V[:, b])), with f_read = (V^-1 F+ V).T, and row r of
+    the (r, n) e is z[a, b]**k for k < n."""
     lam, v = np.linalg.eig(_propagator(dwell_s, params))
     v_inv = np.linalg.inv(v)
     f_read = (v_inv @ F_PLUS @ v).T
     log_z = np.log(np.outer(lam, lam.conj())) - dwell_s / params.t2_s
-    return v, v_inv, f_read, log_z
+    a, b = np.nonzero(f_read * _OFF_DIAG)
+    c = f_read[a, b, None] * (v_inv[a, :, None] * v.T[b, None, :]).reshape(len(a), 16)
+    return c, np.exp(log_z[a, b, None] * np.arange(n))
 
 
 def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
@@ -125,13 +129,9 @@ def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
     raises ChannelError and delta_nu <= 5J warns."""
     if not _is_pow2(n):
         raise SpectroError(f"n must be a power of two >= 2, got {n}")
-    v, v_inv, f_read, log_z = _fid_modes(params, dwell_s)
-    amp = (v_inv @ rho0.matrix @ v) * f_read * _OFF_DIAG
-    k = np.arange(n)
-    out = np.zeros(n, dtype=complex)
-    for a, b in zip(*np.nonzero(amp)):
-        out += amp[a, b] * np.exp(log_z[a, b] * k)
-    return Fid(samples=out, dwell_s=dwell_s)
+    c, e = _fid_modes(params, n, dwell_s)
+    return Fid(samples=((c @ rho0.matrix.ravel())[:, None] * e).sum(axis=0),
+               dwell_s=dwell_s)
 
 
 def check_noise_sigma(sigma: float) -> None:
@@ -290,13 +290,7 @@ class CalibrationResult:
                 f"epsilon {self.epsilon:.4f} outside [0, 1] beyond tolerance")
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "epsilon_err": self.epsilon_err,
-            "raw_ratio": self.raw_ratio,
-            "corrected_ratio": self.corrected_ratio,
-            "max_enhancement": self.max_enhancement,
-        }
+        return asdict(self)
 
 
 def calibrate(ph2_integrals, thermal_integrals, scan_norm: float,
@@ -330,6 +324,13 @@ def calibrate(ph2_integrals, thermal_integrals, scan_norm: float,
     )
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SpectroError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ReadoutConfig:
     """Acquisition and processing settings for the population readout."""
@@ -340,12 +341,12 @@ class ReadoutConfig:
     target_spin: str = "I"
 
     def __post_init__(self):
-        if not _is_pow2(self.n_points):
+        if not _is_pow2(_integer("n_points", self.n_points)):
             raise SpectroError(
                 f"n_points must be a power of two >= 2, got {self.n_points}")
-        if not self.dwell_s > 0:
-            raise SpectroError(f"dwell must be positive, got {self.dwell_s}")
-        if self.j_double_rounds < 0:
+        if not 0 < self.dwell_s < np.inf:
+            raise SpectroError(f"dwell must be positive and finite, got {self.dwell_s}")
+        if _integer("j_double_rounds", self.j_double_rounds) < 0:
             raise SpectroError(
                 f"j_double_rounds must be >= 0, got {self.j_double_rounds}")
         if self.target_spin not in ("I", "S"):
@@ -388,22 +389,17 @@ def _acquisition_map(params: SpinSystemParams, channels: tuple, w: np.ndarray,
     after the channels, first channel first, and w is an (m, n) map on the
     samples.
 
-    P enters the FID through the read coherences (a, b) of synthesize_fid,
-    each as f_read[a, b] (V^-1 P V)[a, b] z_ab^k, so its integrals are the
-    sum over (a, b) of f_read[a, b] (w @ z_ab^k) (V^-1 P V)[a, b], one
-    n-point exponential at a time. vec(P) is the channels' superoperators
-    applied to vec(rho), so A takes them on the right in reverse order.
+    With the modes (c, e) of _fid_modes, the integrals of P are the sum
+    over r of (w @ e[r]) (c @ vec(P))[r], one n-point matvec per mode (a
+    single w @ e.T sums in another order, which moves epsilon by rel 1e-12).
+    vec(P) is the channels' superoperators applied to vec(rho), so A takes
+    them on the right in reverse order.
 
     A is blind to the identity: vec(I) has no read coherence, and only a
     superoperator's rounding (up to 1.5e-16 off the diagonal for a hard
     90) would let the I/4 part of a state leak into the integrals."""
-    v, v_inv, f_read, log_z = _fid_modes(params, dwell_s)
-    k = np.arange(w.shape[1])
-    out = np.zeros((len(w), 16), dtype=complex)
-    for a, b in zip(*np.nonzero(f_read * _OFF_DIAG)):
-        # (V^-1 P V)[a, b] = sum over (i, j) of v_inv[a, i] P[i, j] v[j, b]
-        out += np.outer(f_read[a, b] * (w @ np.exp(log_z[a, b] * k)),
-                        np.outer(v_inv[a], v[:, b]).ravel())
+    c, e = _fid_modes(params, w.shape[1], dwell_s)
+    out = np.stack([w @ z for z in e], axis=1) @ c
     for ch in reversed(channels):
         out = out @ ch.superop
     vec_i = np.eye(4).ravel()
@@ -473,9 +469,7 @@ def imbalance_to_populations(component_integrals, params: SpinSystemParams,
     q, *_ = np.linalg.lstsq(reduced, y - m @ p0, rcond=None)
     p = p0 + _SUM_ZERO_BASIS @ q
     try:
-        return BellPopulations(pS=float(p[0]), pT0=float(p[1]),
-                               pTplus=float(p[2]), pTminus=float(p[3]),
-                               offBell=0.0)
+        return BellPopulations(*p.tolist(), offBell=0.0)
     except StateValidationError as exc:
         raise SpectroError(
             f"component integrals are inconsistent with any Bell-diagonal "

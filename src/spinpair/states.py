@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -218,13 +218,7 @@ class BellPopulations:
         return (self.pS, self.pT0, self.pTplus, self.pTminus)
 
     def as_dict(self) -> dict:
-        return {
-            "pS": self.pS,
-            "pT0": self.pT0,
-            "pTplus": self.pTplus,
-            "pTminus": self.pTminus,
-            "offBell": self.offBell,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -232,7 +226,9 @@ class SpinSystemParams:
     """Spectrometer and molecule constants for one two-spin experiment.
 
     Frequencies in Hz, times in seconds, temperature in K. f_active is
-    the fraction of the sample inside the detection coil, in (0, 1].
+    the fraction of the sample inside the detection coil, in (0, 1]. Every
+    other field is positive and finite, except that t1_s or t2_s may be
+    inf, which means no relaxation.
     Defaults are the dihydride experiment values; j_hz has no measured
     literature value for this system and the 5 Hz default is only a
     demo-grade stand-in (any quantitative spectrum should set it).
@@ -250,6 +246,9 @@ class SpinSystemParams:
         for name in ("nu_hz", "delta_nu_hz", "j_hz", "temp_k", "t1_s", "t2_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
+        for name in ("nu_hz", "delta_nu_hz", "j_hz", "temp_k"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite")
         if not (0 < self.f_active <= 1):
             raise ValueError("f_active must be in (0, 1]")
 
@@ -348,13 +347,7 @@ def bell_frame(m) -> tuple:
 
 def to_bell_populations(rho: DensityMatrix) -> BellPopulations:
     diag, off = bell_frame(rho.matrix)
-    return BellPopulations(
-        pS=float(diag[0]),
-        pT0=float(diag[1]),
-        pTplus=float(diag[2]),
-        pTminus=float(diag[3]),
-        offBell=float(off),
-    )
+    return BellPopulations(*diag.tolist(), offBell=float(off))
 
 
 def bell_diagonal_matrices(pops) -> np.ndarray:

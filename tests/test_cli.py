@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import spinpair
+from spinpair import cli
 from spinpair.cli import main
-from spinpair.states import bell_diagonal
+from spinpair.states import SpinSystemParams, bell_diagonal
 
 SEQ_DIR = Path(__file__).resolve().parent.parent / "sequences"
 
@@ -289,6 +291,42 @@ def test_run_refuses_negative_seed_with_one_error_line(tmp_path, sigma):
     assert len(lines) == 1, proc.stderr
     assert lines[0] == "error: seed must be a non-negative integer, got -1"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--nu-hz", "nu_hz"), ("--delta-nu-hz", "delta_nu_hz"),
+    ("--j-hz", "j_hz"), ("--temp-k", "temp_k"),
+])
+@pytest.mark.parametrize("argv", [
+    ["paper-repro"], ["run", str(SEQ_DIR / "selective_i.pseq")],
+], ids=["paper-repro", "run"])
+def test_infinite_system_param_refused_with_one_error_line(tmp_path, flag, field, argv):
+    # an infinite T1 or T2 means no relaxation; these four have no such reading
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "spinpair", *argv, flag, "inf",
+                           "--out", str(out)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error:") and field in lines[0]
+    assert not out.exists()
+
+
+def test_system_flags_mirror_params():
+    parser = cli.build_parser()
+    sub = parser._subparsers._group_actions[0].choices["paper-repro"]
+    group, = [g for g in sub._action_groups if g.title == "system parameters"]
+    flags = [a.option_strings[0] for a in group._group_actions]
+    assert flags == ["--nu-hz", "--delta-nu-hz", "--j-hz", "--temp-k", "--t1-s",
+                     "--t2-s", "--f-active", "--seed", "--out"]
+    names = [f.name for f in dataclasses.fields(SpinSystemParams)]
+    args = parser.parse_args(["paper-repro"])
+    assert cli._params_from_args(args) == SpinSystemParams()
+    for flag, name in zip(flags, names):
+        args = vars(parser.parse_args(["paper-repro", flag, "1.5"]))
+        assert args[name] == 1.5
+        assert all(args[n] == getattr(SpinSystemParams(), n) for n in names if n != name)
 
 
 def test_paper_repro_runs_without_scipy(tmp_path):

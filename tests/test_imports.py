@@ -1,0 +1,38 @@
+"""Every module-level import in the package is used by its module.
+
+A deletion that leaves an import behind makes the import look like a
+dependency; this scan catches it. __init__.py is skipped, as its imports
+are the package's re-exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import spinpair
+
+SRC = Path(spinpair.__file__).resolve().parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_scan_finds_an_unused_import():
+    assert unused_imports("import os\nimport sys as system\nsystem.exit\n") == [(1, "os")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

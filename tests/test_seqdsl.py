@@ -182,6 +182,24 @@ def test_statement_after_acquire_rejected(params):
         seq_compile(bad, params)
 
 
+@pytest.mark.parametrize("headers, stmt", [
+    pytest.param((), Statement("pulse", (90.0,)), id="pulse-one-arg"),
+    pytest.param((), Statement("acquire", (1024,)), id="acquire-one-arg"),
+    pytest.param((), Statement("acquire", (1024.0, 0.25)), id="acquire-float-count"),
+    pytest.param((), Statement("delay", ("x",)), id="delay-text"),
+    pytest.param((), Statement("delay", (-1.0,)), id="delay-negative"),
+    pytest.param((), Statement("selective", ("X",)), id="selective-bad-spin"),
+    pytest.param((), Statement("wobble", ()), id="unknown-op"),
+    pytest.param((("wobble", 3.0),), Statement("zqdephase"), id="unknown-header"),
+    pytest.param((("temp", float("inf")),), Statement("zqdephase"), id="header-inf"),
+    pytest.param((("j", "x"),), Statement("zqdephase"), id="header-text"),
+])
+def test_compile_refuses_malformed_ast(params, headers, stmt):
+    # the AST types are public, so compile checks what parse would refuse
+    with pytest.raises(CompileError):
+        seq_compile(SequenceAst(headers=headers, statements=(stmt,)), params)
+
+
 def test_delay_uses_active_j(params):
     program, _ = seq_compile(parse("delta_nu 492.0\ndelay 0.01\n"), params)
     ch = program.channels[0]

@@ -371,6 +371,9 @@ def test_readout_map_matches_fourier_path(delta_nu, target, rounds, n):
     ("dwell_s", 0.0, "dwell"),
     ("j_double_rounds", -1, "j_double_rounds"),
     ("target_spin", "X", "target_spin"),
+    ("n_points", 16384.0, "n_points must be an integer"),
+    ("j_double_rounds", 2.5, "j_double_rounds must be an integer"),
+    ("dwell_s", float("inf"), "dwell"),
 ])
 def test_readout_config_refuses_invalid_fields(field, value, match):
     with pytest.raises(SpectroError, match=match):

@@ -253,7 +253,12 @@ def test_params_validation():
         SpinSystemParams(f_active=1.2)
     with pytest.raises(ValueError):
         SpinSystemParams(t2_s=-1.0)
+    for name in ("nu_hz", "delta_nu_hz", "j_hz", "temp_k"):
+        with pytest.raises(ValueError, match=name):
+            SpinSystemParams(**{name: float("inf")})
     SpinSystemParams(f_active=1.0)
+    # no relaxation is allowed
+    SpinSystemParams(t1_s=float("inf"), t2_s=float("inf"))
 
 
 def test_fidelity_pure_target(rng):
