@@ -245,7 +245,7 @@ def compile(ast: SequenceAst, params: SpinSystemParams | None = None):
     statement, a wrong argument count, a value out of its domain) raises
     CompileError.
     """
-    headers = dict(ast.headers)
+    headers = ast.header_dict()
     for key, value in headers.items():
         if key not in HEADER_KEYS:
             raise CompileError(f"unknown header {key!r}")

@@ -3,13 +3,21 @@
 run_pipeline reads both of its acquisitions through spectro's
 (4, 16) maps on vec(rho), and measured_recovery reads its doublet through
 a closed form; these builders make the time-domain signals those shortcuts
-stand for."""
+stand for. The per-coherence loops below are the FID synthesis and the
+acquisition map as they were before spectro._fid_modes returned the modes
+as arrays; the arithmetic did not change, so they must agree bit for bit."""
 
 import numpy as np
 
-from spinpair.channels import apply, hard_pulse, selective_pulse
-from spinpair.spectro import Fid, ReadoutConfig, synthesize_fid
-from spinpair.states import SpinSystemParams, make_pseudo_pure, make_singlet, make_thermal
+from spinpair.channels import _propagator, apply, hard_pulse, selective_pulse
+from spinpair.spectro import F_PLUS, Fid, ReadoutConfig, synthesize_fid
+from spinpair.states import (
+    _OFF_DIAG,
+    SpinSystemParams,
+    make_pseudo_pure,
+    make_singlet,
+    make_thermal,
+)
 
 
 def polarized_fid(params: SpinSystemParams, epsilon: float,
@@ -36,3 +44,39 @@ def antiphase_test_fid(j_hz: float, fwhm_hz: float, center_hz: float,
          * np.exp(2j * np.pi * center_hz * t)
          * np.exp(-np.pi * fwhm_hz * t))
     return Fid(samples=s, dwell_s=dwell_s)
+
+
+def _loop_modes(params: SpinSystemParams, dwell_s: float) -> tuple:
+    """(v, v_inv, f_read, log_z): the propagator's eigenvectors V and
+    V^-1, f_read = (V^-1 F+ V).T and the per-dwell log factors."""
+    lam, v = np.linalg.eig(_propagator(dwell_s, params))
+    v_inv = np.linalg.inv(v)
+    f_read = (v_inv @ F_PLUS @ v).T
+    log_z = np.log(np.outer(lam, lam.conj())) - dwell_s / params.t2_s
+    return v, v_inv, f_read, log_z
+
+
+def loop_fid_samples(rho, params: SpinSystemParams, n: int, dwell_s: float) -> np.ndarray:
+    """synthesize_fid's samples, one read coherence at a time."""
+    v, v_inv, f_read, log_z = _loop_modes(params, dwell_s)
+    amp = (v_inv @ rho.matrix @ v) * f_read * _OFF_DIAG
+    k = np.arange(n)
+    out = np.zeros(n, dtype=complex)
+    for a, b in zip(*np.nonzero(amp)):
+        out += amp[a, b] * np.exp(log_z[a, b] * k)
+    return out
+
+
+def loop_acquisition_map(params: SpinSystemParams, channels: tuple, w: np.ndarray,
+                         dwell_s: float) -> np.ndarray:
+    """spectro._acquisition_map, one read coherence at a time."""
+    v, v_inv, f_read, log_z = _loop_modes(params, dwell_s)
+    k = np.arange(w.shape[1])
+    out = np.zeros((len(w), 16), dtype=complex)
+    for a, b in zip(*np.nonzero(f_read * _OFF_DIAG)):
+        out += np.outer(f_read[a, b] * (w @ np.exp(log_z[a, b] * k)),
+                        np.outer(v_inv[a], v[:, b]).ravel())
+    for ch in reversed(channels):
+        out = out @ ch.superop
+    vec_i = np.eye(4).ravel()
+    return out - np.outer(out @ vec_i, vec_i) / 4

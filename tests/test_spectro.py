@@ -42,6 +42,7 @@ from spinpair.states import (
 )
 
 from conftest import random_density
+from fid_oracles import loop_acquisition_map, loop_fid_samples
 
 
 def lorentzian_fid(amp, f0_hz, t2_s, n=16384, dwell=1 / 4096.0):
@@ -142,6 +143,23 @@ def test_synthesize_fid_matches_stepping_oracle(p, dwell_s):
         for rho, want in zip(states, oracle[:, :n]):
             got = synthesize_fid(rho, p, n, dwell_s).samples
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p, dwell_s", [
+    (SpinSystemParams(), 1 / 4096),
+    (SpinSystemParams(delta_nu_hz=310.0, j_hz=11.5, t2_s=0.09), 1 / 1500),
+])
+def test_fid_modes_match_per_coherence_loops(p, dwell_s):
+    # the modes as arrays do the loops' arithmetic, so the bits agree
+    rng = np.random.default_rng(7)
+    for rho in [apply(selective_pulse("I", p), make_singlet())] + [
+            random_density(rng) for _ in range(5)]:
+        assert np.array_equal(synthesize_fid(rho, p, 4096, dwell_s).samples,
+                              loop_fid_samples(rho, p, 4096, dwell_s))
+    w = spectro._integral_map(component_regions(p), 4096, dwell_s)
+    for channels in [(), (hard_pulse(90.0, 90.0),), selective_pulse("S", p).channels]:
+        assert np.array_equal(spectro._acquisition_map(p, channels, w, dwell_s),
+                              loop_acquisition_map(p, channels, w, dwell_s))
 
 
 def test_fourier_line_integral_equals_amplitude():
