@@ -26,6 +26,7 @@ import numpy as np
 
 from .states import (
     _M_TOTAL,
+    _cholesky_certifies,
     DensityMatrix,
     SpinSystemParams,
     StateValidationError,
@@ -36,6 +37,8 @@ from .states import (
 
 TP_TOL = 1e-12
 CP_TOL = 1e-12
+# CP_TOL I, the shift of the Cholesky certificate on the Choi matrix
+_CP_SHIFT = CP_TOL * np.eye(16)
 
 
 class ChannelError(ValueError):
@@ -85,8 +88,9 @@ class Channel:
                 f"trace deviates from identity by {tp_dev:.3e}")
         object.__setattr__(self, "superop", sup)
         # every builder here gives an exactly Hermitian Choi matrix
-        object.__setattr__(self, "cp", bool(
-            np.linalg.eigvalsh(choi.reshape(16, 16)).min() >= -CP_TOL))
+        choi = choi.reshape(16, 16)
+        object.__setattr__(self, "cp", _cholesky_certifies(choi, _CP_SHIFT) or bool(
+            np.linalg.eigvalsh(choi).min() >= -CP_TOL))
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """The map on a 4x4 matrix or a (..., 4, 4) stack of them."""

@@ -4,10 +4,11 @@ run_pipeline drives the whole chain: pseudo-pure singlet -> selective
 readout -> FID -> J-doubling -> integration, thermal reference -> hard 90 ->
 FID -> integration, then calibration of the polarization from the ratio.
 Both acquisitions are linear in the state, so each is read through a
-(4, 16) map on vec(rho) from spectro._acquisition_map, blind to the
-identity, and run_pipeline never synthesizes an FID. The thermal
-reference's integrals depend only on (params, readout), so they are built
-once per pair and cached.
+(4, 16) map on vec(rho), blind to the identity, and run_pipeline never
+synthesizes an FID. Both maps come from spectro._acquisition_maps, one
+cached builder per (params, readout) that computes the FID modes once.
+The thermal reference's integrals depend only on (params, readout), so
+they too are built once per pair and cached.
 Simulated acquisitions see the entire sample, so calibration inside the
 pipeline always runs with f_active = 1 regardless of the experiment value
 carried in params.
@@ -50,11 +51,10 @@ PAPER_BELL_FRACTIONS = (0.937, 0.045, 0.009, 0.009)
 @functools.lru_cache(maxsize=8)
 def _thermal_integrals(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
     """Read-only component integrals of the exact thermal state after a
-    hard 90 about +y: Re(A @ vec(rho)) for the _acquisition_map A of that
-    pulse and the component _integral_map. The last eight stay cached."""
-    w_t = spectro._integral_map(spectro.component_regions(params),
-                                readout.n_points, readout.dwell_s)
-    a = spectro._acquisition_map(params, (hard_pulse(90.0, 90.0),), w_t, readout.dwell_s)
+    hard 90 about +y: Re(A_t @ vec(rho)) for the thermal map A_t of
+    spectro._acquisition_maps, built with the selective readout's map from
+    one set of FID modes. The last eight stay cached."""
+    a = spectro._acquisition_maps(params, readout)[1]
     out = (a @ make_thermal(params, mode="exact").matrix.ravel()).real
     out.setflags(write=False)
     return out

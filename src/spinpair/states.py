@@ -23,6 +23,8 @@ from .constants import BOLTZMANN_K, PLANCK_H
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_TOL = 1e-10
+# EIG_TOL I, the shift of the Cholesky certificate of positivity
+_EIG_SHIFT = EIG_TOL * np.eye(4)
 
 # Pauli matrices and the 16-element product-operator basis.
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,6 +91,10 @@ def check_density(m) -> np.ndarray:
     fails raises StateValidationError with the value of the first member
     failing it, the message DensityMatrix gives for that member alone.
 
+    Positivity is certified by one Cholesky factorization of the whole
+    stack (_cholesky_certifies); only when that fails are the eigenvalues
+    computed, and they decide the refusal and its message.
+
     Each check tests that its condition holds, so NaN fails it. A
     non-finite entry makes the Hermiticity deviation NaN or inf, so it
     fails the first check, which then names the entry."""
@@ -96,8 +102,12 @@ def check_density(m) -> np.ndarray:
     if m.shape[-2:] != (4, 4):
         raise StateValidationError(f"expected 4x4 matrices, got {m.shape}")
     mh = m.conj().swapaxes(-1, -2)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+    # inf - inf is NaN, which fails below. h is the symmetrized matrix
+    # whose eigenvalues are checked (the Hermiticity slack is 1e-12);
+    # finite entries near the float limit overflow in its sum
+    with np.errstate(invalid="ignore", over="ignore"):
         dev = np.abs(m - mh).max(axis=(-2, -1))
+        h = (m + mh) / 2
     ok = dev <= HERM_TOL
     if not _all(ok):
         member = _first_failing(m, ok)
@@ -110,16 +120,32 @@ def check_density(m) -> np.ndarray:
     ok = abs(tr - 1.0) <= TRACE_TOL
     if not _all(ok):
         raise StateValidationError(f"trace {_first_failing(tr, ok)} differs from 1 beyond tolerance")
-    # eigvalsh on the symmetrized matrix: the Hermiticity slack is 1e-12.
-    # Finite entries near the float limit overflow in the sum
+    if _cholesky_certifies(h, _EIG_SHIFT):
+        return m
     try:
-        eigmin = np.linalg.eigvalsh((m + mh) / 2).min(axis=-1)
+        eigmin = np.linalg.eigvalsh(h).min(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise StateValidationError(f"eigenvalues not computable: {exc}") from None
     ok = eigmin >= -EIG_TOL
     if not _all(ok):
         raise StateValidationError(f"negative eigenvalue {_first_failing(eigmin, ok):.3e}")
     return m
+
+
+def _cholesky_certifies(h: np.ndarray, shift: np.ndarray) -> bool:
+    """True when every Hermitian matrix of the (..., k, k) stack h has no
+    eigenvalue below -tol, for the (k, k) shift = tol I, certified by one
+    Cholesky factorization of h + shift: it succeeds with a finite factor
+    exactly when that matrix is numerically positive definite (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10).
+    False decides nothing; the eigenvalues then do. An overflowed entry
+    gives a non-finite factor rather than a failure, hence the finiteness
+    test."""
+    try:
+        factor = np.linalg.cholesky(h + shift)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
 
 
 def _all(mask) -> bool:
@@ -228,7 +254,8 @@ class SpinSystemParams:
     Frequencies in Hz, times in seconds, temperature in K. f_active is
     the fraction of the sample inside the detection coil, in (0, 1]. Every
     other field is positive and finite, except that t1_s or t2_s may be
-    inf, which means no relaxation.
+    inf, which means no relaxation. B = h*nu/(k*T) of nu_hz and temp_k
+    must neither divide by zero nor underflow to 0 in floats.
     Defaults are the dihydride experiment values; j_hz has no measured
     literature value for this system and the 5 Hz default is only a
     demo-grade stand-in (any quantitative spectrum should set it).
@@ -249,6 +276,11 @@ class SpinSystemParams:
         for name in ("nu_hz", "delta_nu_hz", "j_hz", "temp_k"):
             if getattr(self, name) == math.inf:
                 raise ValueError(f"{name} must be finite")
+        # b_factor would divide by zero, or be zero, in floats
+        kt = BOLTZMANN_K * self.temp_k
+        if kt == 0 or PLANCK_H * self.nu_hz / kt == 0:
+            raise ValueError(f"k*T or B = h*nu/(k*T) underflows to 0 at "
+                             f"nu_hz={self.nu_hz!r}, temp_k={self.temp_k!r}")
         if not (0 < self.f_active <= 1):
             raise ValueError("f_active must be in (0, 1]")
 
@@ -299,21 +331,27 @@ def make_thermal(params: SpinSystemParams, mode: str = "linearized") -> DensityM
     """Thermal equilibrium state at params.temp_k and params.nu_hz.
 
     linearized: 1/4 E + (B/4)(Iz + Sz), the leading order in B = h*nu/kT.
-    Rejected for B > 0.1 where the expansion is no longer meaningful.
+    Refused with StateValidationError for B > 0.1, where the expansion is
+    no longer meaningful.
     exact: Boltzmann diagonal over the Zeeman energies -h*nu*(mI + mS);
     the J correction to the energies is ~8 orders of magnitude below the
-    Zeeman term and is ignored.
+    Zeeman term and is ignored. Refused with StateValidationError once
+    exp(B) overflows (B above about 709.78).
     """
     b = params.b_factor
     if mode == "linearized":
         if b > 0.1:
-            raise ValueError(
+            raise StateValidationError(
                 f"B = {b:.3g} is outside the high-temperature regime (B <= 0.1)"
             )
         return DensityMatrix(E4 / 4 + (b / 4) * (IZ + SZ))
     if mode == "exact":
-        weights = np.exp(b * _M_TOTAL)
-        return DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.exp(b * _M_TOTAL)
+            pops = weights / weights.sum()
+        if not np.isfinite(pops).all():
+            raise StateValidationError(f"B = {b:.3g} overflows the Boltzmann weights")
+        return DensityMatrix(np.diag(pops).astype(complex))
     raise ValueError(f"unknown thermal mode {mode!r}")
 
 

@@ -6,7 +6,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from spinpair import channels
 from spinpair.channels import (
+    CP_TOL,
     Channel,
     ChannelError,
     ChannelProgram,
@@ -446,6 +448,56 @@ def test_complete_positivity_flag():
     assert relax(0.25, p).cp and relax(0.0, NON_CP).cp
     # T2 = 2 T1: off-diagonals outlive the populations they hang between
     assert not relax(0.1, NON_CP).cp
+
+
+def eigvalsh_cp(ch):
+    """Channel.cp as it was before the Cholesky certificate: the smallest
+    eigenvalue of the Choi matrix against -CP_TOL; kept as the oracle."""
+    choi = ch.superop.reshape(4, 4, 4, 4).transpose(2, 0, 3, 1).reshape(16, 16)
+    return bool(np.linalg.eigvalsh(choi).min() >= -CP_TOL)
+
+
+def test_complete_positivity_flag_matches_eigvalsh_rule():
+    for ch, _ in every_constructor():
+        assert ch.cp == eigvalsh_cp(ch), ch.label
+    p = SpinSystemParams()
+    for ch in (*selective_pulse("S", p).channels, *filtration_sequence(p).channels):
+        assert ch.cp == eigvalsh_cp(ch), ch.label
+    flags = []
+    for ratio in np.linspace(0.1, 4.0, 79):
+        q = SpinSystemParams(t1_s=0.5, t2_s=0.5 * ratio)
+        for t in (0.0, 1e-3, 0.1, 1.0, 30.0):
+            ch = relax(t, q)
+            assert ch.cp == eigvalsh_cp(ch), (ratio, t)
+            flags.append(ch.cp)
+    assert 0 < sum(flags) < len(flags)
+
+
+def channel_with_choi_min_eigenvalue(s):
+    """A trace-preserving channel whose 16x16 Choi matrix, sum over k, l of
+    |k><l| (x) Phi(|k><l|), is the identity channel's plus s I (x) Z with
+    the traceless Z = diag(1, -1, 1, -1): its smallest eigenvalue is -s,
+    on every |k>|i> with k != i and Z_ii = -1."""
+    choi = np.outer(np.eye(4).ravel(), np.eye(4).ravel()) + s * np.kron(
+        np.eye(4), np.diag([1.0, -1.0, 1.0, -1.0]))
+    sup = choi.reshape(4, 4, 4, 4).transpose(1, 3, 0, 2).reshape(16, 16)
+    return Channel(f"choi_min({-s:g})", sup)
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.9, 1.1, 10.0])
+def test_complete_positivity_flag_at_the_tolerance(factor):
+    ch = channel_with_choi_min_eigenvalue(factor * CP_TOL)
+    assert ch.cp == eigvalsh_cp(ch) == (factor < 1)
+
+
+def test_complete_positivity_flag_without_the_certificate(monkeypatch):
+    # with every Cholesky certificate refused, eigvalsh alone decides
+    monkeypatch.setattr(channels, "_cholesky_certifies", lambda h, shift: False)
+    for ch, _ in every_constructor():
+        assert ch.cp == eigvalsh_cp(ch), ch.label
+    for factor in (0.9, 1.1):
+        ch = channel_with_choi_min_eigenvalue(factor * CP_TOL)
+        assert ch.cp == (factor < 1)
 
 
 def test_channel_not_trace_preserving_is_refused():

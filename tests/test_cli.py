@@ -313,6 +313,51 @@ def test_infinite_system_param_refused_with_one_error_line(tmp_path, flag, field
     assert not out.exists()
 
 
+def refusal_line(argv, out):
+    """The one stderr line of `python -m spinpair *argv --out out` run in
+    a separate process, once it has exited 2 and written nothing."""
+    proc = subprocess.run([sys.executable, "-m", "spinpair", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error:")
+    assert not out.exists()
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "thermal", "--temp-k", "1e-3"],
+    ["run", str(SEQ_DIR / "selective_i.pseq"), "--state", "thermal", "--temp-k", "1e-3"],
+    ["paper-repro", "--temp-k", "1e-300"],
+    ["paper-repro", "--nu-hz", "1e300"],
+], ids=["state", "run", "paper-repro-temp", "paper-repro-nu"])
+def test_linearized_thermal_refusal_is_a_usage_error(tmp_path, argv):
+    assert "outside the high-temperature regime" in refusal_line(argv, tmp_path / "out")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["state", "thermal-exact", "--temp-k", "1e-300"], "overflows the Boltzmann weights"),
+    (["calibrate", "--ph2-integrals", "1e308,1e308", "--thermal-integrals", "1"],
+     "summed integrals must be finite"),
+    (["state", "thermal-exact", "--temp-k", "1e-320"], "underflows to 0"),
+    (["paper-repro", "--nu-hz", "1e-300"], "underflows to 0"),
+], ids=["thermal-exact-overflow", "calibrate-overflow", "thermal-exact-underflow",
+        "paper-repro-underflow"])
+def test_overflowing_input_refused_without_numpy_warning(tmp_path, argv, message):
+    assert message in refusal_line(argv, tmp_path / "out")
+
+
+def test_analyze_refuses_entries_near_the_float_limit_with_one_error_line(tmp_path):
+    re = np.eye(4) / 4
+    re[0, 1] = re[1, 0] = 1.7e308
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({"basis": "zeeman", "re": re.tolist(),
+                               "im": np.zeros((4, 4)).tolist()}))
+    line = refusal_line(["analyze", str(bad)], tmp_path / "out")
+    assert "eigenvalues not computable" in line
+
+
 def test_system_flags_mirror_params():
     parser = cli.build_parser()
     sub = parser._subparsers._group_actions[0].choices["paper-repro"]

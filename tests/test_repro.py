@@ -112,7 +112,8 @@ def uncached_run_pipeline(params, epsilon, noise_sigma, seed, n_boot, readout):
                                     params, readout)
     w_t = spectro._integral_map(spectro.component_regions(params),
                                 readout.n_points, readout.dwell_s)
-    a_t = spectro._acquisition_map(params, (hard_pulse(90.0, 90.0),), w_t, readout.dwell_s)
+    a_t, = spectro._acquisition_map(params, (((hard_pulse(90.0, 90.0),), w_t),),
+                                    readout.dwell_s)
     y_t = (a_t @ make_thermal(params, mode="exact").matrix.ravel()).real
     result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params)
     err = 0.0
@@ -150,6 +151,38 @@ def test_warm_run_pipeline_synthesizes_no_fid(monkeypatch):
     cold = [run_pipeline(params, *args, readout=ro) for args in calls]
     warm = [run_pipeline(params, *args, readout=ro) for args in calls]
     assert warm == cold
+
+
+@pytest.fixture
+def fid_mode_builds(monkeypatch):
+    """Records the arguments of every spectro._fid_modes call, with the
+    acquisition caches emptied first so that the next call is cold."""
+    calls = []
+    build = spectro._fid_modes
+
+    def recording(*args):
+        calls.append(args)
+        return build(*args)
+
+    spectro._acquisition_maps.cache_clear()
+    repro._thermal_integrals.cache_clear()
+    monkeypatch.setattr(spectro, "_fid_modes", recording)
+    return calls
+
+
+def test_cold_run_pipeline_builds_the_fid_modes_once(fid_mode_builds):
+    params = SpinSystemParams(delta_nu_hz=437.0)
+    ro = ReadoutConfig()
+    cold = run_pipeline(params, noise_sigma=1e-3, n_boot=20, readout=ro)
+    assert fid_mode_builds == [(params, ro.n_points, ro.dwell_s)]
+    warm = run_pipeline(params, noise_sigma=1e-3, n_boot=20, readout=ro)
+    assert len(fid_mode_builds) == 1
+    assert warm == cold
+
+
+def test_cold_paper_repro_builds_the_fid_modes_once(fid_mode_builds):
+    paper_repro(SpinSystemParams(delta_nu_hz=463.0), n_random_states=10)
+    assert len(fid_mode_builds) == 1
 
 
 @pytest.mark.parametrize("n", [1024, 4096, 16384])

@@ -158,8 +158,27 @@ def test_fid_modes_match_per_coherence_loops(p, dwell_s):
                               loop_fid_samples(rho, p, 4096, dwell_s))
     w = spectro._integral_map(component_regions(p), 4096, dwell_s)
     for channels in [(), (hard_pulse(90.0, 90.0),), selective_pulse("S", p).channels]:
-        assert np.array_equal(spectro._acquisition_map(p, channels, w, dwell_s),
+        assert np.array_equal(spectro._acquisition_map(p, ((channels, w),), dwell_s)[0],
                               loop_acquisition_map(p, channels, w, dwell_s))
+
+
+@pytest.mark.parametrize("p, ro", [
+    (SpinSystemParams(), ReadoutConfig()),
+    (SpinSystemParams(delta_nu_hz=310.0, j_hz=11.5, t2_s=0.09),
+     ReadoutConfig(n_points=4096, dwell_s=1 / 1500, j_double_rounds=2, target_spin="S")),
+])
+def test_shared_acquisition_maps_equal_separate_builds(p, ro):
+    r, a_t = spectro._acquisition_maps(p, ro)
+    assert r is spectro._readout_map(p, ro)
+    assert not r.flags.writeable and not a_t.flags.writeable
+    selective = selective_pulse(ro.target_spin, p).channels
+    w_p = spectro._doubled_map(p, ro)
+    w_t = spectro._integral_map(component_regions(p), ro.n_points, ro.dwell_s)
+    hard_90 = (hard_pulse(90.0, 90.0),)
+    assert np.array_equal(r, spectro._acquisition_map(p, ((selective, w_p),), ro.dwell_s)[0])
+    assert np.array_equal(a_t, spectro._acquisition_map(p, ((hard_90, w_t),), ro.dwell_s)[0])
+    assert np.array_equal(r, loop_acquisition_map(p, selective, w_p, ro.dwell_s))
+    assert np.array_equal(a_t, loop_acquisition_map(p, hard_90, w_t, ro.dwell_s))
 
 
 def test_fourier_line_integral_equals_amplitude():
@@ -475,6 +494,18 @@ def test_calibrate_rejects_unphysical(params):
                   max_enhancement=31028.0)
     with pytest.raises(SpectroError):
         calibrate([1.0], [0.0], scan_norm=1.0, params=params)
+
+
+@pytest.mark.parametrize("ph2, thermal", [
+    ([1e308, 1e308], [1.0]), ([1.0], [1e308, 1e308]),
+    ([np.inf], [1.0]), ([1.0], [np.inf]), ([np.nan], [1.0]), ([1.0], [np.nan]),
+])
+def test_calibrate_refuses_a_signal_that_is_not_finite(params, ph2, thermal):
+    # an overflowing sum is refused without a numpy warning (pytest turns
+    # RuntimeWarning into an error); an infinite thermal signal would
+    # otherwise calibrate to epsilon 0
+    with pytest.raises(SpectroError, match="summed integrals must be finite"):
+        calibrate(ph2, thermal, 1.0, params)
 
 
 def test_calibration_result_dict(params):

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinpair import states
 from spinpair.constants import BOLTZMANN_K, PLANCK_H
 from spinpair.states import (
     BELL_BASIS,
+    EIG_TOL,
+    HERM_TOL,
+    TRACE_TOL,
     BellPopulations,
     DensityMatrix,
     NAMED_STATES,
@@ -180,6 +184,26 @@ def test_thermal_linearized_rejects_large_b():
     with pytest.raises(ValueError):
         make_thermal(p, mode="linearized")
     make_thermal(p, mode="exact")  # exact mode has no such limit
+
+
+def test_thermal_refusals_are_state_validation_errors():
+    h_over_k = PLANCK_H / BOLTZMANN_K
+    with pytest.raises(StateValidationError, match="high-temperature regime"):
+        make_thermal(SpinSystemParams(temp_k=h_over_k * 400e6 / 0.2))
+    # exp(B) overflows past B = 709.78; the refusal comes without a numpy
+    # warning (pytest turns RuntimeWarning into an error)
+    with pytest.raises(StateValidationError, match="overflows the Boltzmann weights"):
+        make_thermal(SpinSystemParams(temp_k=1e-300), mode="exact")
+    deep = make_thermal(SpinSystemParams(temp_k=h_over_k * 400e6 / 709.0), mode="exact")
+    assert deep.matrix[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("nu_hz, temp_k", [(400e6, 1e-320), (1e-300, 295.0),
+                                           (1e-200, 1e200)])
+def test_params_refuse_an_underflowing_b_factor(nu_hz, temp_k):
+    # k*T == 0 would divide by zero in b_factor; B == 0 in 2/B
+    with pytest.raises(ValueError, match="underflows to 0"):
+        SpinSystemParams(nu_hz=nu_hz, temp_k=temp_k)
 
 
 def test_thermal_unknown_mode():
@@ -371,6 +395,119 @@ def test_entries_near_the_float_limit_are_refused():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StateValidationError, match="eigenvalues not computable"):
             DensityMatrix(m)
+
+
+def eigvalsh_check_density(m):
+    """check_density with every positivity decision made by eigvalsh, as
+    before the Cholesky certificate; kept as the oracle."""
+    m = np.asarray(m, dtype=complex)
+    mh = m.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = np.abs(m - mh).max(axis=(-2, -1))
+        h = (m + mh) / 2
+    ok = np.asarray(dev <= HERM_TOL)
+    if not ok.all():
+        member = m[~ok][0] if m.ndim > 2 else m
+        nonfinite = np.argwhere(~np.isfinite(member))
+        if len(nonfinite):
+            i, j = nonfinite[0]
+            raise StateValidationError(f"non-finite entry {member[i, j]} at [{i}, {j}]")
+        raise StateValidationError(f"not Hermitian: max deviation {np.asarray(dev)[~ok][0]:.3e}")
+    tr = m.trace(axis1=-2, axis2=-1)
+    ok = np.asarray(abs(tr - 1.0) <= TRACE_TOL)
+    if not ok.all():
+        raise StateValidationError(
+            f"trace {np.asarray(tr)[~ok][0]} differs from 1 beyond tolerance")
+    try:
+        eigmin = np.linalg.eigvalsh(h).min(axis=-1)
+    except np.linalg.LinAlgError as exc:
+        raise StateValidationError(f"eigenvalues not computable: {exc}") from None
+    ok = np.asarray(eigmin >= -EIG_TOL)
+    if not ok.all():
+        raise StateValidationError(f"negative eigenvalue {np.asarray(eigmin)[~ok][0]:.3e}")
+    return m
+
+
+def _outcome(check, m):
+    """None when check accepts m, else its refusal message."""
+    try:
+        check(m)
+    except StateValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _with_smallest_eigenvalue(rng, lam_min, n):
+    """n Hermitian unit-trace matrices with random eigenvectors, smallest
+    eigenvalue lam_min and the rest of the trace spread at random."""
+    g = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    q = np.linalg.qr(g)[0]
+    lam = np.concatenate([np.full((n, 1), lam_min),
+                          rng.dirichlet(np.ones(3), size=n) * (1 - lam_min)], axis=1)
+    m = (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+@pytest.fixture(params=["certificate", "eigvalsh-only"])
+def certificate(request, monkeypatch):
+    """Runs a test as is, and once with every Cholesky certificate refused,
+    so that the eigvalsh fallback alone decides."""
+    if request.param == "eigvalsh-only":
+        monkeypatch.setattr(states, "_cholesky_certifies", lambda h, shift: False)
+
+
+def test_check_density_matches_eigvalsh_rule_on_random_inputs(certificate):
+    rng = np.random.default_rng(13)
+    valid = np.array([random_density(rng).matrix for _ in range(1000)])
+    # traceless Hermitian kicks from 1e-12 to 1 in size: small ones keep
+    # the state, large ones push eigenvalues below zero
+    g = rng.normal(size=(1000, 4, 4)) + 1j * rng.normal(size=(1000, 4, 4))
+    kick = g + g.conj().swapaxes(-1, -2)
+    kick -= kick.trace(axis1=-2, axis2=-1)[:, None, None] * np.eye(4) / 4
+    kicked = valid + 10 ** rng.uniform(-12, 0, size=(1000, 1, 1)) * kick
+    refused = [_outcome(eigvalsh_check_density, m) is not None for m in kicked]
+    assert 100 < sum(refused) < 900
+    for m in np.concatenate([valid, kicked]):
+        assert _outcome(check_density, m) == _outcome(eigvalsh_check_density, m)
+    assert np.array_equal(check_density(valid), valid)
+    for stack in (kicked, kicked.reshape(10, 100, 4, 4), *kicked.reshape(100, 10, 4, 4)):
+        assert _outcome(check_density, stack) == _outcome(eigvalsh_check_density, stack)
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+def test_check_density_matches_eigvalsh_rule_at_the_tolerance(certificate, factor):
+    # 1e-3 EIG_TOL is far above the rounding of either rule; within about
+    # 1e-15 of the tolerance both rules are decided by rounding
+    m = _with_smallest_eigenvalue(np.random.default_rng(17), -EIG_TOL * factor, 200)
+    want = None if factor < 1 else "negative eigenvalue"
+    for member in m:
+        got = _outcome(check_density, member)
+        assert got == _outcome(eigvalsh_check_density, member)
+        assert got == want or got.startswith(want)
+    assert _outcome(check_density, m) == _outcome(eigvalsh_check_density, m)
+
+
+@pytest.mark.parametrize("position", [0, 13, 999])
+def test_stack_with_one_member_below_the_tolerance_names_it(random_states, position):
+    stack = np.array([rho.matrix for rho in random_states])
+    stack[position] = _with_smallest_eigenvalue(np.random.default_rng(position),
+                                                 -3.21e-10, 1)[0]
+    assert _outcome(check_density, stack) == "negative eigenvalue -3.210e-10"
+    assert _outcome(check_density, stack) == _outcome(DensityMatrix, stack[position])
+
+
+@pytest.mark.parametrize("m", [
+    _with_entry(0, 0, np.nan), _with_entry(1, 1, complex(0.25, np.nan)),
+    _with_entry(0, 0, np.inf), _with_entry(2, 3, -np.inf), _symmetric_inf_pair(),
+    np.full((4, 4), np.nan, dtype=complex),
+    _with_entry(0, 1, 1.7e308) + _with_entry(1, 0, 1.7e308) - np.eye(4) / 4,
+], ids=["nan", "nan-imag", "inf-diagonal", "inf-off-diagonal", "inf-symmetric-pair",
+        "all-nan", "float-limit"])
+def test_check_density_matches_eigvalsh_rule_on_extreme_entries(m):
+    want = _outcome(eigvalsh_check_density, m)
+    assert want is not None
+    assert _outcome(check_density, m) == want
+    assert _outcome(check_density, np.array([np.eye(4) / 4, m])) == want
 
 
 def test_check_density_shapes():
