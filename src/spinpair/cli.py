@@ -124,17 +124,30 @@ def cmd_state(args) -> int:
     return 0
 
 
-def _csv(axis_name: str, axis, values) -> str:
-    lines = [f"{axis_name},re,im"]
-    for a, v in zip(axis, values):
-        lines.append(f"{float(a)!r},{float(v.real)!r},{float(v.imag)!r}")
-    return "\n".join(lines) + "\n"
+# a block's text (at most 75 characters a row) stays under the text
+# layer's 8192-character write chunk; 2048-row blocks (about 140 kB of
+# text) fragmented the malloc heap of a long-running caller
+_CSV_BLOCK_ROWS = 64
+
+
+def _write_csv(path: Path, axis_name: str, axis, values) -> None:
+    """Write `axis_name,re,im` rows of axis and complex values to path,
+    streamed in blocks of _CSV_BLOCK_ROWS rows; `%r` of each float is its
+    shortest round-trip repr, one C-level format call per block."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{axis_name},re,im\n")
+        rows = np.stack([axis, values.real, values.imag], axis=1)
+        for i in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[i:i + _CSV_BLOCK_ROWS]
+            fh.write("%r,%r,%r\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def cmd_run(args) -> int:
     params = _params_from_args(args)
     spectro.check_noise_sigma(args.noise_sigma)
     spectro.check_seed(args.seed)
+    if not np.isfinite(args.carrier_ppm):
+        raise CliError(f"carrier ppm must be finite, got {args.carrier_ppm!r}")
     seq_path = Path(args.sequence)
     try:
         text = seq_path.read_text(encoding="utf-8")
@@ -184,6 +197,7 @@ def cmd_run(args) -> int:
         "initial_state": args.state,
         "seed": args.seed,
         "noise_sigma": args.noise_sigma,
+        "carrier_ppm": args.carrier_ppm,
         "params": {k: float(v) for k, v in vars(program.params).items()},
         "derived": {
             "total_duration_s": program.total_duration_s,
@@ -207,10 +221,8 @@ def cmd_run(args) -> int:
         tmp.mkdir()
         _write_json(tmp / "final_state.json", _state_payload(final))
         if acq is not None and args.csv:
-            (tmp / "fid.csv").write_text(
-                _csv("t_s", fid.times_s, fid.samples), encoding="utf-8")
-            (tmp / "spectrum.csv").write_text(
-                _csv("freq_hz", spec.freqs_hz, spec.values), encoding="utf-8")
+            _write_csv(tmp / "fid.csv", "t_s", fid.times_s, fid.samples)
+            _write_csv(tmp / "spectrum.csv", "freq_hz", spec.freqs_hz, spec.values)
         if acq is not None and args.svg:
             write_spectrum_svg(tmp / "spectrum.svg", spec, regions,
                                program.params, carrier_ppm=args.carrier_ppm,

@@ -11,8 +11,12 @@ import pytest
 
 import spinpair
 from spinpair import cli
+from spinpair import seqdsl, spectro
+from spinpair.channels import apply
 from spinpair.cli import main
-from spinpair.states import SpinSystemParams, bell_diagonal
+from spinpair.states import (SpinSystemParams, bell_diagonal, make_pseudo_pure,
+                             make_singlet)
+from spinpair.svgplot import DEFAULT_CARRIER_PPM
 
 SEQ_DIR = Path(__file__).resolve().parent.parent / "sequences"
 
@@ -74,6 +78,7 @@ def test_run_selective_readout(tmp_path, capsys):
     run_dir = Path(capsys.readouterr().out.strip())
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["initial_state"] == "pseudo:0.916"
+    assert manifest["carrier_ppm"] == DEFAULT_CARRIER_PPM
     acq = manifest["derived"]["acquisition"]
     assert acq["n_points"] == 16384
     ints = acq["component_integrals"]
@@ -100,6 +105,111 @@ def test_run_is_byte_identical(tmp_path, capsys):
     for name in ("manifest.json", "final_state.json", "fid.csv",
                  "spectrum.csv", "spectrum.svg"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+def test_run_records_carrier_ppm_in_manifest(tmp_path, capsys):
+    assert run_cli("run", SEQ_DIR / "selective_i.pseq", "--carrier-ppm", "-7.25",
+                   "--out", tmp_path) == 0
+    run_dir = Path(capsys.readouterr().out.strip())
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["carrier_ppm"] == -7.25
+
+
+def csv_oracle(axis_name: str, axis, values) -> str:
+    """The per-row CSV formatter `cli._write_csv` replaced: the whole
+    text as one string, each value through `float(...)!r`."""
+    lines = [f"{axis_name},re,im"]
+    for a, v in zip(axis, values):
+        lines.append(f"{float(a)!r},{float(v.real)!r},{float(v.imag)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_csv_matches_oracle(tmp_path, axis_name, axis, values):
+    want, got = tmp_path / "oracle.csv", tmp_path / "writer.csv"
+    want.write_text(csv_oracle(axis_name, axis, values), encoding="utf-8")
+    cli._write_csv(got, axis_name, axis, values)
+    assert got.read_bytes() == want.read_bytes()
+
+
+CSV_EXTREMES = [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS,
+                               cli._CSV_BLOCK_ROWS + 1, 2 * cli._CSV_BLOCK_ROWS + 5, 32768])
+def test_write_csv_matches_oracle(tmp_path, n):
+    rng = np.random.default_rng(n)
+    # magnitudes over most of the float range, so reprs of every length occur
+    axis, re, im = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-300, 300, size=(3, n))
+    # the extremes fill the first and the last values in row order, as
+    # far as n allows
+    flat = np.stack([axis, re, im], axis=1).ravel()
+    k = min(len(flat), len(CSV_EXTREMES))
+    flat[:k] = CSV_EXTREMES[:k]
+    flat[len(flat) - k:] = CSV_EXTREMES[:k]
+    axis, re, im = flat.reshape(n, 3).T
+    assert_csv_matches_oracle(tmp_path, "t_s", axis, re + 1j * im)
+    if n:
+        assert (tmp_path / "writer.csv").read_text().splitlines()[1] == "-0.0,5e-324,1e-05"
+
+
+def test_write_csv_matches_oracle_on_noisy_fid_and_spectrum(tmp_path):
+    params = SpinSystemParams()
+    fid = spectro.synthesize_fid(make_pseudo_pure(0.916, make_singlet()), params,
+                                 16384, 1 / 4096)
+    fid = spectro.add_noise(fid, 1e-3, 4)
+    spec = spectro.fourier(fid)
+    assert_csv_matches_oracle(tmp_path, "t_s", fid.times_s, fid.samples)
+    assert_csv_matches_oracle(tmp_path, "freq_hz", spec.freqs_hz, spec.values)
+
+
+def read_csv_columns(path):
+    """The header and the three columns of a run CSV, each token parsed
+    back with float()."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    cols = np.array([[float(tok) for tok in row.split(",")] for row in rows]).T
+    return header, cols[0], cols[1] + 1j * cols[2]
+
+
+def test_run_csv_values_round_trip_bit_for_bit(tmp_path, capsys):
+    seq = SEQ_DIR / "selective_i.pseq"
+    assert run_cli("run", seq, "--state", "pseudo:0.916", "--noise-sigma", "1e-3",
+                   "--seed", "4", "--out", tmp_path) == 0
+    run_dir = Path(capsys.readouterr().out.strip())
+    program, acq = seqdsl.compile(seqdsl.parse(seq.read_text()), SpinSystemParams())
+    final = apply(program, make_pseudo_pure(0.916, make_singlet()))
+    fid = spectro.synthesize_fid(final, program.params, acq.n_points, acq.dwell_s)
+    fid = spectro.add_noise(fid, 1e-3, 4)
+    spec = spectro.fourier(fid)
+    for name, header, axis, values in [
+            ("fid.csv", "t_s,re,im", fid.times_s, fid.samples),
+            ("spectrum.csv", "freq_hz,re,im", spec.freqs_hz, spec.values)]:
+        got_header, got_axis, got_values = read_csv_columns(run_dir / name)
+        assert got_header == header
+        assert np.array_equal(got_axis, axis), name
+        assert np.array_equal(got_values, values), name
+
+
+def test_run_is_byte_identical_across_processes_and_hash_seeds(tmp_path):
+    # a rerun in one process cannot show a dependence on str hashing
+    trees = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hash{hash_seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinpair", "run", str(SEQ_DIR / "selective_i.pseq"),
+             "--state", "pseudo:0.916", "--noise-sigma", "1e-3", "--seed", "4",
+             "--out", str(out)],
+            capture_output=True, text=True,
+            env={**subprocess_env(), "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        run_dir = Path(proc.stdout.strip())
+        assert list(out.iterdir()) == [run_dir]
+        trees.append({f.name: f.read_bytes() for f in run_dir.iterdir()})
+    assert sorted(trees[0]) == ["fid.csv", "final_state.json", "manifest.json",
+                                "spectrum.csv", "spectrum.svg"]
+    assert sorted(trees[1]) == sorted(trees[0])
+    for name in trees[0]:
+        assert trees[1][name] == trees[0][name], name
 
 
 def test_run_filtration_sequence(tmp_path, capsys):
@@ -334,6 +444,14 @@ def refusal_line(argv, out):
 ], ids=["state", "run", "paper-repro-temp", "paper-repro-nu"])
 def test_linearized_thermal_refusal_is_a_usage_error(tmp_path, argv):
     assert "outside the high-temperature regime" in refusal_line(argv, tmp_path / "out")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_run_refuses_non_finite_carrier_ppm(tmp_path, value):
+    # the = form, since argparse reads a bare -inf as an option
+    line = refusal_line(["run", str(SEQ_DIR / "selective_i.pseq"), f"--carrier-ppm={value}"],
+                        tmp_path / "out")
+    assert line == f"error: carrier ppm must be finite, got {float(value)!r}"
 
 
 @pytest.mark.parametrize("argv, message", [
