@@ -83,16 +83,26 @@ def min_pt_eigenvalue(rho):
     return float(vals) if vals.ndim == 0 else vals
 
 
-_SY_SY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+# sy x sy is the anti-diagonal (-1, 1, 1, -1), so conjugating by it
+# reverses both indices and multiplies entry [i, j] by s_i s_j
+_FLIP_S = np.array([-1.0, 1.0, 1.0, -1.0])
+_FLIP_SIGN = np.outer(_FLIP_S, _FLIP_S)
+_FLIP_SIGN.setflags(write=False)
+
+
+def _spin_flip(m: np.ndarray) -> np.ndarray:
+    """(sy x sy) m* (sy x sy) for each 4x4 matrix of a (..., 4, 4) stack,
+    as a signed reversal of both indices."""
+    return m.conj()[..., ::-1, ::-1] * _FLIP_SIGN
 
 
 def concurrence(rho) -> float:
     """Wootters concurrence from the spin-flipped product
     rho (sy x sy) rho* (sy x sy)."""
     m = _as_matrix(rho)
-    r = m @ _SY_SY @ m.conj() @ _SY_SY
+    r = m @ _spin_flip(m)
     # r is similar to a positive matrix; eigenvalues are real >= 0 up to noise
-    lams = np.sqrt(np.clip(np.linalg.eigvals(r).real, 0.0, None))
+    lams = np.sqrt(np.maximum(np.linalg.eigvals(r).real, 0.0))
     lams.sort()
     return float(max(0.0, lams[3] - lams[2] - lams[1] - lams[0]))
 

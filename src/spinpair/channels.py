@@ -19,6 +19,7 @@ so such channels are accepted and apply revalidates the state after them.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -94,8 +95,12 @@ class Channel:
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """The map on a 4x4 matrix or a (..., 4, 4) stack of them."""
-        m = np.asarray(m)
-        return (self.superop @ m.reshape(m.shape[:-2] + (16, 1))).reshape(m.shape)
+        return _apply_superop(self.superop, np.asarray(m))
+
+
+def _apply_superop(sup: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The 16x16 map sup on each 4x4 matrix of the (..., 4, 4) array m."""
+    return (sup @ m.reshape(m.shape[:-2] + (16, 1))).reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,22 @@ class ChannelProgram:
     @property
     def total_duration_s(self) -> float:
         return sum(c.t_s for c in self.channels if c.t_s is not None)
+
+    @functools.cached_property
+    def _segments(self) -> tuple:
+        """(superop, last channel) per run of channels that ends at a
+        channel that is not completely positive or at the last channel:
+        the product of the run's maps, applied first to last, and the
+        channel after which apply validates."""
+        segments, run = [], []
+        for i, ch in enumerate(self.channels):
+            run.append(ch.superop)
+            if not ch.cp or i == len(self.channels) - 1:
+                sup = functools.reduce(lambda acc, s: s @ acc, run)
+                sup.setflags(write=False)
+                segments.append((sup, ch))
+                run = []
+        return tuple(segments)
 
 
 def hard_pulse(angle_deg: float, phase_deg: float) -> Channel:
@@ -247,21 +268,21 @@ def apply(program: Channel | ChannelProgram, rho):
 
     rho is a DensityMatrix, and the result is one, or a (..., 4, 4) stack
     of density matrices, checked on entry and returned as an array.
-    The state is revalidated after every channel that is not completely
+    Each run of channels that ends at a channel that is not completely
     positive, the only kind that can take a valid state to an invalid one,
-    and always after the last channel; a broken state raises ChannelError
-    naming the channel after which it was found."""
-    channels = (program,) if isinstance(program, Channel) else program.channels
+    or at the last channel is applied as one product map; the state is
+    revalidated after each run, and a broken state raises ChannelError
+    naming the channel that ends it."""
+    segments = (((program.superop, program),) if isinstance(program, Channel)
+                else program._segments)
     if isinstance(rho, DensityMatrix):
         m, check = rho.matrix, DensityMatrix
     else:
         rho = m = check_density(rho)
         check = check_density
-    last = len(channels) - 1
-    for i, ch in enumerate(channels):
-        m = ch.apply_matrix(m)
-        if not ch.cp or i == last:
-            rho = _checked(ch, m, check)
+    for sup, ch in segments:
+        m = _apply_superop(sup, m)
+        rho = _checked(ch, m, check)
     return rho
 
 

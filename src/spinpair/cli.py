@@ -280,11 +280,40 @@ def cmd_paper_repro(args) -> int:
     return 0 if ok else 1
 
 
+_PARAM_FLAGS = tuple(("--" + f.name.replace("_", "-"), f.default)
+                     for f in dataclasses.fields(SpinSystemParams))
+# every flag of build_parser that takes one float or int
+_NUMBER_FLAGS = frozenset([flag for flag, _ in _PARAM_FLAGS] + [
+    "--seed", "--noise-sigma", "--carrier-ppm", "--scan-norm", "--max-enhancement"])
+
+
+def _is_float(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_number_values(argv: list) -> list:
+    """argv with each `FLAG VALUE` pair of a number flag, up to a `--`,
+    written as `FLAG=VALUE` when VALUE parses as a float. argparse takes a
+    token such as -1e3 or -inf, which its negative-number pattern does not
+    match, for an option; joined, it is read as the flag's value."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _NUMBER_FLAGS and "--" not in out and _is_float(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("system parameters")
-    for f in dataclasses.fields(SpinSystemParams):
-        g.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
+    for flag, default in _PARAM_FLAGS:
+        g.add_argument(flag, type=float, default=default)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="spinpair_out", help="output directory")
 
@@ -330,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_number_values(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (CliError, OSError, StateValidationError, ChannelError,

@@ -60,6 +60,9 @@ _OFF_DIAG = 1.0 - np.eye(4)
 
 # Columns in the fixed Bell-population order (S0, T0, T+1, T-1).
 BELL_BASIS = np.column_stack([SINGLET_KET, T0_KET, TPLUS_KET, TMINUS_KET])
+# its adjoint, the change of basis into the singlet-triplet frame
+_BELL_BASIS_H = np.array(BELL_BASIS.conj().T)
+_BELL_BASIS_H.setflags(write=False)
 
 PRODUCT_AXES = ("e", "x", "y", "z")
 _PAULIS = (SIGMA_E, SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -70,6 +73,12 @@ PAULI_PRODUCTS.setflags(write=False)
 # identity, so rho = sum of c[a, b] P[a, b] / (4 _PO_SCALE[a, b])
 _PO_SCALE = np.full((4, 4), 0.5)
 _PO_SCALE[0, 0] = 0.25
+# the coefficients as one map on the row-major vec(rho): tr(rho P) is the
+# sum over (j, i) of P[i, j] rho[j, i], so row (a, b) is P[a, b] transposed
+# and flattened, times the power-of-two scale
+_PO_MAP = (PAULI_PRODUCTS.transpose(0, 1, 3, 2).reshape(16, 16)
+           * _PO_SCALE.reshape(16, 1))
+_PO_MAP.setflags(write=False)
 
 
 class StateValidationError(ValueError):
@@ -363,8 +372,7 @@ def to_product_operators(rho: DensityMatrix) -> ProductOperatorCoeffs:
     squared, so the coefficients are plain Hilbert-Schmidt projections:
     tr(rho sigma_a x sigma_b) / 2, and tr(rho) / 4 for E.
     """
-    traces = np.einsum("abij,ji->ab", PAULI_PRODUCTS, rho.matrix).real
-    return ProductOperatorCoeffs(traces * _PO_SCALE)
+    return ProductOperatorCoeffs((_PO_MAP @ rho.matrix.reshape(16)).real.reshape(4, 4))
 
 
 def from_product_operators(coeffs: ProductOperatorCoeffs) -> DensityMatrix:
@@ -378,7 +386,7 @@ def bell_frame(m) -> tuple:
     """Each 4x4 matrix of a (..., 4, 4) stack in the singlet-triplet basis:
     its (..., 4) populations in the (S0, T0, T+1, T-1) order and its (...)
     offBell residue, the Frobenius norm of the off-diagonal part."""
-    r = BELL_BASIS.conj().T @ m @ BELL_BASIS
+    r = _BELL_BASIS_H @ m @ BELL_BASIS
     off = (r * _OFF_DIAG).view(float)  # real and imaginary parts side by side
     return r.diagonal(axis1=-2, axis2=-1).real, np.sqrt((off * off).sum(axis=(-2, -1)))
 
@@ -391,7 +399,7 @@ def to_bell_populations(rho: DensityMatrix) -> BellPopulations:
 def bell_diagonal_matrices(pops) -> np.ndarray:
     """(..., 4, 4) mixtures of the four singlet-triplet projectors with the
     (..., 4) weights pops, in the (S0, T0, T+1, T-1) order; unvalidated."""
-    return (BELL_BASIS * np.asarray(pops)[..., None, :]) @ BELL_BASIS.conj().T
+    return (BELL_BASIS * np.asarray(pops)[..., None, :]) @ _BELL_BASIS_H
 
 
 def bell_diagonal(pS: float, pT0: float, pTplus: float, pTminus: float) -> DensityMatrix:
@@ -403,7 +411,7 @@ def bell_diagonal(pS: float, pT0: float, pTplus: float, pTminus: float) -> Densi
 def _sqrt_state(sigma: DensityMatrix) -> np.ndarray:
     # eigendecomposition route avoids a scipy dependency for sqrtm
     w, v = np.linalg.eigh(sigma.matrix)
-    w = np.clip(w, 0, None)
+    w = np.maximum(w, 0.0)
     return _frozen(v @ np.diag(np.sqrt(w)) @ v.conj().T)
 
 
@@ -412,7 +420,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     square root of sigma is cached for the last few sigmas seen."""
     sqrt_sigma = _sqrt_state(sigma)
     inner = sqrt_sigma @ rho.matrix @ sqrt_sigma
-    vals = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0, None)
+    vals = np.maximum(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0)
     return float(np.sqrt(vals).sum() ** 2)
 
 

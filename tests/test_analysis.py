@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from spinpair import analysis
 from spinpair.analysis import (
     TEMP_CEILING_K,
     analyze,
@@ -109,6 +110,15 @@ def test_concurrence_against_sqrtm_route(random_states):
         got = concurrence(rho.matrix)
         want = wootters_concurrence(rho.matrix)
         assert got == pytest.approx(want, abs=1e-8)
+
+
+def test_spin_flip_matches_kron_conjugation(rng):
+    # the signed index reversal is the product by YY on both sides exactly
+    mats = rng.normal(size=(2000, 4, 4)) + 1j * rng.normal(size=(2000, 4, 4))
+    for m in mats:
+        assert np.array_equal(analysis._spin_flip(m), YY @ m.conj() @ YY)
+    stack = mats.reshape(20, 100, 4, 4)
+    assert np.array_equal(analysis._spin_flip(stack), YY @ stack.conj() @ YY)
 
 
 def test_ppt_and_concurrence_agree(random_states):

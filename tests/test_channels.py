@@ -597,3 +597,146 @@ def test_apply_on_a_stack_names_the_breaking_channel(random_states):
     stack[2, 0, 1] = 0.3
     with pytest.raises(StateValidationError, match="not Hermitian"):
         apply(prog, stack)
+
+
+def loop_apply(program, rho):
+    """apply as it ran before composition: each channel's map in turn, the
+    state revalidated after every non-CP channel and after the last; the
+    oracle of the composed apply."""
+    chans = (program,) if isinstance(program, Channel) else program.channels
+    if isinstance(rho, DensityMatrix):
+        m, check = rho.matrix, DensityMatrix
+    else:
+        rho = m = channels.check_density(rho)
+        check = channels.check_density
+    for i, ch in enumerate(chans):
+        m = ch.apply_matrix(m)
+        if not ch.cp or i == len(chans) - 1:
+            try:
+                rho = check(m)
+            except StateValidationError as exc:
+                raise ChannelError(
+                    f"channel {ch.label} broke state invariants: {exc}") from exc
+    return rho
+
+
+def programs_for_composition():
+    """All-CP programs, and programs with one or two non-CP relax steps,
+    first, in the middle and last."""
+    p = SpinSystemParams()
+    cp_chans = tuple(ch for ch, _ in every_constructor() if ch.cp)
+    r1, r2 = relax(0.1, NON_CP), relax(0.05, NON_CP)
+    filt = filtration_sequence(p).channels
+    sel = selective_pulse("I", p).channels
+    return [filtration_sequence(p), selective_pulse("S", p),
+            ChannelProgram(channels=cp_chans, params=p),
+            ChannelProgram(channels=(r1,) + filt, params=NON_CP),
+            ChannelProgram(channels=filt + (r1,) + sel, params=NON_CP),
+            ChannelProgram(channels=sel + (r1,), params=NON_CP),
+            ChannelProgram(channels=sel + (r1,) + filt + (r2,) + sel, params=NON_CP),
+            ChannelProgram(channels=(r1, r2) + cp_chans, params=NON_CP)]
+
+
+def test_composed_apply_matches_loop(random_states):
+    stack = np.array([rho.matrix for rho in random_states[:100]])
+    for prog in programs_for_composition():
+        for rho in random_states[:100]:
+            got, want = apply(prog, rho), loop_apply(prog, rho)
+            assert isinstance(got, DensityMatrix)
+            assert np.abs(got.matrix - want.matrix).max() <= 1e-15
+        got = apply(prog, stack.reshape(10, 10, 4, 4))
+        want = loop_apply(prog, stack.reshape(10, 10, 4, 4))
+        assert got.shape == (10, 10, 4, 4)
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def test_composed_apply_matches_loop_on_every_constructor(random_states):
+    p = SpinSystemParams()
+    stack = np.array([rho.matrix for rho in random_states[:100]])
+    for ch, _ in every_constructor():
+        prog = ChannelProgram(channels=(ch,), params=p)
+        for target in (ch, prog):
+            for rho in random_states[:100]:
+                assert apply(target, rho) == loop_apply(ch, rho), ch.label
+            assert np.array_equal(apply(target, stack), loop_apply(ch, stack)), ch.label
+        # a one-channel segment is the channel's own map
+        assert prog._segments == ((ch.superop, ch),)
+
+
+@pytest.fixture
+def validation_counts(monkeypatch):
+    """Counts of check_density calls made by apply on a stack and of
+    DensityMatrix validations, whoever makes them."""
+    counts = {"check_density": 0, "DensityMatrix": 0}
+    check, post_init = channels.check_density, DensityMatrix.__post_init__
+
+    def counting_check(m):
+        counts["check_density"] += 1
+        return check(m)
+
+    def counting_post_init(self):
+        counts["DensityMatrix"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(channels, "check_density", counting_check)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+    return counts
+
+
+def test_composed_apply_validates_where_the_loop_does(random_states, validation_counts):
+    rho = random_states[0]
+    stack = np.array([r.matrix for r in random_states[:8]])
+    for prog in programs_for_composition():
+        n_non_cp = sum(not ch.cp for ch in prog.channels)
+        points = n_non_cp + prog.channels[-1].cp
+        assert len(prog._segments) == points
+        assert [ch for _, ch in prog._segments] == [
+            ch for i, ch in enumerate(prog.channels)
+            if not ch.cp or i == len(prog.channels) - 1]
+        for run in (apply, loop_apply):
+            validation_counts.update(check_density=0, DensityMatrix=0)
+            run(prog, rho)
+            assert validation_counts == {"check_density": 0, "DensityMatrix": points}
+            validation_counts.update(check_density=0, DensityMatrix=0)
+            run(prog, stack)
+            # one more on entry
+            assert validation_counts == {"check_density": points + 1, "DensityMatrix": 0}
+    # an all-CP program validates once
+    validation_counts.update(check_density=0, DensityMatrix=0)
+    apply(filtration_sequence(SpinSystemParams()), rho)
+    assert validation_counts["DensityMatrix"] == 1
+
+
+def test_composed_apply_names_the_same_breaking_channel():
+    # pure states over one or two Zeeman kets, which a non-CP relax can break
+    p = SpinSystemParams(t1_s=0.5, t2_s=1.5)
+    first, second = relax(0.1, p), relax(0.2, p)
+    sel = selective_pulse("S", p).channels
+    programs = [ChannelProgram(channels=(first,) + sel + (second, zq_dephase()), params=p),
+                ChannelProgram(channels=sel + (first,) + sel + (second,) + sel, params=p),
+                ChannelProgram(channels=(hard_pulse(90, 0), first, hard_pulse(90, 180)),
+                               params=p),
+                # a Zeeman state passes a short relax; the selective pulse
+                # gives the second a coherence to break
+                ChannelProgram(channels=(relax(0.01, p),) + sel + (second,), params=p)]
+    named = set()
+    for prog in programs:
+        for ket in ([1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1], [1, 0, 0, 0]):
+            ket = np.array(ket) / np.linalg.norm(ket)
+            rho = DensityMatrix(np.outer(ket, ket))
+            try:
+                loop_apply(prog, rho)
+            except ChannelError as exc:
+                with pytest.raises(ChannelError) as got:
+                    apply(prog, rho)
+                assert str(got.value).split(":")[0] == str(exc).split(":")[0]
+                with pytest.raises(ChannelError) as got_stack:
+                    apply(prog, rho.matrix[None])
+                assert str(got_stack.value).split(":")[0] == str(exc).split(":")[0]
+                named.add(str(exc).split(":")[0])
+            else:
+                assert np.abs(apply(prog, rho).matrix
+                              - loop_apply(prog, rho).matrix).max() <= 1e-15
+    # both a first and a second non-CP relax of a program are named
+    assert {"channel relax(0.1) broke state invariants",
+            "channel relax(0.2) broke state invariants"} <= named

@@ -448,10 +448,66 @@ def test_linearized_thermal_refusal_is_a_usage_error(tmp_path, argv):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_run_refuses_non_finite_carrier_ppm(tmp_path, value):
-    # the = form, since argparse reads a bare -inf as an option
+    # the = form; the two-token form is tested below
     line = refusal_line(["run", str(SEQ_DIR / "selective_i.pseq"), f"--carrier-ppm={value}"],
                         tmp_path / "out")
     assert line == f"error: carrier ppm must be finite, got {float(value)!r}"
+
+
+def test_run_reads_exponent_form_negative_flag_value(tmp_path, capsys):
+    # argparse alone reads -1e3 as an option and exits 2 with its usage text
+    assert run_cli("run", SEQ_DIR / "filtration.pseq", "--carrier-ppm", "-1e3",
+                   "--out", tmp_path / "split") == 0
+    split = Path(capsys.readouterr().out.strip())
+    assert run_cli("run", SEQ_DIR / "filtration.pseq", "--carrier-ppm=-1e3",
+                   "--out", tmp_path / "joined") == 0
+    joined = Path(capsys.readouterr().out.strip())
+    manifest = json.loads((split / "manifest.json").read_text())
+    assert manifest["carrier_ppm"] == -1000.0
+    assert (split / "manifest.json").read_bytes() == (joined / "manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", str(SEQ_DIR / "filtration.pseq"), "--carrier-ppm", "-inf"],
+     "error: carrier ppm must be finite"),
+    (["state", "singlet", "--j-hz", "-1e1"], "error: j_hz must be strictly positive"),
+    (["paper-repro", "--t2-s", "-2.5E-1"], "error: t2_s must be strictly positive"),
+], ids=["carrier-ppm", "j-hz", "t2-s"])
+def test_negative_exponent_flag_value_is_refused_by_the_program(tmp_path, argv, message):
+    assert refusal_line(argv, tmp_path / "out").startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", str(SEQ_DIR / "filtration.pseq"), "--carrier-ppm", "-x"],
+    ["run", str(SEQ_DIR / "filtration.pseq"), "--carrier-ppm", "abc"],
+    ["run", str(SEQ_DIR / "filtration.pseq"), "--state", "-1e3"],
+    ["state", "singlet", "--seed", "-1e1"],
+], ids=["option-like", "non-numeric", "string-flag", "int-flag"])
+def test_non_number_flag_value_stays_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_number_flags_are_every_float_and_int_flag():
+    parser = cli.build_parser()
+    flags = set()
+    for sub in parser._subparsers._group_actions[0].choices.values():
+        flags |= {a.option_strings[0] for a in sub._actions
+                  if a.option_strings and a.type in (float, int)}
+    assert flags == cli._NUMBER_FLAGS
+
+
+def test_join_number_values():
+    join = cli._join_number_values
+    assert join(["--carrier-ppm", "-1e3", "--j-hz", "-inf", "x"]) == [
+        "--carrier-ppm=-1e3", "--j-hz=-inf", "x"]
+    assert join(["--state", "-1e3", "--seed"]) == ["--state", "-1e3", "--seed"]
+    assert join(["--carrier-ppm", "-x", "--j-hz", "--seed"]) == [
+        "--carrier-ppm", "-x", "--j-hz", "--seed"]
+    assert join(["a", "--", "--seed", "-1"]) == ["a", "--", "--seed", "-1"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -145,6 +145,36 @@ def test_product_operators_match_kron_oracle(random_states):
         assert np.abs(back - kron_from_product_operators(c.table)).max() <= 1e-15
 
 
+def einsum_to_product_operators(m):
+    """The einsum over the 16 Pauli products that to_product_operators ran
+    before its (16, 16) map on vec(rho); oracle."""
+    return np.einsum("abij,ji->ab", states.PAULI_PRODUCTS, m).real * states._PO_SCALE
+
+
+def test_product_operator_map_matches_einsum_oracle(random_states):
+    for rho in random_states:
+        got = to_product_operators(rho).table
+        assert np.abs(got - einsum_to_product_operators(rho.matrix)).max() <= 2.3e-16
+
+
+def test_bell_frame_matches_adjoint_basis_oracle(random_states, rng):
+    stack = np.array([rho.matrix for rho in random_states])
+    r = BELL_BASIS.conj().T @ stack @ BELL_BASIS
+    off = (r * (1 - np.eye(4))).view(float)
+    diag, res = bell_frame(stack)
+    assert np.array_equal(diag, r.diagonal(axis1=-2, axis2=-1).real)
+    assert np.array_equal(res, np.sqrt((off * off).sum(axis=(-2, -1))))
+    for rho in random_states[:100]:
+        d1, r1 = bell_frame(rho.matrix)
+        assert np.array_equal(d1, (BELL_BASIS.conj().T @ rho.matrix @ BELL_BASIS)
+                              .diagonal().real)
+    pops = rng.dirichlet(np.ones(4), size=(50, 3))
+    assert np.array_equal(states.bell_diagonal_matrices(pops),
+                          (BELL_BASIS * pops[..., None, :]) @ BELL_BASIS.conj().T)
+    assert np.array_equal(states.bell_diagonal_matrices(pops[0, 0]),
+                          (BELL_BASIS * pops[0, 0]) @ BELL_BASIS.conj().T)
+
+
 def test_thermal_linearized():
     p = SpinSystemParams()
     b = PLANCK_H * p.nu_hz / (BOLTZMANN_K * p.temp_k)
