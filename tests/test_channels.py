@@ -660,7 +660,8 @@ def test_composed_apply_matches_loop_on_every_constructor(random_states):
                 assert apply(target, rho) == loop_apply(ch, rho), ch.label
             assert np.array_equal(apply(target, stack), loop_apply(ch, stack)), ch.label
         # a one-channel segment is the channel's own map
-        assert prog._segments == ((ch.superop, ch),)
+        (sup, last), = prog._segments
+        assert sup is ch.superop and last is ch
 
 
 @pytest.fixture
