@@ -2,8 +2,9 @@
 
 A channel is its 16x16 superoperator acting on vec(rho), the row-major
 flattening of the 4x4 density matrix: the matrix form of an NMR channel
-(Havel, J. Math. Phys. 44, 534 (2003)). Each builder computes its own map
-once. Pulses and free evolution are exact 4x4 unitaries U, built by
+(Havel, J. Math. Phys. 44, 534 (2003)). A stack of states is read as the
+(..., 16) array of its vec(rho) rows and mapped by one product with the
+transposed superoperator. Each builder computes its own map once. Pulses and free evolution are exact 4x4 unitaries U, built by
 eigendecomposition of their generators, acting as kron(U, conj(U)).
 Gradients are modeled as ideal instantaneous dephasing of every coherence
 connecting different total-m subspaces; spatial averaging over the sample
@@ -83,7 +84,7 @@ class Channel:
         # output pair (i = j) gives the identity iff Phi preserves trace
         choi = sup.reshape(4, 4, 4, 4).transpose(2, 0, 3, 1)
         tp_dev = np.abs(np.einsum("kili->kl", choi) - np.eye(4)).max()
-        if tp_dev > TP_TOL:
+        if not tp_dev <= TP_TOL:
             raise ChannelError(
                 f"channel {self.label} is not trace preserving: Choi partial "
                 f"trace deviates from identity by {tp_dev:.3e}")
@@ -99,8 +100,9 @@ class Channel:
 
 
 def _apply_superop(sup: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The 16x16 map sup on each 4x4 matrix of the (..., 4, 4) array m."""
-    return (sup @ m.reshape(m.shape[:-2] + (16, 1))).reshape(m.shape)
+    """The 16x16 map sup on each 4x4 matrix of the (..., 4, 4) array m:
+    one product of the stack's (..., 16) vec(rho) with sup transposed."""
+    return (m.reshape(m.shape[:-2] + (16,)) @ sup.T).reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,8 @@ def _propagator(t_s: float, params: SpinSystemParams,
                 coupling_mode: str = "weak", include_j: bool = True) -> np.ndarray:
     """The 4x4 unitary exp(-i H t_s) of free_evolution, which FID
     synthesis shares. Weak coupling with J active raises when
-    delta_nu <= J and warns when delta_nu <= 5J."""
+    delta_nu <= J and warns when delta_nu <= 5J. A generator H t_s that
+    overflows raises ChannelError."""
     if t_s < 0:
         raise ChannelError("negative evolution time")
     if coupling_mode not in ("weak", "strong"):
@@ -163,13 +166,20 @@ def _propagator(t_s: float, params: SpinSystemParams,
             warnings.warn(
                 f"weak-coupling evolution with delta_nu = {dnu} <= 5*J = {5*j}; "
                 "secular approximation is marginal", stacklevel=2)
-    h = 2 * np.pi * (-dnu / 2) * IZ + 2 * np.pi * (dnu / 2) * SZ
-    if include_j:
-        if coupling_mode == "weak":
-            h = h + 2 * np.pi * j * (IZ @ SZ)
-        else:
-            h = h + 2 * np.pi * j * (IX @ SX + IY @ SY + IZ @ SZ)
-    return _unitary_from_generator(h * t_s)
+    # a frequency or time near the float limit overflows; refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 2 * np.pi * (-dnu / 2) * IZ + 2 * np.pi * (dnu / 2) * SZ
+        if include_j:
+            if coupling_mode == "weak":
+                h = h + 2 * np.pi * j * (IZ @ SZ)
+            else:
+                h = h + 2 * np.pi * j * (IX @ SX + IY @ SY + IZ @ SZ)
+        gen = h * t_s
+    if not np.isfinite(gen).all():
+        raise ChannelError(
+            f"evolution for {t_s!r} s at delta_nu = {dnu!r} Hz, J = {j!r} Hz "
+            "overflows the phase of the propagator")
+    return _unitary_from_generator(gen)
 
 
 def free_evolution(t_s: float, params: SpinSystemParams,

@@ -33,8 +33,8 @@ import numpy as np
 
 from .channels import _propagator, hard_pulse, selective_pulse
 from .states import (
+    _BELL_PROJECTORS,
     _OFF_DIAG,
-    BELL_BASIS,
     BellPopulations,
     DensityMatrix,
     IX, IY, SX, SY,
@@ -107,11 +107,19 @@ def _fid_modes(params: SpinSystemParams, n: int, dwell_s: float) -> tuple:
     that F+ reads: the n samples are the sum over rows r of
     (c @ vec(rho))[r] e[r]. Row r of the (r, 16) c is f_read[a, b]
     vec(outer(V^-1[a], V[:, b])), with f_read = (V^-1 F+ V).T, and row r of
-    the (r, n) e is z[a, b]**k for k < n."""
+    the (r, n) e is z[a, b]**k for k < n.
+
+    A T2 decay dwell/T2 per dwell that overflows over n dwells raises
+    SpectroError: the exponents log(z) k would not be finite."""
+    decay = dwell_s / params.t2_s
+    if not decay * n < np.inf:
+        raise SpectroError(
+            f"t2_s = {params.t2_s!r} s is too short for the dwell {dwell_s!r} s: "
+            f"the T2 decay over {n} points overflows")
     lam, v = np.linalg.eig(_propagator(dwell_s, params))
     v_inv = np.linalg.inv(v)
     f_read = (v_inv @ F_PLUS @ v).T
-    log_z = np.log(np.outer(lam, lam.conj())) - dwell_s / params.t2_s
+    log_z = np.log(np.outer(lam, lam.conj())) - decay
     a, b = np.nonzero(f_read * _OFF_DIAG)
     c = f_read[a, b, None] * (v_inv[a, :, None] * v.T[b, None, :]).reshape(len(a), 16)
     return c, np.exp(log_z[a, b, None] * np.arange(n))
@@ -184,11 +192,17 @@ def _j_modulation(j_hz: float, rounds: int, t: np.ndarray) -> np.ndarray:
 def fourier(fid: Fid, apodize_hz: float = 0.0) -> Spectrum:
     """Discrete transform with first-point halving, x2 zero-fill, and
     2*dwell scaling (line integral == time-domain envelope amplitude).
-    apodize_hz adds Lorentzian broadening to every line's FWHM."""
+    apodize_hz adds Lorentzian broadening to every line's FWHM. A dwell so
+    short that the frequency axis overflows raises SpectroError."""
     if not _is_pow2(fid.n):
         raise SpectroError(f"transform needs a power-of-two length, got {fid.n}")
     if apodize_hz < 0:
         raise SpectroError("apodization must be non-negative")
+    # the largest frequency of the axis, n / (2 n dwell) as fftfreq computes it
+    if not fid.n * (1.0 / (2 * fid.n * fid.dwell_s)) < np.inf:
+        raise SpectroError(
+            f"dwell {fid.dwell_s!r} s is too short: the frequency axis of "
+            f"{2 * fid.n} points overflows")
     x = np.array(fid.samples)
     if apodize_hz > 0:
         x = x * np.exp(-np.pi * apodize_hz * fid.times_s)
@@ -453,14 +467,10 @@ def readout_integrals(rho: DensityMatrix, params: SpinSystemParams,
     return (_readout_map(params, readout) @ rho.matrix.ravel()).real
 
 
-# vec of the Bell projectors |b_k><b_k|, one per column
-_BELL_PROJECTORS = np.einsum("ik,jk->ijk", BELL_BASIS, BELL_BASIS.conj()).reshape(16, 4)
-
-
 def _readout_matrix(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
     """Columns are the component integrals of each singlet-triplet basis
     state pushed through the readout: R applied to the Bell projectors."""
-    return (_readout_map(params, readout) @ _BELL_PROJECTORS).real
+    return (_readout_map(params, readout) @ _BELL_PROJECTORS.T).real
 
 
 # orthonormal basis of the sum-zero subspace of R^4; any population vector

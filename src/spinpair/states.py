@@ -60,9 +60,17 @@ _OFF_DIAG = 1.0 - np.eye(4)
 
 # Columns in the fixed Bell-population order (S0, T0, T+1, T-1).
 BELL_BASIS = np.column_stack([SINGLET_KET, T0_KET, TPLUS_KET, TMINUS_KET])
-# its adjoint, the change of basis into the singlet-triplet frame
-_BELL_BASIS_H = np.array(BELL_BASIS.conj().T)
-_BELL_BASIS_H.setflags(write=False)
+# row k is vec(|b_k><b_k|), the projector onto column k of BELL_BASIS, so
+# pops @ _BELL_PROJECTORS is the vec of the Bell-diagonal mixture pops
+_BELL_PROJECTORS = np.einsum("ik,jk->kij", BELL_BASIS, BELL_BASIS.conj()).reshape(4, 16)
+_BELL_PROJECTORS.setflags(write=False)
+# the change of basis into the singlet-triplet frame on the row-major
+# vec(rho): vec(B^H rho B) = vec(rho) @ kron(conj(B), B). Its columns are
+# reordered so the four populations (B^H rho B)[k, k] come first and the
+# twelve coherences (B^H rho B)[k, l], k != l, after them
+_BELL_FRAME = np.kron(BELL_BASIS.conj(), BELL_BASIS)[
+    :, np.concatenate([np.flatnonzero(np.eye(4)), np.flatnonzero(_OFF_DIAG)])]
+_BELL_FRAME.setflags(write=False)
 
 PRODUCT_AXES = ("e", "x", "y", "z")
 _PAULIS = (SIGMA_E, SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -385,10 +393,12 @@ def from_product_operators(coeffs: ProductOperatorCoeffs) -> DensityMatrix:
 def bell_frame(m) -> tuple:
     """Each 4x4 matrix of a (..., 4, 4) stack in the singlet-triplet basis:
     its (..., 4) populations in the (S0, T0, T+1, T-1) order and its (...)
-    offBell residue, the Frobenius norm of the off-diagonal part."""
-    r = _BELL_BASIS_H @ m @ BELL_BASIS
-    off = (r * _OFF_DIAG).view(float)  # real and imaginary parts side by side
-    return r.diagonal(axis1=-2, axis2=-1).real, np.sqrt((off * off).sum(axis=(-2, -1)))
+    offBell residue, the Frobenius norm of the off-diagonal part. One
+    product of the stack's vec(rho) with the (16, 16) _BELL_FRAME."""
+    m = np.asarray(m)
+    r = m.reshape(m.shape[:-2] + (16,)) @ _BELL_FRAME
+    off = r[..., 4:].view(float)  # real and imaginary parts side by side
+    return r[..., :4].real, np.sqrt((off * off).sum(axis=-1))
 
 
 def to_bell_populations(rho: DensityMatrix) -> BellPopulations:
@@ -398,8 +408,10 @@ def to_bell_populations(rho: DensityMatrix) -> BellPopulations:
 
 def bell_diagonal_matrices(pops) -> np.ndarray:
     """(..., 4, 4) mixtures of the four singlet-triplet projectors with the
-    (..., 4) weights pops, in the (S0, T0, T+1, T-1) order; unvalidated."""
-    return (BELL_BASIS * np.asarray(pops)[..., None, :]) @ _BELL_BASIS_H
+    (..., 4) weights pops, in the (S0, T0, T+1, T-1) order; unvalidated.
+    One product pops @ _BELL_PROJECTORS, read back as matrices."""
+    pops = np.asarray(pops)
+    return (pops @ _BELL_PROJECTORS).reshape(pops.shape[:-1] + (4, 4))
 
 
 def bell_diagonal(pS: float, pT0: float, pTplus: float, pTminus: float) -> DensityMatrix:
@@ -407,20 +419,35 @@ def bell_diagonal(pS: float, pT0: float, pTplus: float, pTminus: float) -> Densi
     return DensityMatrix(bell_diagonal_matrices(np.array([pS, pT0, pTplus, pTminus])))
 
 
+# eigenvalues of sigma at or below this multiple of eps times the largest
+# are taken as zero: the rounding eigh leaves on a null space (about 2 eps
+# at most over 6000 rotated pure targets), not a physics tolerance
+_RANK_CUT = 16 * np.finfo(float).eps
+
+
 @functools.lru_cache(maxsize=4)
-def _sqrt_state(sigma: DensityMatrix) -> np.ndarray:
-    # eigendecomposition route avoids a scipy dependency for sqrtm
+def _support_map(sigma: DensityMatrix) -> np.ndarray:
+    """The read-only (16, r*r) K with vec(rho) @ K = vec(B rho B^H), for
+    the r x 4 support map B = sqrt(w) V^H over the r eigenpairs (w, V) of
+    sigma above _RANK_CUT times its largest eigenvalue."""
     w, v = np.linalg.eigh(sigma.matrix)
-    w = np.maximum(w, 0.0)
-    return _frozen(v @ np.diag(np.sqrt(w)) @ v.conj().T)
+    keep = w > _RANK_CUT * w[-1]
+    b = np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
+    return _frozen(np.kron(b, b.conj()).T)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity; reduces to <psi|rho|psi> for a pure sigma. The
-    square root of sigma is cached for the last few sigmas seen."""
-    sqrt_sigma = _sqrt_state(sigma)
-    inner = sqrt_sigma @ rho.matrix @ sqrt_sigma
-    vals = np.maximum(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0)
+    """Uhlmann fidelity (tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2, read
+    through the support of sigma: the nonzero eigenvalues of
+    sqrt(sigma) rho sqrt(sigma) are those of the r x r B rho B^H of
+    _support_map. For a pure sigma (r = 1) that is the single entry
+    <psi|rho|psi> and no eigensolver runs (Jozsa, J. Mod. Opt. 41, 2315
+    (1994)). The map is cached for the last few sigmas seen."""
+    inner = rho.matrix.reshape(16) @ _support_map(sigma)
+    if len(inner) == 1:
+        return max(float(inner[0].real), 0.0)
+    r = math.isqrt(len(inner))
+    vals = np.maximum(np.linalg.eigvalsh(inner.reshape(r, r)), 0.0)
     return float(np.sqrt(vals).sum() ** 2)
 
 

@@ -503,6 +503,25 @@ def test_complete_positivity_flag_without_the_certificate(monkeypatch):
 def test_channel_not_trace_preserving_is_refused():
     with pytest.raises(ChannelError, match="leaky.*not trace preserving"):
         Channel("leaky", superop_of(relax_formula(0.5, 0.5, np.full(4, 0.3))), t_s=1.0)
+    # a NaN deviation fails the check rather than passing it
+    with pytest.raises(ChannelError, match="nan.*not trace preserving"):
+        Channel("nan", np.full((16, 16), np.nan))
+
+
+@pytest.mark.parametrize("t, p, mode", [
+    (1e307, SpinSystemParams(), "weak"),
+    (1.7e308, SpinSystemParams(), "weak"),
+    (1e-3, SpinSystemParams(delta_nu_hz=1.7e308), "weak"),
+    (0.0, SpinSystemParams(delta_nu_hz=1.7e308), "weak"),
+    (1e-3, SpinSystemParams(j_hz=1e308), "strong"),
+], ids=["delay-1e307", "delay-max", "delta-nu-max", "delta-nu-max-t0", "strong-j-max"])
+def test_overflowing_evolution_is_refused_without_warning(t, p, mode):
+    # the generator overflowed with a RuntimeWarning, and its NaN map then
+    # broke the Choi eigensolver with LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChannelError, match="overflows the phase of the propagator"):
+            free_evolution(t, p, coupling_mode=mode)
 
 
 @pytest.mark.parametrize("tail", [(), (zq_dephase(),)])
@@ -597,6 +616,24 @@ def test_apply_on_a_stack_names_the_breaking_channel(random_states):
     stack[2, 0, 1] = 0.3
     with pytest.raises(StateValidationError, match="not Hermitian"):
         apply(prog, stack)
+
+
+def batched_matvec_apply(sup, m):
+    """_apply_superop as one 16x16 matrix-vector product per matrix, before
+    it became one product of the (..., 16) stack with sup transposed;
+    oracle."""
+    return (sup @ m.reshape(m.shape[:-2] + (16, 1))).reshape(m.shape)
+
+
+def test_apply_superop_matches_batched_matvec_oracle(random_states):
+    # one product sums in another order than the batched matvecs: 1e-15
+    # is a few units in the last place of entries of order 1
+    stack = np.array([rho.matrix for rho in random_states[:100]])
+    for ch, _ in every_constructor():
+        for m in (stack, stack.reshape(4, 25, 4, 4), stack[0]):
+            got = channels._apply_superop(ch.superop, m)
+            assert got.shape == m.shape
+            assert np.abs(got - batched_matvec_apply(ch.superop, m)).max() <= 1e-15, ch.label
 
 
 def loop_apply(program, rho):

@@ -1,13 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spinpair
 from spinpair import cli
@@ -444,6 +449,80 @@ def refusal_line(argv, out):
 ], ids=["state", "run", "paper-repro-temp", "paper-repro-nu"])
 def test_linearized_thermal_refusal_is_a_usage_error(tmp_path, argv):
     assert "outside the high-temperature regime" in refusal_line(argv, tmp_path / "out")
+
+
+def test_run_refuses_a_delay_that_overflows_the_propagator(tmp_path):
+    # the overflowed generator gave a NaN map that passed the trace check
+    # and broke the Choi eigensolver: a LinAlgError traceback and exit 1
+    seq = tmp_path / "long.pseq"
+    seq.write_text("delay 1e307\n")
+    line = refusal_line(["run", str(seq)], tmp_path / "out")
+    assert "1:1" in line and "overflows the phase of the propagator" in line
+
+
+@pytest.mark.parametrize("header, flags", [("", ["--t2-s", "5e-324"]), ("t2 5e-324\n", [])],
+                         ids=["flag", "header"])
+def test_run_refuses_a_t2_decay_that_overflows(tmp_path, header, flags):
+    # dwell/T2 overflowed and the FID modes multiplied -inf by k = 0: a
+    # RuntimeWarning line came before the error line
+    seq = tmp_path / "short_t2.pseq"
+    seq.write_text(header + "selective I\nacquire 1024 0.000244140625\n")
+    line = refusal_line(["run", str(seq), *flags], tmp_path / "out")
+    assert "t2_s = 5e-324" in line and "dwell 0.000244140625" in line
+
+
+# extreme finite values for every numeric argument of a sequence: zero,
+# subnormals, the float limit and ordinary values, either sign
+EXTREME_VALUES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-3,
+                  0.5, 1.0, 90.0, 492.0, 1e300, 1e307, 1.7e308)
+
+
+def extreme_token(kind):
+    """Tokens for an argument of kind (seqdsl._STATEMENTS) or a header
+    value ("d"): mostly in the argument's domain, sometimes outside it."""
+    if kind == "T":
+        return st.sampled_from(["I", "S"])
+    if kind == "n":
+        return st.sampled_from(["1", "2", "3", "16", "64"])
+    signed = st.tuples(st.sampled_from(EXTREME_VALUES), st.sampled_from([1, 1, 1, -1]))
+    return signed.map(lambda vs: repr(vs[0] * vs[1]))
+
+
+@st.composite
+def extreme_sequences(draw):
+    """.pseq text: a few headers, a few statements of every kind, and a
+    small acquisition most of the time, each value drawn by extreme_token."""
+    lines = [f"{key} {draw(extreme_token('d'))}" for key in draw(
+        st.lists(st.sampled_from(seqdsl.HEADER_KEYS), unique=True, max_size=3))]
+    ops = st.sampled_from([op for op in seqdsl._STATEMENTS if op != "acquire"])
+    for op in draw(st.lists(ops, max_size=4)):
+        kinds = seqdsl._STATEMENTS[op][0]
+        lines.append(" ".join([op] + [draw(extreme_token(k)) for k in kinds]))
+    if draw(st.integers(0, 3)):
+        lines.append(" ".join(["acquire"] + [draw(extreme_token(k))
+                                             for k in seqdsl._STATEMENTS["acquire"][0]]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=extreme_sequences())
+def test_run_contract_holds_on_extreme_sequences(text):
+    # exit 0 or 2, never a traceback or a numeric warning, and a refused
+    # run leaves neither run_<id>/ nor its hidden temporary behind
+    with tempfile.TemporaryDirectory() as tmp:
+        seq, out = Path(tmp) / "fuzz.pseq", Path(tmp) / "out"
+        seq.write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["run", str(seq), "--out", str(out)])
+        assert code in (0, 2), text
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], text
+        if code == 2:
+            assert err.getvalue().startswith("error:"), text
+            assert not out.exists() or not list(out.glob("*run_*")), text
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

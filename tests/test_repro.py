@@ -31,7 +31,8 @@ from spinpair.states import (
 GOLDEN = Path(__file__).parent / "data" / "paper_repro.json"
 RESIDUE_ROWS = ("filtration: max off-diagonal residue over 1000 states",
                 "filtration: max |pT+1 - pT-1| over 1000 states",
-                "population inversion: max deviation from reported fractions")
+                "population inversion: max deviation from reported fractions",
+                "zq dephasing: max deviation from equal S0/T0 mixture")
 NOISY_INTEGRALS = spectro._noisy_integrals
 
 
@@ -555,8 +556,8 @@ def test_paper_repro_matches_recorded_table(tmp_path, capsys):
     # tests/data/paper_repro.json is `spinpair paper-repro` at the default
     # parameters, recorded before the grid, the sweep and the recoveries
     # were batched and before the readout became one (4, 16) map; the two
-    # filtration residues and the inversion residual are rounding noise,
-    # pinned absolutely
+    # filtration residues, the inversion residual and the zq-dephasing
+    # deviation are rounding noise, pinned absolutely
     assert main(["paper-repro", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     got = json.loads((tmp_path / "paper_repro.json").read_text(encoding="utf-8"))

@@ -209,6 +209,25 @@ def test_fourier_rejects_non_power_of_two():
         fourier(Fid(samples=np.exp(-t) + 0j, dwell_s=1 / 4096))
 
 
+@pytest.mark.parametrize("n, dwell_s", [(2, 5e-324), (64, 1e-310)])
+def test_fourier_refuses_an_overflowing_axis_without_warning(n, dwell_s):
+    # fftfreq divided by the dwell and overflowed, with a RuntimeWarning
+    fid = Fid(samples=np.ones(n, dtype=complex), dwell_s=dwell_s)
+    with pytest.raises(SpectroError, match="frequency axis .* overflows"):
+        fourier(fid)
+
+
+def test_synthesize_fid_refuses_a_t2_decay_that_overflows(params):
+    # dwell/T2 overflowed, and the modes multiplied -inf by k = 0: NaN
+    # samples behind a RuntimeWarning
+    p = dataclasses.replace(params, t2_s=5e-324)
+    with pytest.raises(SpectroError, match="t2_s = 5e-324 s is too short for the dwell"):
+        synthesize_fid(make_singlet(), p, 1024, 1 / 4096)
+    p = dataclasses.replace(params, t2_s=1e-310)
+    with pytest.raises(SpectroError, match="over 64 points overflows"):
+        synthesize_fid(make_singlet(), p, 64, 1e-2)
+
+
 def test_fourier_linearity():
     a = lorentzian_fid(1.0, -50.0, 0.58)
     b = lorentzian_fid(0.5, 120.0, 0.3)

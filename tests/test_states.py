@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinpair import states
+from spinpair import spectro, states
+from spinpair.channels import apply, hard_pulse
 from spinpair.constants import BOLTZMANN_K, PLANCK_H
 from spinpair.states import (
     BELL_BASIS,
@@ -157,22 +158,49 @@ def test_product_operator_map_matches_einsum_oracle(random_states):
         assert np.abs(got - einsum_to_product_operators(rho.matrix)).max() <= 2.3e-16
 
 
-def test_bell_frame_matches_adjoint_basis_oracle(random_states, rng):
-    stack = np.array([rho.matrix for rho in random_states])
-    r = BELL_BASIS.conj().T @ stack @ BELL_BASIS
+def adjoint_basis_bell_frame(m):
+    """bell_frame as two batched 4x4 products B^H m B, before it became one
+    (16, 16) map on vec(rho); oracle."""
+    r = BELL_BASIS.conj().T @ m @ BELL_BASIS
     off = (r * (1 - np.eye(4))).view(float)
-    diag, res = bell_frame(stack)
-    assert np.array_equal(diag, r.diagonal(axis1=-2, axis2=-1).real)
-    assert np.array_equal(res, np.sqrt((off * off).sum(axis=(-2, -1))))
-    for rho in random_states[:100]:
+    return r.diagonal(axis1=-2, axis2=-1).real, np.sqrt((off * off).sum(axis=(-2, -1)))
+
+
+def adjoint_basis_bell_diagonal(pops):
+    """bell_diagonal_matrices as B diag(pops) B^H, before it became one
+    product with the (4, 16) projector map; oracle."""
+    return (BELL_BASIS * pops[..., None, :]) @ BELL_BASIS.conj().T
+
+
+def test_bell_frame_matches_adjoint_basis_oracle(random_states, rng):
+    # the map sums in another order than the two products: 1e-15 is a few
+    # units in the last place of entries of order 1
+    stack = np.array([rho.matrix for rho in random_states])
+    want_p, want_o = adjoint_basis_bell_frame(stack)
+    diag, res = bell_frame(stack.reshape(50, 20, 4, 4))
+    assert diag.shape == (50, 20, 4) and res.shape == (50, 20)
+    assert np.abs(diag.reshape(1000, 4) - want_p).max() <= 1e-15
+    assert np.abs(res.reshape(1000) - want_o).max() <= 1e-15
+    # one state at a time agrees with the stack
+    for rho, p, o in zip(random_states[:100], diag.reshape(1000, 4), res.reshape(1000)):
         d1, r1 = bell_frame(rho.matrix)
-        assert np.array_equal(d1, (BELL_BASIS.conj().T @ rho.matrix @ BELL_BASIS)
-                              .diagonal().real)
+        assert d1.shape == (4,) and r1.shape == ()
+        assert np.abs(d1 - p).max() <= 1e-15 and abs(r1 - o) <= 1e-15
     pops = rng.dirichlet(np.ones(4), size=(50, 3))
-    assert np.array_equal(states.bell_diagonal_matrices(pops),
-                          (BELL_BASIS * pops[..., None, :]) @ BELL_BASIS.conj().T)
-    assert np.array_equal(states.bell_diagonal_matrices(pops[0, 0]),
-                          (BELL_BASIS * pops[0, 0]) @ BELL_BASIS.conj().T)
+    got = states.bell_diagonal_matrices(pops)
+    assert got.shape == (50, 3, 4, 4)
+    assert np.abs(got - adjoint_basis_bell_diagonal(pops)).max() <= 1e-15
+    one = states.bell_diagonal_matrices(pops[0, 0])
+    assert np.abs(one - adjoint_basis_bell_diagonal(pops[0, 0])).max() <= 1e-15
+    assert np.abs(one - got[0, 0]).max() <= 1e-15
+
+
+def test_bell_projector_map_is_the_frame_populations():
+    # the (4, 16) projector map builds the states whose populations the
+    # first four columns of the frame map read, and spectro reads it too
+    assert spectro._BELL_PROJECTORS is states._BELL_PROJECTORS
+    assert np.abs(states._BELL_PROJECTORS @ states._BELL_FRAME[:, :4] - np.eye(4)).max() <= 1e-15
+    assert np.abs(states._BELL_PROJECTORS @ states._BELL_FRAME[:, 4:]).max() <= 1e-15
 
 
 def test_thermal_linearized():
@@ -573,10 +601,12 @@ def test_bell_diagonal_matches_diag_product(rng):
     for _ in range(200):
         p = rng.dirichlet(np.ones(4))
         want = BELL_BASIS @ np.diag(p.astype(complex)) @ BELL_BASIS.conj().T
-        assert np.array_equal(bell_diagonal(*p).matrix, want)
+        assert np.abs(bell_diagonal(*p).matrix - want).max() <= 1e-15
 
 
 def uncached_fidelity(rho, sigma):
+    """The Uhlmann fidelity through the full square root of sigma, as
+    fidelity computed it before reading through sigma's support; oracle."""
     w, v = np.linalg.eigh(sigma.matrix)
     w = np.clip(w, 0, None)
     sqrt_sigma = v @ np.diag(np.sqrt(w)) @ v.conj().T
@@ -586,9 +616,76 @@ def uncached_fidelity(rho, sigma):
 
 
 def test_fidelity_with_cached_root_matches_uncached(random_states):
-    # the cached square root is reused across calls and targets, and the
-    # values stay bit for bit those of recomputing it every call
+    # the cached support map is reused across calls and targets; it sums
+    # in another order than the full square root, so the values agree to
+    # 1e-14, not bit for bit
     targets = [make_singlet(), random_states[0], make_singlet(), random_states[1]]
     for sigma in targets:
         for rho in random_states[:100]:
-            assert fidelity(rho, sigma) == uncached_fidelity(rho, sigma)
+            assert abs(fidelity(rho, sigma) - uncached_fidelity(rho, sigma)) <= 1e-14
+
+
+def rotated_ket(ket, angle_deg, phase_deg):
+    """kron(u, u) ket for the one-spin rotation u = exp(-i theta (cos(phi)
+    sigma_x + sin(phi) sigma_y) / 2), written out in closed form."""
+    theta, phi = np.deg2rad(angle_deg), np.deg2rad(phase_deg)
+    u = (math.cos(theta / 2) * ID2
+         - 1j * math.sin(theta / 2) * (math.cos(phi) * SX + math.sin(phi) * SY))
+    return np.kron(u, u) @ ket
+
+
+@pytest.mark.parametrize("ket", [states.SINGLET_KET, states.KET_00], ids=["singlet", "00"])
+def test_fidelity_against_rotated_pure_target_is_the_overlap(rng, ket):
+    # eigh leaves the null space of a rotated pure target as rounding noise
+    # of a few eps, whose square roots (~3e-9) entered sqrt(sigma)
+    target = DensityMatrix(np.outer(ket, ket.conj()))
+    worst = 0.0
+    for _ in range(300):
+        angle, phase = rng.uniform(-360, 360, size=2)
+        sigma = apply(hard_pulse(angle, phase), target)
+        psi = rotated_ket(ket, angle, phase)
+        rho = random_density(rng)
+        overlap = (psi.conj() @ rho.matrix @ psi).real
+        worst = max(worst, abs(fidelity(rho, sigma) - overlap))
+    assert worst <= 1e-14
+
+
+def test_pure_target_fidelity_runs_no_eigensolver(monkeypatch, rng):
+    rhos = [random_density(rng) for _ in range(20)]
+    # as many targets as the support-map cache holds
+    targets = [make_singlet()] + [make_named_state(n) for n in ("T0", "PhiPlus", "Tplus")]
+    for sigma in targets:
+        fidelity(rhos[0], sigma)  # builds the support map once
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fidelity against a pure target ran an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for sigma in targets:
+        for rho in rhos:
+            want = np.trace(rho.matrix @ sigma.matrix).real
+            assert abs(fidelity(rho, sigma) - want) <= 1e-15
+
+
+def support_fidelity_oracle(rho, weights, kets):
+    """(sum of the singular values of sqrt(rho) sqrt(sigma))^2 for
+    sigma = sum_k weights[k] |kets[k]><kets[k]| with orthonormal kets:
+    sqrt(sigma) comes from the construction, with exact zeros off its
+    support."""
+    w, v = np.linalg.eigh(rho.matrix)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+    sqrt_sigma = (kets * np.sqrt(weights)) @ kets.conj().T
+    return float(np.linalg.svd(sqrt_rho @ sqrt_sigma, compute_uv=False).sum() ** 2)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_fidelity_on_rank_deficient_targets_matches_oracle(rng, rank):
+    for _ in range(100):
+        kets = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0][:, :rank]
+        weights = rng.dirichlet(np.ones(rank))
+        sigma = DensityMatrix((kets * weights) @ kets.conj().T)
+        rho = random_density(rng)
+        want = support_fidelity_oracle(rho, weights, kets)
+        assert abs(fidelity(rho, sigma) - want) <= 1e-14
+        assert abs(fidelity(sigma, sigma) - 1.0) <= 1e-14
