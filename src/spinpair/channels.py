@@ -1,34 +1,34 @@
-"""Trace-preserving linear maps on two-spin states.
+"""Completely positive, trace-preserving linear maps on two-spin states.
 
 A channel is its 16x16 superoperator acting on vec(rho), the row-major
 flattening of the 4x4 density matrix: the matrix form of an NMR channel
 (Havel, J. Math. Phys. 44, 534 (2003)). A stack of states is read as the
 (..., 16) array of its vec(rho) rows and mapped by one product with the
-transposed superoperator. Each builder computes its own map once. Pulses and free evolution are exact 4x4 unitaries U, built by
-eigendecomposition of their generators, acting as kron(U, conj(U)).
-Gradients are modeled as ideal instantaneous dephasing of every coherence
-connecting different total-m subspaces; spatial averaging over the sample
-is not simulated. Relaxation is a product of independent T1/T2
-exponentials relaxing toward the exact thermal diagonal.
+transposed superoperator. Each builder computes its own map once. Pulses
+and free evolution are exact 4x4 unitaries U, built by eigendecomposition
+of their generators, acting as kron(U, conj(U)). Gradients are modeled as
+ideal instantaneous dephasing of every coherence connecting different
+total-m subspaces; spatial averaging over the sample is not simulated.
+Relaxation is the closed-form Lindblad semigroup of independent per-spin
+T1/T2 relaxation toward the exact thermal state, for T2 <= 2 T1.
 
 Each channel is checked at construction through its Choi matrix
 (Choi, Linear Algebra Appl. 10, 285 (1975)): a map that is not trace
-preserving is refused, and complete positivity is recorded in Channel.cp.
-Relaxation stops being completely positive once T2 exceeds about 4/3 T1,
-so such channels are accepted and apply revalidates the state after them.
+preserving or not completely positive is refused. So a program is one
+composed map, and apply validates the state once, after it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .states import (
-    _M_TOTAL,
-    _cholesky_certifies,
+    _M_TOTAL, _cholesky_certifies, _frozen,
     DensityMatrix,
     SpinSystemParams,
     StateValidationError,
@@ -50,8 +50,6 @@ class ChannelError(ValueError):
 # keep only elements within one total-m subspace (diagonal + the 01/10 block)
 _ZEEMAN_MASK = (_M_TOTAL[:, None] == _M_TOTAL[None, :]).astype(float)
 _DIAG_MASK = np.eye(4)
-# positions of the populations rho[i, i] in vec(rho)
-_VEC_DIAG = np.arange(4) * 5
 
 
 def _unitary_from_generator(gen: np.ndarray) -> np.ndarray:
@@ -62,24 +60,24 @@ def _unitary_from_generator(gen: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """One trace-preserving map, held as its 16x16 matrix on vec(rho).
+    """One completely positive, trace-preserving map, held as its 16x16
+    matrix on vec(rho).
 
     superop is stored as a read-only copy; t_s is the duration, None for
-    an instantaneous map. A map that is not trace preserving raises
-    ChannelError; for a unitary kron(u, conj(u)) that is exactly the
-    condition u^H u = 1. cp says whether the map is completely positive
-    (its Choi matrix is positive semidefinite to CP_TOL)."""
+    an instantaneous map. A map that is not trace preserving (for a unitary
+    kron(u, conj(u)), u^H u = 1), or whose Choi matrix is not Hermitian to
+    CP_TOL or has an eigenvalue below -CP_TOL, raises ChannelError. One
+    Cholesky factorization certifies positivity; only when it fails do the
+    eigenvalues decide the refusal and its message."""
 
     label: str
     superop: np.ndarray = field(repr=False)
     t_s: float | None = None
-    cp: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.t_s is not None and self.t_s < 0:
             raise ChannelError("negative duration")
-        sup = np.array(self.superop, dtype=complex)
-        sup.setflags(write=False)
+        sup = _frozen(np.asarray(self.superop, dtype=complex))
         # Choi[(k, i), (l, j)] = Phi(|k><l|)[i, j]; tracing out the
         # output pair (i = j) gives the identity iff Phi preserves trace
         choi = sup.reshape(4, 4, 4, 4).transpose(2, 0, 3, 1)
@@ -88,11 +86,15 @@ class Channel:
             raise ChannelError(
                 f"channel {self.label} is not trace preserving: Choi partial "
                 f"trace deviates from identity by {tp_dev:.3e}")
-        object.__setattr__(self, "superop", sup)
-        # every builder here gives an exactly Hermitian Choi matrix
         choi = choi.reshape(16, 16)
-        object.__setattr__(self, "cp", _cholesky_certifies(choi, _CP_SHIFT) or bool(
-            np.linalg.eigvalsh(choi).min() >= -CP_TOL))
+        herm_dev = np.abs(choi - choi.conj().T).max()
+        if not (herm_dev <= CP_TOL and _cholesky_certifies(choi, _CP_SHIFT)):
+            eigmin = np.linalg.eigvalsh((choi + choi.conj().T) / 2).min()
+            if not (herm_dev <= CP_TOL and eigmin >= -CP_TOL):
+                raise ChannelError(
+                    f"channel {self.label} is not completely positive: Choi matrix has "
+                    f"eigenvalue {eigmin:.3e} and non-Hermitian part {herm_dev:.3e}")
+        object.__setattr__(self, "superop", sup)
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """The map on a 4x4 matrix or a (..., 4, 4) stack of them."""
@@ -122,20 +124,11 @@ class ChannelProgram:
         return sum(c.t_s for c in self.channels if c.t_s is not None)
 
     @functools.cached_property
-    def _segments(self) -> tuple:
-        """(superop, last channel) per run of channels that ends at a
-        channel that is not completely positive or at the last channel:
-        the product of the run's maps, applied first to last, and the
-        channel after which apply validates."""
-        segments, run = [], []
-        for i, ch in enumerate(self.channels):
-            run.append(ch.superop)
-            if not ch.cp or i == len(self.channels) - 1:
-                sup = functools.reduce(lambda acc, s: s @ acc, run)
-                sup.setflags(write=False)
-                segments.append((sup, ch))
-                run = []
-        return tuple(segments)
+    def superop(self) -> np.ndarray:
+        """The read-only 16x16 map of the channels composed first to last
+        (the identity for none)."""
+        sups = [ch.superop for ch in self.channels] or [np.eye(16, dtype=complex)]
+        return _frozen(functools.reduce(lambda acc, s: s @ acc, sups))
 
 
 def hard_pulse(angle_deg: float, phase_deg: float) -> Channel:
@@ -208,17 +201,30 @@ def zq_dephase() -> Channel:
 
 
 def relax(t_s: float, params: SpinSystemParams) -> Channel:
-    """Off-diagonals decay with T2; populations relax to the exact thermal
-    diagonal with T1. relax(t1) then relax(t2) equals relax(t1+t2)."""
+    """exp(t_s D) for the Lindblad dissipator D of independent per-spin
+    relaxation (Lindblad, CMP 48, 119 (1976); Gorini, Kossakowski &
+    Sudarshan, JMP 17, 821 (1976)): amplitude damping at 1/T1 toward the
+    exact thermal state and sigma_z dephasing at 1/T2 - 1/(2 T1). In closed
+    form it is E (x) E, where E takes one spin's populations p to
+    f1 p + (1 - f1) eq_1 and its coherence c to f2 c, for f1 = exp(-t/T1),
+    f2 = exp(-t/T2) and eq_1 the one-spin marginal of the exact thermal
+    state. T2 > 2 T1, where no Lindblad form exists, raises ChannelError;
+    T1 = T2 = inf is the identity."""
     if t_s < 0:
         raise ChannelError("negative relaxation time")
-    eq = make_thermal(params, mode="exact").matrix.diagonal().real
-    f1 = float(np.exp(-t_s / params.t1_s))
-    f2 = float(np.exp(-t_s / params.t2_s))
-    # off-diagonals decay by f2; populations by f1, refilled toward eq in
-    # proportion to the trace: linear, not affine
-    sup = np.diag(np.full(16, f2, dtype=complex))
-    sup[np.ix_(_VEC_DIAG, _VEC_DIAG)] = f1 * np.eye(4) + (1 - f1) * eq[:, None]
+    if params.t2_s > 2 * params.t1_s:
+        raise ChannelError(
+            f"relaxation needs t2_s <= 2 * t1_s, got t1_s = {params.t1_s!r}, "
+            f"t2_s = {params.t2_s!r}")
+    eq_1 = make_thermal(params, mode="exact").matrix.diagonal().real.reshape(2, 2).sum(axis=1)
+    f1, f2 = math.exp(-t_s / params.t1_s), math.exp(-t_s / params.t2_s)
+    # E on the one-spin row-major vec: populations at 0 and 3, coherences
+    # at 1 and 2; populations refill toward eq_1 in proportion to the trace
+    e = np.diag([f1, f2, f2, f1])
+    e[np.ix_((0, 3), (0, 3))] += (1 - f1) * eq_1[:, None]
+    # E (x) E with rho[(a, c), (b, d)] for spin I's a, b and spin S's c, d
+    e = e.reshape(2, 2, 2, 2)
+    sup = np.einsum("abij,cdkl->acbdikjl", e, e).reshape(16, 16)
     return Channel(f"relax({t_s:g})", sup, t_s=t_s)
 
 
@@ -273,31 +279,18 @@ def filtration_sequence(params: SpinSystemParams,
 
 
 def apply(program: Channel | ChannelProgram, rho):
-    """Left-to-right composition of the superoperators of a program's
-    channels, or of one channel.
+    """The program's one composed map, or the channel's map, applied to rho.
 
     rho is a DensityMatrix, and the result is one, or a (..., 4, 4) stack
-    of density matrices, checked on entry and returned as an array.
-    Each run of channels that ends at a channel that is not completely
-    positive, the only kind that can take a valid state to an invalid one,
-    or at the last channel is applied as one product map; the state is
-    revalidated after each run, and a broken state raises ChannelError
-    naming the channel that ends it."""
-    segments = (((program.superop, program),) if isinstance(program, Channel)
-                else program._segments)
+    of density matrices, checked on entry and returned as an array. Every
+    channel is completely positive, so the state is validated once, after
+    the map; a broken state raises ChannelError naming the last channel."""
     if isinstance(rho, DensityMatrix):
         m, check = rho.matrix, DensityMatrix
     else:
-        rho = m = check_density(rho)
-        check = check_density
-    for sup, ch in segments:
-        m = _apply_superop(sup, m)
-        rho = _checked(ch, m, check)
-    return rho
-
-
-def _checked(channel: Channel, m: np.ndarray, check):
+        m, check = check_density(rho), check_density
     try:
-        return check(m)
+        return check(_apply_superop(program.superop, m))
     except StateValidationError as exc:
-        raise ChannelError(f"channel {channel.label} broke state invariants: {exc}") from exc
+        last = program if isinstance(program, Channel) else program.channels[-1]
+        raise ChannelError(f"channel {last.label} broke state invariants: {exc}") from exc

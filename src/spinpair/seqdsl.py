@@ -9,7 +9,7 @@ Grammar, one statement per line, units fixed (degrees, seconds, Hz):
     delay T                        free evolution, J coupling active
     gradient_period                1/delta_nu evolution + gradient crush
     zqdephase                      zero-quantum dephasing (slow addition)
-    relax T                        T1/T2 relaxation for T seconds
+    relax T                        per-spin T1/T2 relaxation for T s (T2 <= 2 T1)
     acquire N DWELL                record N points every DWELL seconds
 
 Headers override the params object handed to compile. No loops, no

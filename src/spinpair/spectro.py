@@ -189,6 +189,14 @@ def _j_modulation(j_hz: float, rounds: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_axis(n: int, dwell_s: float) -> None:
+    """Refuse a dwell whose 2n-point axis, up to n / (2 n dwell_s), overflows."""
+    if not n * (1.0 / (2 * n * dwell_s)) < np.inf:
+        raise SpectroError(
+            f"dwell {dwell_s!r} s is too short: the frequency axis of "
+            f"{2 * n} points overflows")
+
+
 def fourier(fid: Fid, apodize_hz: float = 0.0) -> Spectrum:
     """Discrete transform with first-point halving, x2 zero-fill, and
     2*dwell scaling (line integral == time-domain envelope amplitude).
@@ -198,11 +206,7 @@ def fourier(fid: Fid, apodize_hz: float = 0.0) -> Spectrum:
         raise SpectroError(f"transform needs a power-of-two length, got {fid.n}")
     if apodize_hz < 0:
         raise SpectroError("apodization must be non-negative")
-    # the largest frequency of the axis, n / (2 n dwell) as fftfreq computes it
-    if not fid.n * (1.0 / (2 * fid.n * fid.dwell_s)) < np.inf:
-        raise SpectroError(
-            f"dwell {fid.dwell_s!r} s is too short: the frequency axis of "
-            f"{2 * fid.n} points overflows")
+    _check_axis(fid.n, fid.dwell_s)
     x = np.array(fid.samples)
     if apodize_hz > 0:
         x = x * np.exp(-np.pi * apodize_hz * fid.times_s)
@@ -367,6 +371,7 @@ class ReadoutConfig:
                 f"n_points must be a power of two >= 2, got {self.n_points}")
         if not 0 < self.dwell_s < np.inf:
             raise SpectroError(f"dwell must be positive and finite, got {self.dwell_s}")
+        _check_axis(self.n_points, self.dwell_s)
         if _integer("j_double_rounds", self.j_double_rounds) < 0:
             raise SpectroError(
                 f"j_double_rounds must be >= 0, got {self.j_double_rounds}")

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -173,24 +174,34 @@ def test_relax_decays_to_exact_thermal():
 
 
 def test_relax_off_diagonal_t2(rng):
+    # each spin's transverse magnetization decays by exp(-t/T2); the zero-
+    # and double-quantum coherences, coherences of both spins, by its square
     p = SpinSystemParams()
     rho = random_density(rng).matrix
     t = 0.7
     out = ap(relax(t, p), rho)
     decay = math.exp(-t / p.t2_s)
-    off = ~np.eye(4, dtype=bool)
-    assert np.allclose(out[off], rho[off] * decay, atol=1e-14)
+    for op in (IX, IY, KX, KY):
+        assert abs(np.trace(op @ out) - decay * np.trace(op @ rho)) <= 1e-14
+    for i, j in ((1, 2), (0, 3)):
+        assert abs(out[i, j] - decay ** 2 * rho[i, j]) <= 1e-14
 
 
 def test_relax_diagonal_t1_exponential(rng):
+    # each spin's z magnetization relaxes to its thermal value by
+    # exp(-t/T1), and the populations by the one-spin map on each spin
     p = SpinSystemParams()
     rho = random_density(rng).matrix
     t = 0.9
     out = ap(relax(t, p), rho)
     eq = make_thermal(p, mode="exact").matrix
     f = math.exp(-t / p.t1_s)
-    expect = eq.diagonal() + f * (rho.diagonal() - eq.diagonal())
-    assert np.allclose(out.diagonal(), expect, atol=1e-14)
+    for op in (IZ, KZ):
+        expect = np.trace(op @ eq) + f * (np.trace(op @ rho) - np.trace(op @ eq))
+        assert abs(np.trace(op @ out) - expect) <= 1e-14
+    one_spin = f * np.eye(2) + (1 - f) * np.outer(one_spin_thermal(p), np.ones(2))
+    expect = np.kron(one_spin, one_spin) @ rho.diagonal()
+    assert np.abs(out.diagonal() - expect).max() <= 1e-14
 
 
 def test_relax_semigroup(rng):
@@ -355,15 +366,51 @@ def mask_oracle(mask):
 
 def relax_formula(f1, f2, eq_diag):
     def oracle(m):
-        diag = m.diagonal().real
-        relaxed = eq_diag + (diag - eq_diag) * f1
-        return np.diag(relaxed.astype(complex)) + (m * (1.0 - np.eye(4))) * f2
+        # populations refill toward eq_diag in proportion to the trace, so
+        # the map is linear, not affine
+        diag = m.diagonal()
+        relaxed = f1 * diag + (1 - f1) * eq_diag * diag.sum()
+        return np.diag(relaxed) + (m * (1.0 - np.eye(4))) * f2
     return oracle
 
 
 def relax_oracle(t, params):
+    """relax as it was before the Lindblad model: every coherence decays by
+    exp(-t/T2) and the populations relax to the exact thermal diagonal by
+    exp(-t/T1) as one block. It is not completely positive once T2 exceeds
+    about 4/3 T1; its single-spin magnetizations are the new model's."""
     return relax_formula(math.exp(-t / params.t1_s), math.exp(-t / params.t2_s),
                          make_thermal(params, mode="exact").matrix.diagonal().real)
+
+
+def one_spin_thermal(params):
+    """Thermal populations (up, down) of one spin, exp(+-B/2) normalized."""
+    up = 1 / (1 + math.exp(-params.b_factor))
+    return np.array([up, 1 - up])
+
+
+def lindblad_superop(t, params):
+    """exp(t D) by scipy's expm, with D built from each spin's jump
+    operators: sqrt(p / T1) times the lowering (p = up population) and the
+    raising (p = down population) operator, and sqrt(g) sigma_z with
+    g = (1/T2 - 1/(2 T1)) / 2. A rho B on the row-major vec(rho) is
+    kron(A, B^T) vec(rho)."""
+    up, down = one_spin_thermal(params)
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    g = (1 / params.t2_s - 1 / (2 * params.t1_s)) / 2
+    jumps = [math.sqrt(up / params.t1_s) * lower, math.sqrt(down / params.t1_s) * lower.T,
+             math.sqrt(g) * SZ]
+    d = np.zeros((16, 16), dtype=complex)
+    for op in [np.kron(j, ID2) for j in jumps] + [np.kron(ID2, j) for j in jumps]:
+        oo = op.conj().T @ op
+        d += (np.kron(op, op.conj()) - np.kron(oo, np.eye(4)) / 2
+              - np.kron(np.eye(4), oo.T) / 2)
+    return scipy.linalg.expm(t * d)
+
+
+def lindblad_oracle(t, params):
+    sup = lindblad_superop(t, params)
+    return lambda m: (sup @ m.reshape(16)).reshape(4, 4)
 
 
 def superop_of(oracle):
@@ -394,7 +441,7 @@ def statement_oracles(program):
         elif op == "zqdephase":
             out.append(mask_oracle(np.eye(4)))
         elif op == "relax":
-            out.append(relax_oracle(args[0], p))
+            out.append(lindblad_oracle(args[0], p))
         else:
             raise AssertionError(op)
     assert len(out) == len(program.channels)
@@ -411,7 +458,10 @@ def oracle_apply(program, rho):
     return rho
 
 
-NON_CP = SpinSystemParams(t1_s=0.5, t2_s=1.0)
+# T2 = 2 T1, the edge of relaxation's Lindblad form, and T2 = 1.4 T1, where
+# relax_oracle is already not completely positive
+AT_2T1 = SpinSystemParams(t1_s=0.5, t2_s=1.0)
+AT_1P4T1 = SpinSystemParams(t1_s=0.5, t2_s=0.7)
 
 
 def every_constructor():
@@ -420,9 +470,11 @@ def every_constructor():
     strong = SpinSystemParams(delta_nu_hz=6000.0)
     pulses = [(hard_pulse(a, ph), pulse_oracle(a, ph))
               for a, ph in ((90, 0), (45, 135), (217.3, 31.0))]
-    relaxes = [(relax(t, q), relax_oracle(t, q))
-               for t, q in ((0.0, p), (0.25, p), (1e4, p), (0.1, NON_CP),
-                            (0.1, SpinSystemParams(t1_s=0.5, t2_s=1.5)))]
+    eq = make_thermal(p, mode="exact").matrix
+    relaxes = [(relax(t, q), lindblad_oracle(t, q))
+               for t, q in ((0.0, p), (0.25, p), (0.1, AT_2T1), (0.1, AT_1P4T1))]
+    # after 1e4 s, where expm loses 1.7e-13, the thermal state times the trace
+    relaxes.append((relax(1e4, p), lambda m: np.trace(m) * eq))
     return pulses + [
         (free_evolution(0.01, p), evolution_oracle(0.01, p)),
         (free_evolution(0.37, p, include_j=False),
@@ -442,35 +494,104 @@ def test_superoperators_match_per_kind_oracle(random_states):
 
 
 def test_complete_positivity_flag():
+    # every builder's map is accepted; relax_oracle's map at T2 = 1.4 T1
+    # is not completely positive and is refused as a channel
     p = SpinSystemParams()
-    assert hard_pulse(90, 0).cp and free_evolution(0.01, p).cp
-    assert zeeman_dephase().cp and zq_dephase().cp
-    assert relax(0.25, p).cp and relax(0.0, NON_CP).cp
-    # T2 = 2 T1: off-diagonals outlive the populations they hang between
-    assert not relax(0.1, NON_CP).cp
+    for ch in (hard_pulse(90, 0), free_evolution(0.01, p), zeeman_dephase(),
+               zq_dephase(), relax(0.25, p), relax(0.1, AT_2T1)):
+        assert isinstance(ch, Channel)
+    Channel("relax_oracle(0)", superop_of(relax_oracle(0.0, AT_1P4T1)))
+    with pytest.raises(ChannelError, match=r"relax_oracle\(0\.1\) is not completely positive"):
+        Channel("relax_oracle(0.1)", superop_of(relax_oracle(0.1, AT_1P4T1)))
 
 
-def eigvalsh_cp(ch):
-    """Channel.cp as it was before the Cholesky certificate: the smallest
-    eigenvalue of the Choi matrix against -CP_TOL; kept as the oracle."""
-    choi = ch.superop.reshape(4, 4, 4, 4).transpose(2, 0, 3, 1).reshape(16, 16)
+def eigvalsh_cp(sup):
+    """The refusal rule for complete positivity without the Cholesky
+    certificate: the smallest eigenvalue of the Choi matrix of the 16x16
+    map sup against -CP_TOL; kept as the oracle."""
+    choi = sup.reshape(4, 4, 4, 4).transpose(2, 0, 3, 1).reshape(16, 16)
     return bool(np.linalg.eigvalsh(choi).min() >= -CP_TOL)
 
 
+def built(sup):
+    """Whether Channel accepts sup; any refusal must name complete
+    positivity."""
+    try:
+        Channel("probe", sup)
+    except ChannelError as exc:
+        assert "not completely positive" in str(exc)
+        return False
+    return True
+
+
 def test_complete_positivity_flag_matches_eigvalsh_rule():
-    for ch, _ in every_constructor():
-        assert ch.cp == eigvalsh_cp(ch), ch.label
     p = SpinSystemParams()
-    for ch in (*selective_pulse("S", p).channels, *filtration_sequence(p).channels):
-        assert ch.cp == eigvalsh_cp(ch), ch.label
-    flags = []
+    for ch in (*(ch for ch, _ in every_constructor()),
+               *selective_pulse("S", p).channels, *filtration_sequence(p).channels):
+        assert eigvalsh_cp(ch.superop), ch.label
+    # relax_oracle's maps are refused exactly where the eigenvalues say
+    accepted = []
     for ratio in np.linspace(0.1, 4.0, 79):
         q = SpinSystemParams(t1_s=0.5, t2_s=0.5 * ratio)
         for t in (0.0, 1e-3, 0.1, 1.0, 30.0):
-            ch = relax(t, q)
-            assert ch.cp == eigvalsh_cp(ch), (ratio, t)
-            flags.append(ch.cp)
-    assert 0 < sum(flags) < len(flags)
+            sup = superop_of(relax_oracle(t, q))
+            assert built(sup) == eigvalsh_cp(sup), (ratio, t)
+            accepted.append(built(sup))
+    assert 0 < sum(accepted) < len(accepted)
+
+
+def test_relax_is_refused_beyond_t2_twice_t1():
+    # t2_s = 0.5 ratio > 2 t1_s = 1 exactly when ratio > 2
+    for ratio in np.linspace(0.1, 4.0, 79):
+        q = SpinSystemParams(t1_s=0.5, t2_s=0.5 * ratio)
+        for t in (0.0, 1e-3, 0.1, 1.0, 30.0):
+            if ratio <= 2:
+                assert eigvalsh_cp(relax(t, q).superop), (ratio, t)
+            else:
+                with pytest.raises(ChannelError, match=r"t2_s <= 2 \* t1_s, got t1_s = 0\.5"):
+                    relax(t, q)
+    # where relax_oracle is not completely positive, the new map is
+    for ratio in (1.4, 1.6, 1.9, 2.0):
+        q = SpinSystemParams(t1_s=0.5, t2_s=0.5 * ratio)
+        assert not eigvalsh_cp(superop_of(relax_oracle(0.1, q)))
+        assert eigvalsh_cp(relax(0.1, q).superop)
+    # a finite T1 with no dephasing has no Lindblad form; no T1 and no T2
+    # is no relaxation, and no T1 alone is pure dephasing
+    with pytest.raises(ChannelError, match="t2_s = inf"):
+        relax(0.1, SpinSystemParams(t2_s=math.inf))
+    inf = SpinSystemParams(t1_s=math.inf, t2_s=math.inf)
+    assert np.array_equal(relax(0.7, inf).superop, np.eye(16))
+    dephase = SpinSystemParams(t1_s=math.inf)
+    assert np.abs(relax(0.7, dephase).superop - lindblad_superop(0.7, dephase)).max() <= 1e-13
+
+
+def test_relax_matches_lindblad_expm_oracle():
+    grid = [SpinSystemParams(), AT_2T1, AT_1P4T1, SpinSystemParams(t1_s=0.5, t2_s=0.05),
+            SpinSystemParams(temp_k=1.0, nu_hz=1e9), SpinSystemParams(t1_s=math.inf)]
+    for q in grid:
+        for t in (0.0, 1e-3, 0.2, 0.7, 30.0):
+            got = relax(t, q).superop
+            assert np.abs(got - lindblad_superop(t, q)).max() <= 1e-13, (q, t)
+
+
+def test_relax_single_spin_magnetizations_match_relax_oracle(random_states):
+    # per-spin relaxation changes only the two-spin orders
+    single = [("x", "e"), ("y", "e"), ("z", "e"), ("e", "x"), ("e", "y"), ("e", "z")]
+    for q in (SpinSystemParams(), AT_2T1, AT_1P4T1):
+        for t in (0.2, 0.7):
+            ch, oracle = relax(t, q), relax_oracle(t, q)
+            for rho in random_states[:50]:
+                got = to_product_operators(DensityMatrix(ch.apply_matrix(rho.matrix)))
+                want = to_product_operators(DensityMatrix(oracle(rho.matrix)))
+                for key in single:
+                    assert abs(got[key] - want[key]) <= 1e-15, (q, t, key)
+
+
+def test_relax_fixed_point_is_the_exact_thermal_state():
+    for q in (SpinSystemParams(), AT_2T1, SpinSystemParams(temp_k=1.0, nu_hz=1e9)):
+        eq = make_thermal(q, mode="exact").matrix
+        for t in (0.1, 1.0, 1e4):
+            assert np.abs(relax(t, q).apply_matrix(eq) - eq).max() <= 1e-15, (q, t)
 
 
 def channel_with_choi_min_eigenvalue(s):
@@ -486,18 +607,41 @@ def channel_with_choi_min_eigenvalue(s):
 
 @pytest.mark.parametrize("factor", [0.0, 0.9, 1.1, 10.0])
 def test_complete_positivity_flag_at_the_tolerance(factor):
-    ch = channel_with_choi_min_eigenvalue(factor * CP_TOL)
-    assert ch.cp == eigvalsh_cp(ch) == (factor < 1)
+    # below the tolerance the map is accepted, above it refused
+    if factor < 1:
+        ch = channel_with_choi_min_eigenvalue(factor * CP_TOL)
+        assert eigvalsh_cp(ch.superop)
+    else:
+        with pytest.raises(ChannelError, match="not completely positive: Choi matrix has "
+                                               "eigenvalue -1"):
+            channel_with_choi_min_eigenvalue(factor * CP_TOL)
 
 
 def test_complete_positivity_flag_without_the_certificate(monkeypatch):
     # with every Cholesky certificate refused, eigvalsh alone decides
     monkeypatch.setattr(channels, "_cholesky_certifies", lambda h, shift: False)
-    for ch, _ in every_constructor():
-        assert ch.cp == eigvalsh_cp(ch), ch.label
-    for factor in (0.9, 1.1):
-        ch = channel_with_choi_min_eigenvalue(factor * CP_TOL)
-        assert ch.cp == (factor < 1)
+    every_constructor()
+    channel_with_choi_min_eigenvalue(0.9 * CP_TOL)
+    with pytest.raises(ChannelError, match="not completely positive"):
+        channel_with_choi_min_eigenvalue(1.1 * CP_TOL)
+
+
+def test_channel_with_a_non_hermitian_choi_matrix_is_refused():
+    # rho -> rho + c tr(rho) i sigma_x on spin I preserves trace; its Choi
+    # matrix is not Hermitian, and Cholesky reads only its lower triangle
+    c = 1e-3
+    for sign in (1, -1):
+        sup = np.eye(16, dtype=complex) + sign * c * 1j * np.outer(
+            np.kron(SX, ID2).ravel(), np.eye(4).ravel())
+        with pytest.raises(ChannelError, match="non-Hermitian part 2.000e-03"):
+            Channel("skew", sup)
+
+
+def trace_drift(f):
+    """A completely positive map within TP_TOL of trace preserving: the
+    identity scaled by 1 + f TP_TOL. Twice at f = 0.9 it moves a state's
+    trace past TRACE_TOL."""
+    return Channel(f"drift({f:g})", (1 + f * channels.TP_TOL) * np.eye(16))
 
 
 def test_channel_not_trace_preserving_is_refused():
@@ -526,21 +670,31 @@ def test_overflowing_evolution_is_refused_without_warning(t, p, mode):
 
 @pytest.mark.parametrize("tail", [(), (zq_dephase(),)])
 def test_non_cp_relax_breaking_a_state_names_the_channel(tail):
-    # a trailing zq_dephase would hide the negative intermediate state
-    p = SpinSystemParams(t1_s=0.5, t2_s=1.5)
+    # relax_oracle at T2 = 3 T1 broke this state; that map is now refused
+    # as a channel, and relax refuses that T2
     ket = np.array([1, 1, 0, 0]) / math.sqrt(2)
     rho = DensityMatrix(np.outer(ket, ket))
-    prog = ChannelProgram(channels=(relax(0.1, p),) + tail, params=p)
-    with pytest.raises(ChannelError, match=r"channel relax\(0\.1\) broke state invariants"):
+    p = SpinSystemParams(t1_s=0.5, t2_s=1.5)
+    with pytest.raises(ChannelError, match="not completely positive"):
+        Channel("relax_oracle(0.1)", superop_of(relax_oracle(0.1, p)))
+    with pytest.raises(ChannelError, match="t2_s <= 2"):
+        relax(0.1, p)
+    # at T2 = 2 T1 it stays a state; broken by the trace tolerance that two
+    # accepted maps add up, a state names the program's last channel
+    apply(ChannelProgram(channels=(relax(0.1, AT_2T1),) + tail, params=AT_2T1), rho)
+    drift = trace_drift(0.9)
+    prog = ChannelProgram(channels=(drift, relax(0.1, AT_2T1), drift) + tail, params=AT_2T1)
+    last = re.escape(prog.channels[-1].label)
+    with pytest.raises(ChannelError, match=rf"channel {last} broke state invariants: trace"):
         apply(prog, rho)
 
 
 @st.composite
 def relaxing_program(draw):
-    """A compiled .pseq program whose T2 often exceeds 4/3 T1, so that
-    non-CP relax steps, and states they break, are common."""
+    """A compiled .pseq program with relax steps, T2 anywhere up to the
+    2 T1 that relaxation allows."""
     t1 = draw(st.floats(0.2, 3.0))
-    headers = (("t1", t1), ("t2", t1 * draw(st.floats(0.1, 4.0))))
+    headers = (("t1", t1), ("t2", t1 * draw(st.floats(0.1, 2.0))))
     stmts = [Statement(op="relax", args=(draw(st.floats(0.01, 0.5)),))]
     for _ in range(draw(st.integers(0, 5))):
         op = draw(st.sampled_from(
@@ -563,7 +717,8 @@ def relaxing_program(draw):
 @given(relaxing_program(), st.integers(0, 2 ** 32 - 1), st.integers(2, 5))
 def test_apply_matches_revalidating_oracle_on_sequences(program, seed, rank):
     # rank 2 and 3 are pure states over 2 or 3 Zeeman kets, the kind a
-    # non-CP relax breaks; 4 is a pure and 5 a full-rank mixed state
+    # relax that is not completely positive would break; 4 is a pure and
+    # 5 a full-rank mixed state. Every step keeps a state.
     rng = np.random.default_rng(seed)
     if rank == 5:
         rho = random_density(rng)
@@ -571,13 +726,7 @@ def test_apply_matches_revalidating_oracle_on_sequences(program, seed, rank):
         ket = rng.normal(size=4) + 1j * rng.normal(size=4)
         ket[rng.permutation(4)[rank:]] = 0
         rho = DensityMatrix(np.outer(ket, ket.conj()) / np.vdot(ket, ket).real)
-    try:
-        want = oracle_apply(program, rho)
-    except ChannelError as exc:
-        with pytest.raises(ChannelError) as got:
-            apply(program, rho)
-        assert str(got.value).split(":")[0] == str(exc).split(":")[0]
-        return
+    want = oracle_apply(program, rho)
     assert np.abs(apply(program, rho).matrix - want.matrix).max() <= 1e-12
 
 
@@ -585,8 +734,7 @@ def test_apply_on_a_stack_matches_per_state_apply(random_states):
     stack = np.array([rho.matrix for rho in random_states[:200]])
     p = SpinSystemParams()
     programs = [filtration_sequence(p), selective_pulse("S", p),
-                ChannelProgram(channels=tuple(ch for ch, _ in every_constructor()[:-1]),
-                               params=p),
+                ChannelProgram(channels=tuple(ch for ch, _ in every_constructor()), params=p),
                 relax(0.25, p)]
     for prog in programs:
         got = apply(prog, stack.reshape(20, 10, 4, 4))
@@ -601,17 +749,18 @@ def test_apply_on_a_stack_matches_per_state_apply(random_states):
 
 
 def test_apply_on_a_stack_names_the_breaking_channel(random_states):
-    p = SpinSystemParams(t1_s=0.5, t2_s=1.5)
     ket = np.array([1, 1, 0, 0]) / math.sqrt(2)
     breaking = np.outer(ket, ket).astype(complex)
     stack = np.array([random_states[0].matrix, breaking, random_states[1].matrix])
-    prog = ChannelProgram(channels=(relax(0.1, p), zq_dephase()), params=p)
+    drift = trace_drift(0.9)
+    prog = ChannelProgram(channels=(drift, drift, relax(0.1, AT_2T1)), params=AT_2T1)
+    # every member's trace drifts; the message is the first member's
     with pytest.raises(ChannelError) as want:
-        apply(prog, DensityMatrix(breaking))
+        apply(prog, random_states[0])
     with pytest.raises(ChannelError) as got:
         apply(prog, stack)
     assert str(got.value) == str(want.value)
-    assert "channel relax(0.1) broke state invariants" in str(got.value)
+    assert "channel relax(0.1) broke state invariants: trace" in str(got.value)
     # an invalid input is a state error, as building a DensityMatrix is
     stack[2, 0, 1] = 0.3
     with pytest.raises(StateValidationError, match="not Hermitian"):
@@ -637,41 +786,38 @@ def test_apply_superop_matches_batched_matvec_oracle(random_states):
 
 
 def loop_apply(program, rho):
-    """apply as it ran before composition: each channel's map in turn, the
-    state revalidated after every non-CP channel and after the last; the
-    oracle of the composed apply."""
+    """apply as it ran before composition: each channel's map in turn, and
+    the state validated after the last, a broken state named after the
+    last channel; the oracle of the composed apply."""
     chans = (program,) if isinstance(program, Channel) else program.channels
     if isinstance(rho, DensityMatrix):
         m, check = rho.matrix, DensityMatrix
     else:
-        rho = m = channels.check_density(rho)
-        check = channels.check_density
-    for i, ch in enumerate(chans):
+        m, check = channels.check_density(rho), channels.check_density
+    for ch in chans:
         m = ch.apply_matrix(m)
-        if not ch.cp or i == len(chans) - 1:
-            try:
-                rho = check(m)
-            except StateValidationError as exc:
-                raise ChannelError(
-                    f"channel {ch.label} broke state invariants: {exc}") from exc
-    return rho
+    try:
+        return check(m)
+    except StateValidationError as exc:
+        raise ChannelError(
+            f"channel {chans[-1].label} broke state invariants: {exc}") from exc
 
 
 def programs_for_composition():
-    """All-CP programs, and programs with one or two non-CP relax steps,
-    first, in the middle and last."""
+    """Programs of the builders, and programs with one or two relax steps
+    at T2 = 2 T1, first, in the middle and last."""
     p = SpinSystemParams()
-    cp_chans = tuple(ch for ch, _ in every_constructor() if ch.cp)
-    r1, r2 = relax(0.1, NON_CP), relax(0.05, NON_CP)
+    every = tuple(ch for ch, _ in every_constructor())
+    r1, r2 = relax(0.1, AT_2T1), relax(0.05, AT_2T1)
     filt = filtration_sequence(p).channels
     sel = selective_pulse("I", p).channels
     return [filtration_sequence(p), selective_pulse("S", p),
-            ChannelProgram(channels=cp_chans, params=p),
-            ChannelProgram(channels=(r1,) + filt, params=NON_CP),
-            ChannelProgram(channels=filt + (r1,) + sel, params=NON_CP),
-            ChannelProgram(channels=sel + (r1,), params=NON_CP),
-            ChannelProgram(channels=sel + (r1,) + filt + (r2,) + sel, params=NON_CP),
-            ChannelProgram(channels=(r1, r2) + cp_chans, params=NON_CP)]
+            ChannelProgram(channels=every, params=p),
+            ChannelProgram(channels=(r1,) + filt, params=AT_2T1),
+            ChannelProgram(channels=filt + (r1,) + sel, params=AT_2T1),
+            ChannelProgram(channels=sel + (r1,), params=AT_2T1),
+            ChannelProgram(channels=sel + (r1,) + filt + (r2,) + sel, params=AT_2T1),
+            ChannelProgram(channels=(r1, r2) + every, params=AT_2T1)]
 
 
 def test_composed_apply_matches_loop(random_states):
@@ -696,9 +842,10 @@ def test_composed_apply_matches_loop_on_every_constructor(random_states):
             for rho in random_states[:100]:
                 assert apply(target, rho) == loop_apply(ch, rho), ch.label
             assert np.array_equal(apply(target, stack), loop_apply(ch, stack)), ch.label
-        # a one-channel segment is the channel's own map
-        (sup, last), = prog._segments
-        assert sup is ch.superop and last is ch
+        # a one-channel program's map is the channel's own, read-only
+        assert np.array_equal(prog.superop, ch.superop) and not prog.superop.flags.writeable
+    empty = ChannelProgram(channels=(), params=p)
+    assert np.array_equal(empty.superop, np.eye(16)) and not empty.superop.flags.writeable
 
 
 @pytest.fixture
@@ -722,41 +869,35 @@ def validation_counts(monkeypatch):
 
 
 def test_composed_apply_validates_where_the_loop_does(random_states, validation_counts):
+    # one validation per apply, after the one map; an array is also
+    # checked on entry
     rho = random_states[0]
     stack = np.array([r.matrix for r in random_states[:8]])
-    for prog in programs_for_composition():
-        n_non_cp = sum(not ch.cp for ch in prog.channels)
-        points = n_non_cp + prog.channels[-1].cp
-        assert len(prog._segments) == points
-        assert [ch for _, ch in prog._segments] == [
-            ch for i, ch in enumerate(prog.channels)
-            if not ch.cp or i == len(prog.channels) - 1]
+    programs = programs_for_composition() + [
+        ChannelProgram(channels=(), params=SpinSystemParams()), relax(0.1, AT_2T1)]
+    for prog in programs:
         for run in (apply, loop_apply):
             validation_counts.update(check_density=0, DensityMatrix=0)
             run(prog, rho)
-            assert validation_counts == {"check_density": 0, "DensityMatrix": points}
+            assert validation_counts == {"check_density": 0, "DensityMatrix": 1}
             validation_counts.update(check_density=0, DensityMatrix=0)
             run(prog, stack)
-            # one more on entry
-            assert validation_counts == {"check_density": points + 1, "DensityMatrix": 0}
-    # an all-CP program validates once
-    validation_counts.update(check_density=0, DensityMatrix=0)
-    apply(filtration_sequence(SpinSystemParams()), rho)
-    assert validation_counts["DensityMatrix"] == 1
+            assert validation_counts == {"check_density": 2, "DensityMatrix": 0}
 
 
 def test_composed_apply_names_the_same_breaking_channel():
-    # pure states over one or two Zeeman kets, which a non-CP relax can break
-    p = SpinSystemParams(t1_s=0.5, t2_s=1.5)
-    first, second = relax(0.1, p), relax(0.2, p)
-    sel = selective_pulse("S", p).channels
-    programs = [ChannelProgram(channels=(first,) + sel + (second, zq_dephase()), params=p),
-                ChannelProgram(channels=sel + (first,) + sel + (second,) + sel, params=p),
-                ChannelProgram(channels=(hard_pulse(90, 0), first, hard_pulse(90, 180)),
-                               params=p),
-                # a Zeeman state passes a short relax; the selective pulse
-                # gives the second a coherence to break
-                ChannelProgram(channels=(relax(0.01, p),) + sel + (second,), params=p)]
+    # two maps within TP_TOL of trace preserving break every state; the
+    # program's last channel is named, whichever channel that is
+    drift = trace_drift(0.9)
+    first, second = relax(0.1, AT_2T1), relax(0.2, AT_2T1)
+    sel = selective_pulse("S", AT_2T1).channels
+    programs = [ChannelProgram(channels=(drift, first) + sel + (drift, second), params=AT_2T1),
+                ChannelProgram(channels=sel + (drift,) + sel + (first, drift, zq_dephase()),
+                               params=AT_2T1),
+                # one drift keeps the trace within TRACE_TOL
+                ChannelProgram(channels=(hard_pulse(90, 0), drift, first, hard_pulse(90, 180)),
+                               params=AT_2T1),
+                ChannelProgram(channels=(relax(0.01, AT_2T1),) + sel + (second,), params=AT_2T1)]
     named = set()
     for prog in programs:
         for ket in ([1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1], [1, 0, 0, 0]):
@@ -775,6 +916,5 @@ def test_composed_apply_names_the_same_breaking_channel():
             else:
                 assert np.abs(apply(prog, rho).matrix
                               - loop_apply(prog, rho).matrix).max() <= 1e-15
-    # both a first and a second non-CP relax of a program are named
-    assert {"channel relax(0.1) broke state invariants",
-            "channel relax(0.2) broke state invariants"} <= named
+    assert named == {"channel relax(0.2) broke state invariants",
+                     "channel zq_dephase broke state invariants"}

@@ -471,6 +471,31 @@ def test_run_refuses_a_t2_decay_that_overflows(tmp_path, header, flags):
     assert "t2_s = 5e-324" in line and "dwell 0.000244140625" in line
 
 
+def test_run_refuses_relax_beyond_t2_twice_t1(tmp_path):
+    # relaxation has no Lindblad form for T2 > 2 T1: t1 0.25 s against the
+    # default T2 of 0.58 s
+    seq = tmp_path / "fast_t1.pseq"
+    seq.write_text("t1 0.25\nrelax 0.1\nselective I\nacquire 1024 0.000244140625\n")
+    line = refusal_line(["run", str(seq)], tmp_path / "refused")
+    assert "2:1" in line and "t1_s = 0.25" in line and "t2_s = 0.58" in line
+
+    def run(name, path, *flags):
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "spinpair",
+                               "run", str(path), *flags, "--out", str(out)],
+                              capture_output=True, text=True, env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert [p.name for p in out.iterdir()] == [Path(proc.stdout.strip()).name]
+
+    # acquisition reads only T2, so the same deck without relax runs
+    seq.write_text("t1 0.25\nselective I\nacquire 1024 0.000244140625\n")
+    run("no_relax", seq)
+    # T2 = 2 T1 exactly is the edge of the Lindblad form
+    seq.write_text("relax 0.1\nselective I\nacquire 1024 0.000244140625\n")
+    run("at_2t1", seq, "--t1-s", "0.29")
+    run("shipped", SEQ_DIR / "singlet_relax.pseq", "--t1-s", "0.29")
+
+
 # extreme finite values for every numeric argument of a sequence: zero,
 # subnormals, the float limit and ordinary values, either sign
 EXTREME_VALUES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-3,

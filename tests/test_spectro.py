@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -430,10 +431,16 @@ def test_readout_map_matches_fourier_path(delta_nu, target, rounds, n):
     ("n_points", 16384.0, "n_points must be an integer"),
     ("j_double_rounds", 2.5, "j_double_rounds must be an integer"),
     ("dwell_s", float("inf"), "dwell"),
+    # the axis of _integral_map overflowed, with a RuntimeWarning, once
+    # readout_integrals read through the config; fourier refuses the same
+    ("dwell_s", 5e-324, "frequency axis of 32768 points overflows"),
+    ("dwell_s", 1e-310, "frequency axis of 32768 points overflows"),
 ])
 def test_readout_config_refuses_invalid_fields(field, value, match):
-    with pytest.raises(SpectroError, match=match):
-        ReadoutConfig(**{field: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectroError, match=match):
+            ReadoutConfig(**{field: value})
 
 
 def test_imbalance_recovers_singlet(params):
