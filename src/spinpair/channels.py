@@ -52,6 +52,12 @@ _ZEEMAN_MASK = (_M_TOTAL[:, None] == _M_TOTAL[None, :]).astype(float)
 _DIAG_MASK = np.eye(4)
 
 
+def _check_duration(name: str, t_s: float) -> None:
+    """Raise ChannelError naming the duration unless 0 <= t_s < inf; NaN fails."""
+    if not 0 <= t_s < np.inf:
+        raise ChannelError(f"{name} t_s = {t_s!r} s must be finite and non-negative")
+
+
 def _unitary_from_generator(gen: np.ndarray) -> np.ndarray:
     """exp(-i * gen) for Hermitian gen, via eigendecomposition."""
     w, v = np.linalg.eigh(gen)
@@ -64,7 +70,8 @@ class Channel:
     matrix on vec(rho).
 
     superop is stored as a read-only copy; t_s is the duration, None for
-    an instantaneous map. A map that is not trace preserving (for a unitary
+    an instantaneous map, and one that is negative or not finite raises
+    ChannelError. A map that is not trace preserving (for a unitary
     kron(u, conj(u)), u^H u = 1), or whose Choi matrix is not Hermitian to
     CP_TOL or has an eigenvalue below -CP_TOL, raises ChannelError. One
     Cholesky factorization certifies positivity; only when it fails do the
@@ -75,8 +82,8 @@ class Channel:
     t_s: float | None = None
 
     def __post_init__(self):
-        if self.t_s is not None and self.t_s < 0:
-            raise ChannelError("negative duration")
+        if self.t_s is not None:
+            _check_duration("duration", self.t_s)
         sup = _frozen(np.asarray(self.superop, dtype=complex))
         # Choi[(k, i), (l, j)] = Phi(|k><l|)[i, j]; tracing out the
         # output pair (i = j) gives the identity iff Phi preserves trace
@@ -144,10 +151,10 @@ def _propagator(t_s: float, params: SpinSystemParams,
                 coupling_mode: str = "weak", include_j: bool = True) -> np.ndarray:
     """The 4x4 unitary exp(-i H t_s) of free_evolution, which FID
     synthesis shares. Weak coupling with J active raises when
-    delta_nu <= J and warns when delta_nu <= 5J. A generator H t_s that
-    overflows raises ChannelError."""
-    if t_s < 0:
-        raise ChannelError("negative evolution time")
+    delta_nu <= J and warns when delta_nu <= 5J. A time t_s that is
+    negative or not finite, or a generator H t_s that overflows, raises
+    ChannelError."""
+    _check_duration("evolution time", t_s)
     if coupling_mode not in ("weak", "strong"):
         raise ChannelError(f"unknown coupling mode {coupling_mode!r}")
     dnu, j = params.delta_nu_hz, params.j_hz
@@ -208,10 +215,10 @@ def relax(t_s: float, params: SpinSystemParams) -> Channel:
     form it is E (x) E, where E takes one spin's populations p to
     f1 p + (1 - f1) eq_1 and its coherence c to f2 c, for f1 = exp(-t/T1),
     f2 = exp(-t/T2) and eq_1 the one-spin marginal of the exact thermal
-    state. T2 > 2 T1, where no Lindblad form exists, raises ChannelError;
-    T1 = T2 = inf is the identity."""
-    if t_s < 0:
-        raise ChannelError("negative relaxation time")
+    state. T2 > 2 T1, where no Lindblad form exists, or a time t_s that is
+    negative or not finite raises ChannelError; T1 = T2 = inf is the
+    identity."""
+    _check_duration("relaxation time", t_s)
     if params.t2_s > 2 * params.t1_s:
         raise ChannelError(
             f"relaxation needs t2_s <= 2 * t1_s, got t1_s = {params.t1_s!r}, "

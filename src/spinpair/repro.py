@@ -5,10 +5,10 @@ readout -> FID -> J-doubling -> integration, thermal reference -> hard 90 ->
 FID -> integration, then calibration of the polarization from the ratio.
 Both acquisitions are linear in the state, so each is read through a
 (4, 16) map on vec(rho), blind to the identity, and run_pipeline never
-synthesizes an FID. Both maps come from spectro._acquisition_maps, one
-cached builder per (params, readout) that computes the FID modes once.
-The thermal reference's integrals depend only on (params, readout), so
-they too are built once per pair and cached.
+synthesizes an FID. spectro._acquisition_maps, one cached builder per
+(params, readout) that computes the FID modes once, yields the selective
+readout's map and the thermal reference's integrals, which depend only on
+(params, readout).
 Simulated acquisitions see the entire sample, so calibration inside the
 pipeline always runs with f_active = 1 regardless of the experiment value
 carried in params.
@@ -48,18 +48,6 @@ from .states import (
 PAPER_BELL_FRACTIONS = (0.937, 0.045, 0.009, 0.009)
 
 
-@functools.lru_cache(maxsize=8)
-def _thermal_integrals(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
-    """Read-only component integrals of the exact thermal state after a
-    hard 90 about +y: Re(A_t @ vec(rho)) for the thermal map A_t of
-    spectro._acquisition_maps, built with the selective readout's map from
-    one set of FID modes. The last eight stay cached."""
-    a = spectro._acquisition_maps(params, readout)[1]
-    out = (a @ make_thermal(params, mode="exact").matrix.ravel()).real
-    out.setflags(write=False)
-    return out
-
-
 def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
                  noise_sigma: float = 0.0, seed: int = 0, n_boot: int = 100,
                  readout: ReadoutConfig = ReadoutConfig()) -> CalibrationResult:
@@ -73,8 +61,9 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
     noisy integrals are Gaussian with covariance noise_sigma^2 Re(W W^H).
     The noise-free integrals of both channels come from a (4, 16) map on
     vec(rho), so no call synthesizes an FID: the polarized ones from
-    readout_integrals, the thermal ones from _thermal_integrals, cached
-    per (params, readout). Each replicate draws its four integrals per
+    readout_integrals, the thermal ones read from the exact thermal
+    state's closed form by spectro._acquisition_maps, cached per
+    (params, readout). Each replicate draws its four integrals per
     channel from that exact law (spectro._noisy_integrals, with the
     Cholesky factors of spectro._noise_factors): replicate i takes the
     normals [i, 0] (polarized) and [i, 1] (thermal) of
@@ -95,7 +84,7 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
     cal_params = dataclasses.replace(params, f_active=1.0)
     y_p = spectro.readout_integrals(make_pseudo_pure(epsilon, make_singlet()),
                                     params, readout)
-    y_t = _thermal_integrals(params, readout)
+    y_t = spectro._acquisition_maps(params, readout)[1]
     result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params)
     if noise_sigma > 0 and n_boot > 0:
         l_p, l_t = spectro._noise_factors(params, readout)

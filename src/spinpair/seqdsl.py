@@ -299,14 +299,14 @@ def program_to_text(program: ChannelProgram, acq: AcquisitionSpec | None = None)
 
     Only programs that carry source statements (anything built by compile,
     selective_pulse, or filtration_sequence) serialize; emits the full
-    header block so the reparse reproduces the same params snapshot.
+    header block so the reparse reproduces the same params snapshot. The
+    text is format's, of the AST of the headers, the statements and the
+    acquire statement.
     """
     if program.statements is None:
         raise ValueError("program carries no source statements; cannot serialize")
     p = program.params
-    lines = [f"{k} {_fmt(getattr(p, _HEADER_TO_PARAM[k]))}" for k in HEADER_KEYS]
-    for stmt in program.statements:
-        lines.append(" ".join([stmt[0]] + [_fmt(a) for a in stmt[1:]]))
-    if acq is not None:
-        lines.append(f"acquire {acq.n_points} {_fmt(acq.dwell_s)}")
-    return "\n".join(lines) + "\n"
+    acquire = () if acq is None else (Statement("acquire", (acq.n_points, acq.dwell_s)),)
+    return format(SequenceAst(
+        headers=tuple((k, getattr(p, _HEADER_TO_PARAM[k])) for k in HEADER_KEYS),
+        statements=tuple(Statement(op, args) for op, *args in program.statements) + acquire))

@@ -14,18 +14,20 @@ Every step of an acquisition (the pulses before it, FID, J-doubling,
 transform, integration) is linear in rho, so one builder,
 _acquisition_map, folds them into a single complex map A on vec(rho), the
 row-major flattening of the density matrix: the integrals are
-Re(A @ vec(rho)). A is blind to the identity part of rho, which has no
-coherence to read. One cached builder per (params, ReadoutConfig),
-_acquisition_maps, computes the FID modes once and yields both (4, 16)
-maps: the selective population readout (_readout_map) and the thermal
-reference of run_pipeline, read after a hard 90. No FID is synthesized
-and no transform is taken to read a state out; fourier and integrate
-remain for spectra that are shown.
+Re(A @ vec(rho)). The pulses enter as their one composed superoperator. A
+is blind to the identity part of rho, which has no coherence to read. One
+cached builder per (params, ReadoutConfig), _acquisition_maps, computes
+the FID modes once and yields the (4, 16) map of the selective population
+readout and the four integrals of run_pipeline's thermal reference, read
+after a hard 90 from the closed-form traceless part of the exact thermal
+state. No FID is synthesized and no transform is taken to read a state
+out; fourier and integrate remain for spectra that are shown.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import asdict, dataclass
 
@@ -37,7 +39,7 @@ from .states import (
     _OFF_DIAG,
     BellPopulations,
     DensityMatrix,
-    IX, IY, SX, SY,
+    IX, IY, IZ, SX, SY, SZ,
     SpinSystemParams,
     StateValidationError,
 )
@@ -409,17 +411,16 @@ def _noise_factors(params: SpinSystemParams, readout: ReadoutConfig) -> tuple:
 
 
 def _acquisition_map(params: SpinSystemParams, pairs: tuple, dwell_s: float) -> tuple:
-    """One read-only (len(w), 16) complex A per (channels, w) pair of
-    pairs, in their order, with Re(A @ vec(rho)) equal to
-    Re(w @ synthesize_fid(P, params, n, dwell_s).samples), where P is rho
-    after the channels, first channel first, and w is an (m, n) map on the
-    samples; every w has the same n.
+    """One read-only (len(w), 16) complex A per (superop, w) pair of pairs,
+    in their order, with Re(A @ vec(rho)) equal to
+    Re(w @ synthesize_fid(P, params, n, dwell_s).samples), where vec(P) is
+    superop @ vec(rho), the pulses before the acquisition composed into one
+    16x16 map, and w is an (m, n) map on the samples; every w has the same n.
 
     With the modes (c, e) of _fid_modes, built once for all pairs, the
     integrals of P are the sum over r of (w @ e[r]) (c @ vec(P))[r], one
     n-point matvec per mode (a single w @ e.T sums in another order, which
-    moves epsilon by rel 1e-12). vec(P) is the channels' superoperators
-    applied to vec(rho), so A takes them on the right in reverse order.
+    moves epsilon by rel 1e-12), so A is that sum times superop.
 
     A is blind to the identity: vec(I) has no read coherence, and only a
     superoperator's rounding (up to 1.5e-16 off the diagonal for a hard
@@ -427,10 +428,8 @@ def _acquisition_map(params: SpinSystemParams, pairs: tuple, dwell_s: float) -> 
     c, e = _fid_modes(params, pairs[0][1].shape[1], dwell_s)
     vec_i = np.eye(4).ravel()
     maps = []
-    for channels, w in pairs:
-        out = np.stack([w @ z for z in e], axis=1) @ c
-        for ch in reversed(channels):
-            out = out @ ch.superop
+    for sup, w in pairs:
+        out = np.stack([w @ z for z in e], axis=1) @ c @ sup
         out -= np.outer(out @ vec_i, vec_i) / 4
         out.setflags(write=False)
         maps.append(out)
@@ -439,27 +438,27 @@ def _acquisition_map(params: SpinSystemParams, pairs: tuple, dwell_s: float) -> 
 
 @functools.lru_cache(maxsize=8)
 def _acquisition_maps(params: SpinSystemParams, readout: ReadoutConfig) -> tuple:
-    """The read-only (4, 16) maps (R, A_t) of both acquisitions, from one
-    _acquisition_map call and so one set of FID modes: R is the selective
-    pulse and the doubled map, A_t a hard 90 about +y and the component
-    _integral_map of the thermal reference. The last eight pairs built
-    stay cached."""
+    """The read-only (R, y_t) of both acquisitions, from one _acquisition_map
+    call and so one set of FID modes: R is the (4, 16) map of the selective
+    pulse and the doubled map, y_t the component integrals of the exact
+    thermal state after a hard 90 about +y. The last eight stay cached.
+
+    y_t reads only the traceless part (t/2)(Iz + Sz) + t^2 IzSz of the
+    thermal state (1 + t 2Iz)(1 + t 2Sz)/4, t = tanh(B/2), which has no
+    I/4 for the hard 90's rounding to leak into the integrals."""
     # each pulse, then its sample map, all built before the mode array and
     # held by the pairs alone: so built, the freed maps go back to the
     # system; held by local names, they left 1.1 MB of freed heap resident
     # (peak RSS +1.1 MB on the ensemble benchmark)
     n, dwell_s = readout.n_points, readout.dwell_s
-    return _acquisition_map(params, (
-        (selective_pulse(readout.target_spin, params).channels, _doubled_map(params, readout)),
-        ((hard_pulse(90.0, 90.0),), _integral_map(component_regions(params), n, dwell_s)),
+    r, a_t = _acquisition_map(params, (
+        (selective_pulse(readout.target_spin, params).superop, _doubled_map(params, readout)),
+        (hard_pulse(90.0, 90.0).superop, _integral_map(component_regions(params), n, dwell_s)),
     ), dwell_s)
-
-
-def _readout_map(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
-    """Read-only (4, 16) complex R with readout_integrals(rho) equal to
-    Re(R @ rho.matrix.ravel()): the selective readout's map of the cached
-    _acquisition_maps."""
-    return _acquisition_maps(params, readout)[0]
+    t = math.tanh(params.b_factor / 2)
+    y_t = (a_t @ ((t / 2) * (IZ + SZ) + t ** 2 * (IZ @ SZ)).ravel()).real
+    y_t.setflags(write=False)
+    return r, y_t
 
 
 def readout_integrals(rho: DensityMatrix, params: SpinSystemParams,
@@ -467,15 +466,15 @@ def readout_integrals(rho: DensityMatrix, params: SpinSystemParams,
     """The four component_regions integrals of the selective readout of
     rho: selective 90, FID, J-doubling, transform and integration, all
     linear in rho, read as one product Re(R @ vec(rho)) with the cached
-    (4, 16) map of _readout_map. It equals the integrals of
+    (4, 16) map R of _acquisition_maps. It equals the integrals of
     fourier(j_double(synthesize_fid(...))) to rounding."""
-    return (_readout_map(params, readout) @ rho.matrix.ravel()).real
+    return (_acquisition_maps(params, readout)[0] @ rho.matrix.ravel()).real
 
 
 def _readout_matrix(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
     """Columns are the component integrals of each singlet-triplet basis
     state pushed through the readout: R applied to the Bell projectors."""
-    return (_readout_map(params, readout) @ _BELL_PROJECTORS.T).real
+    return (_acquisition_maps(params, readout)[0] @ _BELL_PROJECTORS.T).real
 
 
 # orthonormal basis of the sum-zero subspace of R^4; any population vector

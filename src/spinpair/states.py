@@ -238,7 +238,8 @@ class BellPopulations:
     """Populations in the (S0, T0, T+1, T-1) basis plus coherence residue.
 
     offBell is the Frobenius norm of the off-diagonal part of the state
-    written in that basis; zero means singlet-triplet diagonal.
+    written in that basis; zero means singlet-triplet diagonal. Each check
+    tests that its condition holds, so NaN fails it.
     """
 
     pS: float
@@ -249,13 +250,14 @@ class BellPopulations:
 
     def __post_init__(self):
         pops = (self.pS, self.pT0, self.pTplus, self.pTminus)
-        if abs(sum(pops) - 1.0) > 1e-10:
+        if not abs(sum(pops) - 1.0) <= 1e-10:
             raise StateValidationError(f"populations sum to {sum(pops)}, not 1")
         for p in pops:
-            if p < -1e-10 or p > 1 + 1e-10:
+            if not -1e-10 <= p <= 1 + 1e-10:
                 raise StateValidationError(f"population {p} outside [0, 1]")
-        if self.offBell < 0:
-            raise StateValidationError("offBell must be non-negative")
+        if not 0 <= self.offBell < np.inf:
+            raise StateValidationError(
+                f"offBell must be finite and non-negative, got {self.offBell}")
 
     def as_tuple(self):
         return (self.pS, self.pT0, self.pTplus, self.pTminus)

@@ -5,7 +5,10 @@ run_pipeline reads both of its acquisitions through spectro's
 a closed form; these builders make the time-domain signals those shortcuts
 stand for. The per-coherence loops below are the FID synthesis and the
 acquisition map as they were before spectro._fid_modes returned the modes
-as arrays; the arithmetic did not change, so they must agree bit for bit."""
+as arrays; the arithmetic did not change, so they must agree bit for bit.
+folded_acquisition_map keeps the channel-by-channel product the
+acquisition map took before it took the pulses as one composed
+superoperator."""
 
 import numpy as np
 
@@ -67,16 +70,35 @@ def loop_fid_samples(rho, params: SpinSystemParams, n: int, dwell_s: float) -> n
     return out
 
 
-def loop_acquisition_map(params: SpinSystemParams, channels: tuple, w: np.ndarray,
-                         dwell_s: float) -> np.ndarray:
-    """spectro._acquisition_map, one read coherence at a time."""
+def _loop_read_map(params: SpinSystemParams, w: np.ndarray, dwell_s: float) -> np.ndarray:
+    """The (len(w), 16) map of the FID modes read through w, before any
+    pulse, one read coherence at a time."""
     v, v_inv, f_read, log_z = _loop_modes(params, dwell_s)
     k = np.arange(w.shape[1])
     out = np.zeros((len(w), 16), dtype=complex)
     for a, b in zip(*np.nonzero(f_read * _OFF_DIAG)):
         out += np.outer(f_read[a, b] * (w @ np.exp(log_z[a, b] * k)),
                         np.outer(v_inv[a], v[:, b]).ravel())
-    for ch in reversed(channels):
-        out = out @ ch.superop
+    return out
+
+
+def _without_identity(out: np.ndarray) -> np.ndarray:
     vec_i = np.eye(4).ravel()
     return out - np.outer(out @ vec_i, vec_i) / 4
+
+
+def loop_acquisition_map(params: SpinSystemParams, superop: np.ndarray, w: np.ndarray,
+                         dwell_s: float) -> np.ndarray:
+    """spectro._acquisition_map, one read coherence at a time."""
+    return _without_identity(_loop_read_map(params, w, dwell_s) @ superop)
+
+
+def folded_acquisition_map(params: SpinSystemParams, channels: tuple, w: np.ndarray,
+                           dwell_s: float) -> np.ndarray:
+    """The acquisition map as it was built before the pulses entered as one
+    composed superoperator: each channel's superoperator taken on the
+    right, last channel first."""
+    out = _loop_read_map(params, w, dwell_s)
+    for ch in reversed(channels):
+        out = out @ ch.superop
+    return _without_identity(out)

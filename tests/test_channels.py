@@ -312,6 +312,27 @@ def test_apply_rejects_negative_duration():
         relax(-0.1, SpinSystemParams())
 
 
+NO_RELAXATION = SpinSystemParams(t1_s=math.inf, t2_s=math.inf)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: relax(math.inf, NO_RELAXATION), "relaxation time t_s = inf s"),
+    (lambda: relax(math.nan, SpinSystemParams()), "relaxation time t_s = nan s"),
+    (lambda: free_evolution(math.nan, SpinSystemParams()), "evolution time t_s = nan s"),
+    (lambda: free_evolution(math.inf, SpinSystemParams()), "evolution time t_s = inf s"),
+    (lambda: Channel("id", np.eye(16), t_s=math.nan), "duration t_s = nan s"),
+    (lambda: Channel("id", np.eye(16), t_s=math.inf), "duration t_s = inf s"),
+], ids=["relax-inf-no-relaxation", "relax-nan", "evolve-nan", "evolve-inf",
+        "channel-nan", "channel-inf"])
+def test_non_finite_duration_is_refused_by_name(build, message):
+    # the refusal names the duration, not the NaN map or phase it would
+    # build (relax(inf) at T1 = T2 = inf has the factor exp(-inf/inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChannelError, match=re.escape(message) + " must be finite"):
+            build()
+
+
 def test_program_total_duration():
     p = SpinSystemParams()
     prog = selective_pulse("I", p)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from spinpair.repro import (
 from spinpair.spectro import Fid, ReadoutConfig
 from spinpair.states import (
     IX,
+    IZ,
     SX,
+    SZ,
     DensityMatrix,
     SpinSystemParams,
     make_pseudo_pure,
@@ -106,16 +109,17 @@ def test_run_pipeline_zero_noise_or_replicates_is_noise_free(params, noise_sigma
 
 def uncached_run_pipeline(params, epsilon, noise_sigma, seed, n_boot, readout):
     """(epsilon, epsilon_err) of run_pipeline with nothing cached: the
-    thermal acquisition map and both Cholesky factors built on every
-    call."""
+    thermal acquisition map, its read of the exact thermal state's
+    traceless part and both Cholesky factors built on every call."""
     cal_params = dataclasses.replace(params, f_active=1.0)
     y_p = spectro.readout_integrals(make_pseudo_pure(epsilon, make_singlet()),
                                     params, readout)
     w_t = spectro._integral_map(spectro.component_regions(params),
                                 readout.n_points, readout.dwell_s)
-    a_t, = spectro._acquisition_map(params, (((hard_pulse(90.0, 90.0),), w_t),),
+    a_t, = spectro._acquisition_map(params, ((hard_pulse(90.0, 90.0).superop, w_t),),
                                     readout.dwell_s)
-    y_t = (a_t @ make_thermal(params, mode="exact").matrix.ravel()).real
+    t = math.tanh(params.b_factor / 2)
+    y_t = (a_t @ ((t / 2) * (IZ + SZ) + t ** 2 * (IZ @ SZ)).ravel()).real
     result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params)
     err = 0.0
     if noise_sigma > 0 and n_boot > 0:
@@ -166,7 +170,6 @@ def fid_mode_builds(monkeypatch):
         return build(*args)
 
     spectro._acquisition_maps.cache_clear()
-    repro._thermal_integrals.cache_clear()
     monkeypatch.setattr(spectro, "_fid_modes", recording)
     return calls
 
@@ -204,17 +207,17 @@ def test_thermal_integrals_match_exact_reference(delta_nu, n):
     def rel(y):
         return np.abs(y - ref).max() / np.abs(ref).max()
 
-    got = rel(repro._thermal_integrals(params, ro))
+    got = rel(spectro._acquisition_maps(params, ro)[1])
     # the FID of the pulsed state carries the identity leak of the pulse
     oracle = rel((w_t @ thermal_fid(params, ro).samples).real)
-    assert got <= 1e-11
+    assert got <= 1e-14
     assert got <= oracle / 10, (got, oracle)
 
 
 def test_cached_thermal_integrals_are_read_only(params):
     ro = ReadoutConfig(n_points=1024)
     run_pipeline(params, readout=ro)
-    cached = repro._thermal_integrals(params, ro)
+    cached = spectro._acquisition_maps(params, ro)[1]
     with pytest.raises(ValueError):
         cached[0] = 1.0
 
@@ -400,13 +403,19 @@ def test_measured_recovery_broadcasts_over_widths():
 
 def fid_path_epsilon(params, epsilon, readout):
     """Noise-free run_pipeline as it read the polarized channel: the
-    pulsed FID, then the component map times the J-doubling of ones."""
+    pulsed FID, then the component map times the J-doubling of ones. The
+    thermal reference is the FID of the exact thermal state after an exact
+    90 about +y, I/4 + (t/2)(Ix + Sx) + t^2 IxSx with t = tanh(B/2), built
+    with no pulse and so with no identity leak."""
     w_t = spectro._integral_map(spectro.component_regions(params),
                                 readout.n_points, readout.dwell_s)
     ones = Fid(samples=np.ones(readout.n_points), dwell_s=readout.dwell_s)
     w_p = w_t * spectro.j_double(ones, params.j_hz, readout.j_double_rounds).samples
     y_p = (w_p @ polarized_fid(params, epsilon, readout).samples).real
-    y_t = (w_t @ thermal_fid(params, readout).samples).real
+    t = np.tanh(params.b_factor / 2)
+    pulsed = DensityMatrix(np.eye(4) / 4 + (t / 2) * (IX + SX) + t ** 2 * (IX @ SX))
+    y_t = (w_t @ spectro.synthesize_fid(pulsed, params, readout.n_points,
+                                        readout.dwell_s).samples).real
     cal_params = dataclasses.replace(params, f_active=1.0)
     return spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params).epsilon
 
@@ -419,7 +428,7 @@ def fid_path_epsilon(params, epsilon, readout):
 def test_run_pipeline_matches_fid_path(delta_nu, epsilon, readout):
     params = SpinSystemParams(delta_nu_hz=delta_nu)
     got = run_pipeline(params, epsilon=epsilon, n_boot=0, readout=readout).epsilon
-    assert got == pytest.approx(fid_path_epsilon(params, epsilon, readout), rel=1e-12)
+    assert got == pytest.approx(fid_path_epsilon(params, epsilon, readout), rel=1e-14)
 
 
 def test_paper_repro_rows_and_formatting(params):
@@ -555,7 +564,9 @@ def test_measured_recovery_refuses_bad_rounds():
 def test_paper_repro_matches_recorded_table(tmp_path, capsys):
     # tests/data/paper_repro.json is `spinpair paper-repro` at the default
     # parameters, recorded before the grid, the sweep and the recoveries
-    # were batched and before the readout became one (4, 16) map; the two
+    # were batched and before the readout became one (4, 16) map, except
+    # the end-to-end polarization, recorded once the thermal reference
+    # was read from the exact state's traceless part; the two
     # filtration residues, the inversion residual and the zq-dephasing
     # deviation are rounding noise, pinned absolutely
     assert main(["paper-repro", "--out", str(tmp_path)]) == 0

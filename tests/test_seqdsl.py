@@ -224,6 +224,24 @@ def test_program_to_text_round_trip(params):
         assert f"\n{key} " in "\n" + text
 
 
+def test_program_to_text_literal(params):
+    text = "delta_nu 500\npulse 90 45.5\nrelax 0.25\nselective S\nacquire 1024 1e-3\n"
+    program, acq = seq_compile(parse(text), params)
+    assert program_to_text(program, acq) == (
+        "nu 400000000.0\n"
+        "delta_nu 500.0\n"
+        "j 5.0\n"
+        "temp 295.0\n"
+        "t1 1.7\n"
+        "t2 0.58\n"
+        "f_active 0.368\n"
+        "pulse 90.0 45.5\n"
+        "relax 0.25\n"
+        "selective S\n"
+        "acquire 1024 0.001\n")
+    assert program_to_text(program).endswith("selective S\n")
+
+
 HEADER_VALS = {
     "nu": st.floats(1e6, 1e9), "delta_nu": st.floats(30.0, 5000.0),
     "j": st.floats(0.1, 5.0), "temp": st.floats(1.0, 400.0),

@@ -43,7 +43,7 @@ from spinpair.states import (
 )
 
 from conftest import random_density
-from fid_oracles import loop_acquisition_map, loop_fid_samples
+from fid_oracles import folded_acquisition_map, loop_acquisition_map, loop_fid_samples
 
 
 def lorentzian_fid(amp, f0_hz, t2_s, n=16384, dwell=1 / 4096.0):
@@ -158,9 +158,9 @@ def test_fid_modes_match_per_coherence_loops(p, dwell_s):
         assert np.array_equal(synthesize_fid(rho, p, 4096, dwell_s).samples,
                               loop_fid_samples(rho, p, 4096, dwell_s))
     w = spectro._integral_map(component_regions(p), 4096, dwell_s)
-    for channels in [(), (hard_pulse(90.0, 90.0),), selective_pulse("S", p).channels]:
-        assert np.array_equal(spectro._acquisition_map(p, ((channels, w),), dwell_s)[0],
-                              loop_acquisition_map(p, channels, w, dwell_s))
+    for sup in [np.eye(16), hard_pulse(90.0, 90.0).superop, selective_pulse("S", p).superop]:
+        assert np.array_equal(spectro._acquisition_map(p, ((sup, w),), dwell_s)[0],
+                              loop_acquisition_map(p, sup, w, dwell_s))
 
 
 @pytest.mark.parametrize("p, ro", [
@@ -169,17 +169,24 @@ def test_fid_modes_match_per_coherence_loops(p, dwell_s):
      ReadoutConfig(n_points=4096, dwell_s=1 / 1500, j_double_rounds=2, target_spin="S")),
 ])
 def test_shared_acquisition_maps_equal_separate_builds(p, ro):
-    r, a_t = spectro._acquisition_maps(p, ro)
-    assert r is spectro._readout_map(p, ro)
-    assert not r.flags.writeable and not a_t.flags.writeable
-    selective = selective_pulse(ro.target_spin, p).channels
+    r, y_t = spectro._acquisition_maps(p, ro)
+    assert r.shape == (4, 16) and y_t.shape == (4,)
+    assert not r.flags.writeable and not y_t.flags.writeable
+    selective = selective_pulse(ro.target_spin, p)
+    hard_90 = hard_pulse(90.0, 90.0)
     w_p = spectro._doubled_map(p, ro)
     w_t = spectro._integral_map(component_regions(p), ro.n_points, ro.dwell_s)
-    hard_90 = (hard_pulse(90.0, 90.0),)
-    assert np.array_equal(r, spectro._acquisition_map(p, ((selective, w_p),), ro.dwell_s)[0])
-    assert np.array_equal(a_t, spectro._acquisition_map(p, ((hard_90, w_t),), ro.dwell_s)[0])
-    assert np.array_equal(r, loop_acquisition_map(p, selective, w_p, ro.dwell_s))
-    assert np.array_equal(a_t, loop_acquisition_map(p, hard_90, w_t, ro.dwell_s))
+    a_t = spectro._acquisition_map(p, ((hard_90.superop, w_t),), ro.dwell_s)[0]
+    t = math.tanh(p.b_factor / 2)
+    assert np.array_equal(r, spectro._acquisition_map(
+        p, ((selective.superop, w_p),), ro.dwell_s)[0])
+    assert np.array_equal(y_t, (a_t @ ((t / 2) * (IZ + SZ) + t ** 2 * (IZ @ SZ)).ravel()).real)
+    assert np.array_equal(r, loop_acquisition_map(p, selective.superop, w_p, ro.dwell_s))
+    assert np.array_equal(a_t, loop_acquisition_map(p, hard_90.superop, w_t, ro.dwell_s))
+    # the composed pulses against the channel-by-channel product
+    for got, channels, w in ((r, selective.channels, w_p), (a_t, (hard_90,), w_t)):
+        want = folded_acquisition_map(p, channels, w, ro.dwell_s)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_fourier_line_integral_equals_amplitude():
@@ -407,7 +414,7 @@ def fourier_readout_integrals(rho, params, readout):
 def test_readout_map_matches_fourier_path(delta_nu, target, rounds, n):
     params = SpinSystemParams(delta_nu_hz=delta_nu)
     ro = ReadoutConfig(n_points=n, j_double_rounds=rounds, target_spin=target)
-    r = spectro._readout_map(params, ro)
+    r = spectro._acquisition_maps(params, ro)[0]
     assert r.shape == (4, 16) and not r.flags.writeable
     bell = [DensityMatrix(np.outer(k, k.conj())) for k in BELL_BASIS.T]
     want = np.column_stack([fourier_readout_integrals(b, params, ro) for b in bell])
@@ -487,6 +494,13 @@ def test_imbalance_rejects_degenerate_readout():
     ro = ReadoutConfig()
     with pytest.raises(SpectroError, match="degenerate"):
         imbalance_to_populations([0.1, -0.1, -0.1, 0.1], params, ro)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_imbalance_refuses_non_finite_integrals(params, bad):
+    # the least-squares populations come out NaN, which BellPopulations refuses
+    with pytest.raises(SpectroError, match="inconsistent with any Bell-diagonal state"):
+        imbalance_to_populations([bad, 0.0, 0.0, 0.0], params)
 
 
 def test_calibrate_quoted_ratio(params):

@@ -315,6 +315,13 @@ def test_bell_populations_validation():
         BellPopulations(pS=0.9, pT0=0.3, pTplus=0.0, pTminus=0.0, offBell=0.0)
     with pytest.raises(ValueError):
         BellPopulations(pS=1.1, pT0=-0.1, pTplus=0.0, pTminus=0.0, offBell=0.0)
+    # each check tests that its condition holds, so NaN fails it
+    for pops in ((math.nan,) * 4, (0.5, 0.5, math.nan, 0.0)):
+        with pytest.raises(StateValidationError, match="populations sum to nan"):
+            BellPopulations(*pops, 0.0)
+    for off in (math.nan, math.inf):
+        with pytest.raises(StateValidationError, match="offBell must be finite"):
+            BellPopulations(0.25, 0.25, 0.25, 0.25, off)
 
 
 def test_off_bell_measures_coherence(rng):
