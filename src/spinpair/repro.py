@@ -69,8 +69,11 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
     normals [i, 0] (polarized) and [i, 1] (thermal) of
     default_rng(seed).standard_normal((n_boot, 2, 4)), so it does not
     depend on n_boot. A noise_sigma that is negative or not finite, a
-    negative seed or a negative n_boot raises SpectroError; noise_sigma = 0
-    or n_boot = 0 is a noise-free call with epsilon_err 0.
+    negative seed, or an n_boot that is negative or not an integer raises
+    SpectroError; noise_sigma = 0 or n_boot = 0 is a noise-free call with
+    epsilon_err 0. The ceiling is the exact thermal state's 1/tanh(B/2),
+    not calibrate's linearized 2/B, whose (B/2)/tanh(B/2) would scale
+    epsilon (rel 3.5e-10 at 295 K, past 1 below about 10 mK).
 
     epsilon_err is the spread of the abs-sum estimator, not a symmetric
     error bar around epsilon: noise adds to every absolute component
@@ -78,14 +81,17 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
     replicates are biased low (mean 0.43 against 0.913 at sigma = 1e-4)."""
     spectro.check_noise_sigma(noise_sigma)
     spectro.check_seed(seed)
-    if n_boot < 0:
+    if spectro._integer("n_boot", n_boot) < 0:
         raise spectro.SpectroError(f"n_boot must be >= 0, got {n_boot}")
     params = params or SpinSystemParams()
     cal_params = dataclasses.replace(params, f_active=1.0)
     y_p = spectro.readout_integrals(make_pseudo_pure(epsilon, make_singlet()),
                                     params, readout)
     y_t = spectro._acquisition_maps(params, readout)[1]
-    result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params)
+    # where B/2 underflows, y_t is all zero and calibrate refuses it
+    t = math.tanh(params.b_factor / 2)
+    result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params,
+                               max_enhancement=1 / t if t else math.inf)
     if noise_sigma > 0 and n_boot > 0:
         l_p, l_t = spectro._noise_factors(params, readout)
         z = np.random.default_rng(seed).standard_normal((n_boot, 2, 4))

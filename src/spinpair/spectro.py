@@ -403,11 +403,16 @@ def _doubled_map(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray
 def _noise_factors(params: SpinSystemParams, readout: ReadoutConfig) -> tuple:
     """Cholesky factors (L_p, L_t) of Re(W W^H) for the doubled map W_p of
     the selective readout and the component map W_t of the thermal
-    reference, the factors _noisy_integrals takes."""
+    reference, the factors _noisy_integrals takes.
+
+    Re(W W^H) = V V^T exactly, where V = W.view(float) is the (4, 2n) real
+    view of the C-contiguous complex W with real and imaginary parts
+    interleaved, so each Gram matrix is one real GEMM on W's own buffer:
+    no conjugate copy of W, and no imaginary half computed to be dropped."""
     n, dwell_s = readout.n_points, readout.dwell_s
-    return tuple(np.linalg.cholesky((w @ w.conj().T).real)
-                 for w in (_doubled_map(params, readout),
-                           _integral_map(component_regions(params), n, dwell_s)))
+    return tuple(np.linalg.cholesky(v @ v.T)
+                 for v in (_doubled_map(params, readout).view(float),
+                           _integral_map(component_regions(params), n, dwell_s).view(float)))
 
 
 def _acquisition_map(params: SpinSystemParams, pairs: tuple, dwell_s: float) -> tuple:

@@ -94,6 +94,28 @@ def test_run_pipeline_refuses_bad_noise_inputs(params, noise_sigma, n_boot):
         run_pipeline(params, noise_sigma=noise_sigma, n_boot=n_boot)
 
 
+@pytest.mark.parametrize("n_boot", [float("nan"), 2.5, None, "3", 100.0])
+def test_run_pipeline_refuses_a_non_integer_n_boot(params, n_boot):
+    with pytest.raises(spectro.SpectroError, match="n_boot must be an integer"):
+        run_pipeline(params, noise_sigma=1e-3, n_boot=n_boot)
+
+
+def test_run_pipeline_epsilon_does_not_depend_on_temperature():
+    # the ceiling 1/tanh(B/2) cancels the exact thermal state's
+    # polarization at any B; 2/B would scale epsilon by (B/2)/tanh(B/2)
+    want = run_pipeline(SpinSystemParams(), n_boot=0).epsilon
+    for temp_k in (1.0, 0.1, 1e-2, 1e-3):
+        got = run_pipeline(SpinSystemParams(temp_k=temp_k), n_boot=0).epsilon
+        assert got == pytest.approx(want, rel=1e-12), temp_k
+
+
+def test_run_pipeline_refuses_a_b_whose_half_underflows():
+    params = SpinSystemParams(nu_hz=1e-290, temp_k=1e23)
+    assert params.b_factor > 0 and params.b_factor / 2 == 0
+    with pytest.raises(spectro.SpectroError, match="thermal integrals must not be all zero"):
+        run_pipeline(params, n_boot=0)
+
+
 @pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])
 def test_run_pipeline_refuses_negative_seed(params, noise_sigma):
     with pytest.raises(spectro.SpectroError, match="seed must be a non-negative integer, got -1"):
@@ -107,10 +129,28 @@ def test_run_pipeline_zero_noise_or_replicates_is_noise_free(params, noise_sigma
     assert res.epsilon_err == 0.0
 
 
+def complex_gram_factors(params, readout):
+    """Cholesky factors of Re(W W^H) for the two noise maps, formed as
+    run_pipeline formed them before its real Gram products: a complex
+    GEMM on W and its conjugate copy, the imaginary half dropped."""
+    return tuple(np.linalg.cholesky((w @ w.conj().T).real)
+                 for w in noise_maps(params, readout))
+
+
+@pytest.mark.parametrize("readout", [
+    ReadoutConfig(), ReadoutConfig(n_points=4096, j_double_rounds=3, target_spin="S")])
+def test_noise_factors_match_complex_gram_oracle(params, readout):
+    for got, want in zip(spectro._noise_factors(params, readout),
+                         complex_gram_factors(params, readout), strict=True):
+        assert np.array_equal(got, np.tril(got))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def uncached_run_pipeline(params, epsilon, noise_sigma, seed, n_boot, readout):
     """(epsilon, epsilon_err) of run_pipeline with nothing cached: the
     thermal acquisition map, its read of the exact thermal state's
-    traceless part and both Cholesky factors built on every call."""
+    traceless part and both Cholesky factors, from complex Gram
+    matrices, built on every call."""
     cal_params = dataclasses.replace(params, f_active=1.0)
     y_p = spectro.readout_integrals(make_pseudo_pure(epsilon, make_singlet()),
                                     params, readout)
@@ -120,13 +160,14 @@ def uncached_run_pipeline(params, epsilon, noise_sigma, seed, n_boot, readout):
                                     readout.dwell_s)
     t = math.tanh(params.b_factor / 2)
     y_t = (a_t @ ((t / 2) * (IZ + SZ) + t ** 2 * (IZ @ SZ)).ravel()).real
-    result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params)
+    result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params,
+                               max_enhancement=1 / t)
     err = 0.0
     if noise_sigma > 0 and n_boot > 0:
-        w_p = spectro._doubled_map(params, readout)
         z = np.random.default_rng(seed).standard_normal((n_boot, 2, 4))
-        ph2, th = (y + noise_sigma * zc @ np.linalg.cholesky((w @ w.conj().T).real).T
-                   for y, w, zc in ((y_p, w_p, z[:, 0]), (y_t, w_t, z[:, 1])))
+        ph2, th = (y + noise_sigma * zc @ lo.T
+                   for y, lo, zc in zip((y_p, y_t), complex_gram_factors(params, readout),
+                                        (z[:, 0], z[:, 1])))
         reps = np.abs(ph2).sum(axis=1) / np.abs(th).sum(axis=1) / result.max_enhancement
         err = float(np.std(reps, ddof=1)) if n_boot > 1 else 0.0
     return result.epsilon, err
@@ -137,9 +178,12 @@ def uncached_run_pipeline(params, epsilon, noise_sigma, seed, n_boot, readout):
 def test_run_pipeline_matches_uncached_oracle(params, epsilon, sigma, seed, n_boot):
     ro = ReadoutConfig()
     want = uncached_run_pipeline(params, epsilon, sigma, seed, n_boot, ro)
+    # the factors come from real Gram products V V^T, the oracle's from
+    # complex ones: the same matrices up to the last digit
     for _ in range(2):  # the first call may fill the caches, the second reads them
         got = run_pipeline(params, epsilon, sigma, seed, n_boot, ro)
-        assert (got.epsilon, got.epsilon_err) == want
+        assert got.epsilon == want[0]
+        assert got.epsilon_err == pytest.approx(want[1], rel=1e-14, abs=0)
 
 
 def test_warm_run_pipeline_synthesizes_no_fid(monkeypatch):
@@ -310,7 +354,7 @@ def fourier_path_epsilon_err(params, epsilon, sigma, seed, n_boot, readout):
         ph2 = spectro.component_integrals(spectro.fourier(doubled), params)
         th = spectro.component_integrals(
             spectro.fourier(spectro.add_noise(fid_t, sigma, st)), params)
-        reps.append(np.abs(ph2).sum() / np.abs(th).sum() * params.b_factor / 2)
+        reps.append(np.abs(ph2).sum() / np.abs(th).sum() * np.tanh(params.b_factor / 2))
     return float(np.std(reps, ddof=1))
 
 
@@ -406,7 +450,7 @@ def fid_path_epsilon(params, epsilon, readout):
     pulsed FID, then the component map times the J-doubling of ones. The
     thermal reference is the FID of the exact thermal state after an exact
     90 about +y, I/4 + (t/2)(Ix + Sx) + t^2 IxSx with t = tanh(B/2), built
-    with no pulse and so with no identity leak."""
+    with no pulse and so with no identity leak, and the ceiling is 1/t."""
     w_t = spectro._integral_map(spectro.component_regions(params),
                                 readout.n_points, readout.dwell_s)
     ones = Fid(samples=np.ones(readout.n_points), dwell_s=readout.dwell_s)
@@ -417,7 +461,8 @@ def fid_path_epsilon(params, epsilon, readout):
     y_t = (w_t @ spectro.synthesize_fid(pulsed, params, readout.n_points,
                                         readout.dwell_s).samples).real
     cal_params = dataclasses.replace(params, f_active=1.0)
-    return spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params).epsilon
+    return spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params,
+                             max_enhancement=1 / t).epsilon
 
 
 @pytest.mark.parametrize("delta_nu, epsilon, readout", [
@@ -566,7 +611,8 @@ def test_paper_repro_matches_recorded_table(tmp_path, capsys):
     # parameters, recorded before the grid, the sweep and the recoveries
     # were batched and before the readout became one (4, 16) map, except
     # the end-to-end polarization, recorded once the thermal reference
-    # was read from the exact state's traceless part; the two
+    # was read from the exact state's traceless part and calibrated
+    # against that state's ceiling 1/tanh(B/2); the two
     # filtration residues, the inversion residual and the zq-dephasing
     # deviation are rounding noise, pinned absolutely
     assert main(["paper-repro", "--out", str(tmp_path)]) == 0
