@@ -10,10 +10,14 @@ Two sweeps:
 
 The plane's verdict only depends on whether some Bell population clears
 1/2, which on the x <= 1/2 slice reduces to a > 1/2.
+
+Exits 1 when that rule has exceptions on the grid, or when the Werner
+crossing lies more than 1e-9 from 1/3.
 """
 
 import argparse
 import csv
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +42,16 @@ def werner_crossing(tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="entanglement_scan.csv")
     ap.add_argument("--grid", type=int, default=51)
     args = ap.parse_args()
 
     cross = werner_crossing()
+    deviation = abs(cross - 1 / 3)
     print(f"Werner partial-transpose crossing: eps = {cross:.12f} "
-          f"(deviation from 1/3: {abs(cross - 1 / 3):.2e})")
+          f"(deviation from 1/3: {deviation:.2e})")
 
     n = args.grid
     a, x = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n),
@@ -67,7 +72,12 @@ def main() -> None:
         w.writerows(rows)
     print(f"{out}: {len(rows)} grid points")
     print(f"exceptions to the a > 1/2 rule on the x <= 1/2 slice: {exceptions}")
+    if exceptions or deviation > 1e-9:
+        print("FAIL: the a > 1/2 rule has exceptions or the Werner crossing "
+              "is more than 1e-9 from 1/3", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

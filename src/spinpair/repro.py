@@ -69,11 +69,13 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
     normals [i, 0] (polarized) and [i, 1] (thermal) of
     default_rng(seed).standard_normal((n_boot, 2, 4)), so it does not
     depend on n_boot. A noise_sigma that is negative or not finite, a
-    negative seed, or an n_boot that is negative or not an integer raises
-    SpectroError; noise_sigma = 0 or n_boot = 0 is a noise-free call with
-    epsilon_err 0. The ceiling is the exact thermal state's 1/tanh(B/2),
-    not calibrate's linearized 2/B, whose (B/2)/tanh(B/2) would scale
-    epsilon (rel 3.5e-10 at 295 K, past 1 below about 10 mK).
+    seed that is neither a non-negative integer nor a SeedSequence, an
+    n_boot that is negative or not an integer, or n_boot = 1 with
+    noise_sigma > 0 (one replicate has no spread) raises SpectroError;
+    noise_sigma = 0 or n_boot = 0 is a noise-free call with epsilon_err 0.
+    The ceiling is the exact thermal state's 1/tanh(B/2), not calibrate's
+    linearized 2/B, whose (B/2)/tanh(B/2) would scale epsilon (rel 3.5e-10
+    at 295 K, past 1 below about 10 mK).
 
     epsilon_err is the spread of the abs-sum estimator, not a symmetric
     error bar around epsilon: noise adds to every absolute component
@@ -83,6 +85,9 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
     spectro.check_seed(seed)
     if spectro._integer("n_boot", n_boot) < 0:
         raise spectro.SpectroError(f"n_boot must be >= 0, got {n_boot}")
+    if noise_sigma > 0 and n_boot == 1:
+        raise spectro.SpectroError("n_boot = 1 has no spread: use 0 for a "
+                                   "noise-free call or at least 2 replicates")
     params = params or SpinSystemParams()
     cal_params = dataclasses.replace(params, f_active=1.0)
     y_p = spectro.readout_integrals(make_pseudo_pure(epsilon, make_singlet()),
@@ -101,7 +106,7 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
         # range check: a noisy replicate past epsilon = 1 is a sample of
         # the spread, not a calibration to refuse
         reps = np.abs(ph2).sum(axis=1) / np.abs(th).sum(axis=1) / result.max_enhancement
-        err = float(np.std(reps, ddof=1)) if n_boot > 1 else 0.0
+        err = float(np.std(reps, ddof=1))
         result = dataclasses.replace(result, epsilon_err=err)
     return result
 

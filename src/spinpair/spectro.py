@@ -152,16 +152,17 @@ def check_noise_sigma(sigma: float) -> None:
 
 
 def check_seed(seed: int | np.random.SeedSequence) -> None:
-    """Raise SpectroError if seed is a negative integer, which
-    np.random.default_rng refuses."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    """Raise SpectroError unless seed is a SeedSequence or a non-negative
+    integer, the two seeds np.random.default_rng is given here."""
+    if not isinstance(seed, np.random.SeedSequence) and _integer("seed", seed) < 0:
         raise SpectroError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def add_noise(fid: Fid, sigma: float,
               seed: int | np.random.SeedSequence) -> Fid:
     """Additive complex Gaussian noise, explicitly seeded. A negative or
-    non-finite sigma, or a negative integer seed, raises SpectroError."""
+    non-finite sigma, or a seed that is neither a non-negative integer nor
+    a SeedSequence, raises SpectroError."""
     check_noise_sigma(sigma)
     check_seed(seed)
     rng = np.random.default_rng(seed)

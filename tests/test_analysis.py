@@ -18,11 +18,14 @@ from spinpair.analysis import (
     partial_transpose,
     singlet_mixture_entangled,
 )
+from spinpair.channels import apply, filtration_sequence
 from spinpair.constants import BOLTZMANN_K, GAMMA_1H_HZ_PER_T, PLANCK_H
 from spinpair.states import (
     DensityMatrix,
     SpinSystemParams,
     bell_diagonal,
+    bell_diagonal_matrices,
+    make_named_state,
     make_pseudo_pure,
     make_singlet,
 )
@@ -88,12 +91,14 @@ def test_maximally_mixed_is_separable():
 
 def test_werner_closed_forms():
     # w singlet + (1-w)/4 identity: min PT eigenvalue (1-3w)/4,
-    # concurrence max(0, (3w-1)/2)
+    # concurrence max(0, (3w-1)/2); an X state, so both are read in
+    # closed form (the eigen routes were up to 1.5e-15 off)
     for w in np.linspace(0.0, 1.0, 101):
         rho = werner(float(w)).matrix
-        assert min_pt_eigenvalue(rho) == pytest.approx((1 - 3 * w) / 4, abs=1e-10)
+        assert analysis._x_entries(rho) is not None
+        assert min_pt_eigenvalue(rho) == pytest.approx((1 - 3 * w) / 4, abs=1e-15)
         assert concurrence(rho) == pytest.approx(
-            max(0.0, (3 * w - 1) / 2), abs=1e-10)
+            max(0.0, (3 * w - 1) / 2), abs=1e-15)
 
 
 def test_werner_threshold():
@@ -411,3 +416,127 @@ def test_singlet_mixture_grid_matches_per_point_oracle(rng):
 def test_singlet_mixture_entangled_refuses_values_outside_unit_interval(a, x):
     with pytest.raises(ValueError, match="must lie in"):
         singlet_mixture_entangled(a, x)
+
+
+# the diagonal and the anti-diagonal
+X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+
+def eigen_concurrence(m):
+    """concurrence as it was computed for every state before the X-state
+    closed form: the eigenvalues of rho rho~ from eigvals."""
+    r = m @ analysis._spin_flip(m)
+    lams = np.sqrt(np.maximum(np.linalg.eigvals(r).real, 0.0))
+    lams.sort()
+    return float(max(0.0, lams[3] - lams[2] - lams[1] - lams[0]))
+
+
+def mp_concurrence(m, dps=50):
+    """Concurrence from the eigenvalues of rho rho~ at dps digits, with
+    the double entries of m taken as exact."""
+    mpmath = pytest.importorskip("mpmath")
+    s = (-1, 1, 1, -1)
+    with mpmath.workdps(dps):
+        rho = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in m])
+        tilde = mpmath.matrix(4, 4)
+        for i in range(4):
+            for j in range(4):
+                tilde[i, j] = s[i] * s[j] * mpmath.conj(rho[3 - i, 3 - j])
+        ev = mpmath.eig(rho * tilde, left=False, right=False)
+        lams = sorted(mpmath.sqrt(max(mpmath.re(e), 0)) for e in ev)
+        return float(max(0, lams[3] - lams[2] - lams[1] - lams[0]))
+
+
+@pytest.fixture(scope="module")
+def filtered_states(random_states):
+    """The 1000 Ginibre states after the filtration sequence: X states,
+    since its last gradient crush multiplies the masked entries by 0.0."""
+    stack = np.array([rho.matrix for rho in random_states])
+    return apply(filtration_sequence(SpinSystemParams()), stack)
+
+
+def test_filtered_states_are_x_states(filtered_states):
+    assert not filtered_states[:, ~X_PATTERN].any()
+    for m in filtered_states[:20]:
+        assert analysis._x_entries(m) is not None
+    # filtration leaves S0/T0 coherence at rounding level, so a
+    # Bell-diagonal test would need a tolerance; the X test needs none
+    assert np.abs(filtered_states[:, 1, 2] - filtered_states[:, 2, 1]).max() > 0
+
+
+def test_x_closed_forms_match_eigen_routes_on_filtered_states(filtered_states):
+    assert any(concurrence(m) > 0.01 for m in filtered_states)
+    for m in filtered_states:
+        assert concurrence(m) == pytest.approx(eigen_concurrence(m), abs=1e-15, rel=0)
+        assert min_pt_eigenvalue(m) == pytest.approx(
+            looped_min_pt_eigenvalue(m), abs=1e-15, rel=0)
+    got = min_pt_eigenvalue(filtered_states)
+    assert np.array_equal(got, [min_pt_eigenvalue(m) for m in filtered_states])
+
+
+def test_bell_diagonal_stack_matches_one_matrix_results(rng):
+    pops = rng.dirichlet(np.ones(4), size=(20, 50))
+    pops[0, :4] = np.eye(4)  # the four pure Bell states
+    stack = bell_diagonal_matrices(pops)
+    mpt = min_pt_eigenvalue(stack)
+    conc = analysis._x_concurrence(*analysis._x_entries(stack))
+    assert mpt.shape == conc.shape == (20, 50)
+    for idx in np.ndindex(20, 50):
+        m = stack[idx]
+        assert mpt[idx] == min_pt_eigenvalue(m)
+        assert conc[idx] == concurrence(m)
+
+
+@pytest.mark.parametrize("name, mpt, c", [
+    ("T0", -0.5, 1.0), ("Tplus", 0.0, 0.0), ("Tminus", 0.0, 0.0),
+    ("PhiPlus", -0.5, 1.0), ("PhiMinus", -0.5, 1.0), ("ZeemanGround", 0.0, 0.0),
+    ("MaximallyMixed", 0.25, 0.0)])
+def test_named_states_are_read_in_closed_form(name, mpt, c):
+    rho = make_named_state(name)
+    assert analysis._x_entries(rho.matrix) is not None
+    assert min_pt_eigenvalue(rho) == pytest.approx(mpt, abs=1e-15)
+    assert concurrence(rho) == pytest.approx(c, abs=1e-15)
+
+
+
+def test_x_concurrence_clips_a_diagonal_entry_validated_below_zero():
+    # DensityMatrix admits an eigenvalue down to -EIG_TOL, so a*d may be
+    # a tiny negative number under the square root
+    m = make_singlet().matrix.copy()
+    m[0, 0], m[3, 3] = -5e-11, 5e-11
+    rho = DensityMatrix(m)
+    assert concurrence(rho) == pytest.approx(eigen_concurrence(m), abs=1e-15)
+    assert min_pt_eigenvalue(rho) == pytest.approx(looped_min_pt_eigenvalue(m), abs=1e-15)
+    assert analyze(rho).eof == pytest.approx(1.0, abs=1e-15)
+
+
+def test_x_concurrence_matches_high_precision_eigenvalues_near_the_singlet(rng):
+    # singlets with an X-state admixture of at most 1e-3: the eigvals
+    # route takes square roots of near-zero eigenvalues of rho rho~ and is
+    # off by up to about 1e-11 here, the closed form by a few ulps
+    x = filtration_sequence(SpinSystemParams())
+    s = make_singlet().matrix
+    for _ in range(100):
+        mix = apply(x, random_density(rng)).matrix
+        mix = (mix + mix.conj().T) / 2  # Hermitian to the last bit
+        p = rng.uniform(0.0, 1e-3)
+        m = (1 - p) * s + p * mix
+        assert concurrence(m) == pytest.approx(mp_concurrence(m), abs=1e-15, rel=0)
+
+
+@pytest.mark.parametrize("i, j", [tuple(map(int, ij)) for ij in np.argwhere(~X_PATTERN)])
+def test_one_tiny_entry_outside_the_x_pattern_takes_the_eigen_routes(filtered_states, i, j):
+    for m in filtered_states[:20]:
+        m = m.copy()
+        m[i, j] = 1e-300
+        assert analysis._x_entries(m) is None
+        assert concurrence(m) == eigen_concurrence(m)
+        assert min_pt_eigenvalue(m) == looped_min_pt_eigenvalue(m)
+        rep = analyze(DensityMatrix(m))
+        assert rep.concurrence == eigen_concurrence(m)
+        assert rep.min_pt_eigenvalue == looped_min_pt_eigenvalue(m)
+    # one such member sends the whole stack through eigvalsh
+    stack = filtered_states[:50].copy()
+    stack[7, i, j] = 1e-300
+    assert np.array_equal(min_pt_eigenvalue(stack),
+                          np.linalg.eigvalsh(partial_transpose(stack)).min(axis=-1))

@@ -122,7 +122,25 @@ def test_run_pipeline_refuses_negative_seed(params, noise_sigma):
         run_pipeline(params, noise_sigma=noise_sigma, seed=-1)
 
 
-@pytest.mark.parametrize("noise_sigma, n_boot", [(0.0, 100), (1e-3, 0)])
+@pytest.mark.parametrize("seed", [1.5, "3"])
+def test_run_pipeline_refuses_a_non_integer_seed(params, seed):
+    with pytest.raises(spectro.SpectroError, match="seed must be an integer"):
+        run_pipeline(params, noise_sigma=1e-3, n_boot=2, seed=seed)
+
+
+def test_run_pipeline_takes_a_seed_sequence(params):
+    got = run_pipeline(params, noise_sigma=1e-3, n_boot=4, seed=np.random.SeedSequence(3))
+    assert got == run_pipeline(params, noise_sigma=1e-3, n_boot=4, seed=3)
+
+
+def test_run_pipeline_refuses_one_noisy_replicate(params):
+    # one replicate has no spread: epsilon_err 0.0 would read as a
+    # noise-free measurement
+    with pytest.raises(spectro.SpectroError, match="n_boot = 1 has no spread"):
+        run_pipeline(params, noise_sigma=1e-3, n_boot=1)
+
+
+@pytest.mark.parametrize("noise_sigma, n_boot", [(0.0, 100), (1e-3, 0), (0.0, 1)])
 def test_run_pipeline_zero_noise_or_replicates_is_noise_free(params, noise_sigma, n_boot):
     res = run_pipeline(params, noise_sigma=noise_sigma, n_boot=n_boot)
     assert res == run_pipeline(params, n_boot=0)

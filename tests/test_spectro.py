@@ -346,6 +346,13 @@ def test_add_noise_refuses_negative_seed():
                           add_noise(fid, 0.1, seed=np.random.SeedSequence(0)).samples)
 
 
+@pytest.mark.parametrize("seed", [1.5, "3"])
+def test_add_noise_refuses_a_non_integer_seed(seed):
+    fid = lorentzian_fid(1.0, 10.0, 0.5, n=256)
+    with pytest.raises(SpectroError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        add_noise(fid, 1e-3, seed)
+
+
 def test_j_double_modulates_samples():
     fid = lorentzian_fid(1.0, 100.0, 0.5, n=256)
     t = fid.times_s
