@@ -4,7 +4,7 @@
 Writes four files into --out (default spectra_out/):
   polarized.svg          antiphase multiplets straight from the FID
   polarized_doubled.svg  the same signal after four J-doubling rounds
-  thermal.svg            the in-phase thermal reference, B/4 per spin
+  thermal.svg            the in-phase thermal reference, tanh(B/2)/2 per spin
   polarized_noisy.svg    one noisy realization for visual comparison
 
 The doubled panel is the one worth staring at: the antiphase components
@@ -42,7 +42,7 @@ def main() -> None:
     fid_p = synthesize_fid(rho_p, params, n, dwell_s)
     doubled = j_double(fid_p, params.j_hz, readout.j_double_rounds)
     # the exact thermal state after a hard 90 about +y
-    rho_t = apply(hard_pulse(90.0, 90.0), make_thermal(params, mode="exact"))
+    rho_t = apply(hard_pulse(90.0, 90.0), make_thermal(params))
     fid_t = synthesize_fid(rho_t, params, n, dwell_s)
     noisy = add_noise(fid_p, args.noise_sigma, args.seed)
 

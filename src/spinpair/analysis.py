@@ -231,9 +231,10 @@ def max_enhancement(params: SpinSystemParams) -> float:
 def para_fraction(temp_k: float) -> float:
     """Equilibrium para fraction of H2 from nuclear-spin statistics:
     even rotational levels pair with the singlet (weight 1), odd with the
-    triplet (weight 3). Series truncated once terms drop below 1e-15."""
-    if not temp_k > 0:
-        raise ValueError("temperature must be positive")
+    triplet (weight 3). Series truncated once terms drop below 1e-15. A
+    temp_k that is not positive and finite raises ValueError."""
+    if not 0 < temp_k < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temp_k!r}")
     even = odd = 0.0
     j = 0
     while True:

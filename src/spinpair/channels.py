@@ -223,7 +223,7 @@ def relax(t_s: float, params: SpinSystemParams) -> Channel:
         raise ChannelError(
             f"relaxation needs t2_s <= 2 * t1_s, got t1_s = {params.t1_s!r}, "
             f"t2_s = {params.t2_s!r}")
-    eq_1 = make_thermal(params, mode="exact").matrix.diagonal().real.reshape(2, 2).sum(axis=1)
+    eq_1 = make_thermal(params).matrix.diagonal().real.reshape(2, 2).sum(axis=1)
     f1, f2 = math.exp(-t_s / params.t1_s), math.exp(-t_s / params.t2_s)
     # E on the one-spin row-major vec: populations at 0 and 3, coherences
     # at 1 and 2; populations refill toward eq_1 in proportion to the trace

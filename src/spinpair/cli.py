@@ -55,10 +55,8 @@ def _params_from_args(args) -> SpinSystemParams:
 def _resolve_state(name: str, params: SpinSystemParams) -> DensityMatrix:
     if name == "singlet":
         return make_singlet()
-    if name == "thermal":
-        return make_thermal(params, mode="linearized")
-    if name == "thermal-exact":
-        return make_thermal(params, mode="exact")
+    if name in ("thermal", "thermal-exact"):
+        return make_thermal(params)
     if name.startswith("pseudo:"):
         try:
             eps = float(name.split(":", 1)[1])
@@ -348,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--thermal-integrals", required=True)
     cp.add_argument("--scan-norm", type=float, default=1.0)
     cp.add_argument("--max-enhancement", type=float, default=None,
-                    help="override the 2/B ceiling (e.g. an externally quoted value)")
+                    help="override the 1/tanh(B/2) ceiling (e.g. an externally quoted value)")
     cp.set_defaults(func=cmd_calibrate)
 
     pp = sub.add_parser("paper-repro", parents=[common],

@@ -73,9 +73,6 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
     n_boot that is negative or not an integer, or n_boot = 1 with
     noise_sigma > 0 (one replicate has no spread) raises SpectroError;
     noise_sigma = 0 or n_boot = 0 is a noise-free call with epsilon_err 0.
-    The ceiling is the exact thermal state's 1/tanh(B/2), not calibrate's
-    linearized 2/B, whose (B/2)/tanh(B/2) would scale epsilon (rel 3.5e-10
-    at 295 K, past 1 below about 10 mK).
 
     epsilon_err is the spread of the abs-sum estimator, not a symmetric
     error bar around epsilon: noise adds to every absolute component
@@ -93,10 +90,7 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
     y_p = spectro.readout_integrals(make_pseudo_pure(epsilon, make_singlet()),
                                     params, readout)
     y_t = spectro._acquisition_maps(params, readout)[1]
-    # where B/2 underflows, y_t is all zero and calibrate refuses it
-    t = math.tanh(params.b_factor / 2)
-    result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params,
-                               max_enhancement=1 / t if t else math.inf)
+    result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params)
     if noise_sigma > 0 and n_boot > 0:
         l_p, l_t = spectro._noise_factors(params, readout)
         z = np.random.default_rng(seed).standard_normal((n_boot, 2, 4))
@@ -195,7 +189,6 @@ def paper_repro(params: SpinSystemParams | None = None,
     """
     params = params or SpinSystemParams()
     rows = []
-    b = params.b_factor
 
     # selective readout on the singlet: antiphase coefficient pair
     rho = apply(selective_pulse("I", params), make_singlet())
@@ -205,13 +198,13 @@ def paper_repro(params: SpinSystemParams | None = None,
     rows.append(_row("selective readout: coefficient of 2IzSx",
                      c["z", "x"], +0.5, 1e-9, "abs"))
 
-    # hard 90 about y on the linearized thermal state: B/4 on Ix and Sx
-    rho = apply(hard_pulse(90.0, 90.0), make_thermal(params, mode="linearized"))
-    ct = to_product_operators(rho)
+    # hard 90 about y on the thermal state: tanh(B/2)/2 on Ix and Sx
+    ct = to_product_operators(apply(hard_pulse(90.0, 90.0), make_thermal(params)))
+    half_t = math.tanh(params.b_factor / 2) / 2
     rows.append(_row("thermal readout: coefficient of Ix",
-                     ct["x", "e"], b / 4, 1e-12, "abs"))
+                     ct["x", "e"], half_t, 1e-12, "abs"))
     rows.append(_row("thermal readout: coefficient of Sx",
-                     ct["e", "x"], b / 4, 1e-12, "abs"))
+                     ct["e", "x"], half_t, 1e-12, "abs"))
 
     # enhancement ceiling and quoted-arithmetic polarization
     max_enh = analysis.max_enhancement(params)

@@ -39,9 +39,10 @@ from .states import (
     _OFF_DIAG,
     BellPopulations,
     DensityMatrix,
-    IX, IY, IZ, SX, SY, SZ,
+    IX, IY, SX, SY,
     SpinSystemParams,
     StateValidationError,
+    _thermal_deviation,
 )
 
 F_PLUS = (IX + 1j * IY) + (SX + 1j * SY)
@@ -174,11 +175,12 @@ def j_double(fid: Fid, j_apparent_hz: float, rounds: int) -> Fid:
     """Each round multiplies by 2cos(pi*J_app*t) and doubles J_app, turning
     an antiphase doublet of splitting J into one of splitting 2J. In-phase
     doublets come out as 1:2:1 triplets instead, so apply this to antiphase
-    data only."""
-    if rounds < 0:
+    data only. A rounds that is not a non-negative integer, or an apparent
+    J that is not positive and finite, raises SpectroError."""
+    if _integer("rounds", rounds) < 0:
         raise SpectroError("rounds must be >= 0")
-    if not j_apparent_hz > 0:
-        raise SpectroError("apparent J must be positive")
+    if not 0 < j_apparent_hz < np.inf:
+        raise SpectroError(f"apparent J must be positive and finite, got {j_apparent_hz!r}")
     return Fid(samples=fid.samples * _j_modulation(j_apparent_hz, rounds, fid.times_s),
                dwell_s=fid.dwell_s)
 
@@ -203,12 +205,14 @@ def _check_axis(n: int, dwell_s: float) -> None:
 def fourier(fid: Fid, apodize_hz: float = 0.0) -> Spectrum:
     """Discrete transform with first-point halving, x2 zero-fill, and
     2*dwell scaling (line integral == time-domain envelope amplitude).
-    apodize_hz adds Lorentzian broadening to every line's FWHM. A dwell so
-    short that the frequency axis overflows raises SpectroError."""
+    apodize_hz adds Lorentzian broadening to every line's FWHM. An
+    apodize_hz that is not finite and non-negative, or a dwell so short
+    that the frequency axis overflows, raises SpectroError."""
     if not _is_pow2(fid.n):
         raise SpectroError(f"transform needs a power-of-two length, got {fid.n}")
-    if apodize_hz < 0:
-        raise SpectroError("apodization must be non-negative")
+    if not 0 <= apodize_hz < np.inf:
+        raise SpectroError(
+            f"apodization must be finite and non-negative, got {apodize_hz!r}")
     _check_axis(fid.n, fid.dwell_s)
     x = np.array(fid.samples)
     if apodize_hz > 0:
@@ -298,7 +302,8 @@ def _noisy_integrals(y: np.ndarray, lo: np.ndarray, sigma: float,
 @dataclass(frozen=True)
 class CalibrationResult:
     """Polarization estimate and its inputs. corrected_ratio is exactly
-    raw_ratio * f_active; epsilon = corrected_ratio / max_enhancement."""
+    raw_ratio * f_active; epsilon = corrected_ratio / max_enhancement,
+    the thermal state's ceiling 1/tanh(B/2) unless one was passed."""
 
     epsilon: float
     epsilon_err: float
@@ -322,8 +327,9 @@ def calibrate(ph2_integrals, thermal_integrals, scan_norm: float,
 
     Signals are summed absolute component integrals. scan_norm rescales for
     unequal averaging between the two acquisitions (1 when both are single
-    simulated shots). max_enhancement defaults to 2/B from params; passing
-    an externally quoted value reproduces someone else's arithmetic.
+    simulated shots). max_enhancement defaults to the thermal state's
+    ceiling 1/tanh(B/2) from params, inf where B/2 underflows; passing an
+    externally quoted value reproduces someone else's arithmetic.
     epsilon_err is 0; run_pipeline's bootstrap replaces it. A signal that
     is not finite (an infinite or NaN integral, or a sum that overflows)
     raises SpectroError.
@@ -340,15 +346,17 @@ def calibrate(ph2_integrals, thermal_integrals, scan_norm: float,
         raise SpectroError("scan_norm must be positive")
     raw = sig_ph2 * scan_norm / sig_th
     corrected = raw * params.f_active
-    max_enh = 2.0 / params.b_factor if max_enhancement is None else max_enhancement
-    if not max_enh > 0:
+    if max_enhancement is None:
+        t = math.tanh(params.b_factor / 2)
+        max_enhancement = 1 / t if t else math.inf
+    if not max_enhancement > 0:
         raise SpectroError("max_enhancement must be positive")
     return CalibrationResult(
-        epsilon=corrected / max_enh,
+        epsilon=corrected / max_enhancement,
         epsilon_err=0.0,
         raw_ratio=raw,
         corrected_ratio=corrected,
-        max_enhancement=max_enh,
+        max_enhancement=max_enhancement,
     )
 
 
@@ -449,9 +457,9 @@ def _acquisition_maps(params: SpinSystemParams, readout: ReadoutConfig) -> tuple
     pulse and the doubled map, y_t the component integrals of the exact
     thermal state after a hard 90 about +y. The last eight stay cached.
 
-    y_t reads only the traceless part (t/2)(Iz + Sz) + t^2 IzSz of the
-    thermal state (1 + t 2Iz)(1 + t 2Sz)/4, t = tanh(B/2), which has no
-    I/4 for the hard 90's rounding to leak into the integrals."""
+    y_t reads only states._thermal_deviation, the traceless part of the
+    thermal state, which has no I/4 for the hard 90's rounding to leak
+    into the integrals."""
     # each pulse, then its sample map, all built before the mode array and
     # held by the pairs alone: so built, the freed maps go back to the
     # system; held by local names, they left 1.1 MB of freed heap resident
@@ -461,8 +469,7 @@ def _acquisition_maps(params: SpinSystemParams, readout: ReadoutConfig) -> tuple
         (selective_pulse(readout.target_spin, params).superop, _doubled_map(params, readout)),
         (hard_pulse(90.0, 90.0).superop, _integral_map(component_regions(params), n, dwell_s)),
     ), dwell_s)
-    t = math.tanh(params.b_factor / 2)
-    y_t = (a_t @ ((t / 2) * (IZ + SZ) + t ** 2 * (IZ @ SZ)).ravel()).real
+    y_t = (a_t @ _thermal_deviation(params).ravel()).real
     y_t.setflags(write=False)
     return r, y_t
 

@@ -346,32 +346,24 @@ def make_pseudo_pure(epsilon: float, target: DensityMatrix) -> DensityMatrix:
     return DensityMatrix((1 - epsilon) * E4 / 4 + epsilon * target.matrix)
 
 
-def make_thermal(params: SpinSystemParams, mode: str = "linearized") -> DensityMatrix:
-    """Thermal equilibrium state at params.temp_k and params.nu_hz.
+def _thermal_deviation(params: SpinSystemParams) -> np.ndarray:
+    """The traceless part (t/2)(Iz + Sz) + t^2 IzSz, t = tanh(B/2), of the
+    thermal state (1 + t 2Iz)(1 + t 2Sz)/4."""
+    t = math.tanh(params.b_factor / 2)
+    return (t / 2) * (IZ + SZ) + t ** 2 * (IZ @ SZ)
 
-    linearized: 1/4 E + (B/4)(Iz + Sz), the leading order in B = h*nu/kT.
-    Refused with StateValidationError for B > 0.1, where the expansion is
-    no longer meaningful.
-    exact: Boltzmann diagonal over the Zeeman energies -h*nu*(mI + mS);
-    the J correction to the energies is ~8 orders of magnitude below the
-    Zeeman term and is ignored. Refused with StateValidationError once
-    exp(B) overflows (B above about 709.78).
+
+def make_thermal(params: SpinSystemParams, mode: str = "exact") -> DensityMatrix:
+    """Thermal equilibrium state at params.temp_k and params.nu_hz: the
+    Boltzmann diagonal over the Zeeman energies -h*nu*(mI + mS), written
+    as E/4 plus _thermal_deviation, finite for every B (exactly |00><00|
+    once tanh(B/2) rounds to 1). The J correction to the energies is ~8
+    orders of magnitude below the Zeeman term and is ignored. mode
+    "exact" is the only one; any other raises ValueError.
     """
-    b = params.b_factor
-    if mode == "linearized":
-        if b > 0.1:
-            raise StateValidationError(
-                f"B = {b:.3g} is outside the high-temperature regime (B <= 0.1)"
-            )
-        return DensityMatrix(E4 / 4 + (b / 4) * (IZ + SZ))
-    if mode == "exact":
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights = np.exp(b * _M_TOTAL)
-            pops = weights / weights.sum()
-        if not np.isfinite(pops).all():
-            raise StateValidationError(f"B = {b:.3g} overflows the Boltzmann weights")
-        return DensityMatrix(np.diag(pops).astype(complex))
-    raise ValueError(f"unknown thermal mode {mode!r}")
+    if mode != "exact":
+        raise ValueError(f"unknown thermal mode {mode!r}")
+    return DensityMatrix(E4 / 4 + _thermal_deviation(params))
 
 
 def to_product_operators(rho: DensityMatrix) -> ProductOperatorCoeffs:

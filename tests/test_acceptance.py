@@ -68,18 +68,19 @@ def test_criterion_01_selective_readout_is_exact_antiphase(capsys):
 
 def test_criterion_02_thermal_readout_inphase(capsys):
     p = SpinSystemParams()
-    b = p.b_factor
+    t = math.tanh(p.b_factor / 2)
     c = to_product_operators(apply(hard_pulse(90.0, 90.0),
                                            make_thermal(p)))
     devs = []
     for a in "exyz":
         for bb in "exyz":
-            want = {("e", "e"): 0.25, ("x", "e"): b / 4, ("e", "x"): b / 4}.get(
-                (a, bb), 0.0)
+            want = {("e", "e"): 0.25, ("x", "e"): t / 2, ("e", "x"): t / 2,
+                    ("x", "x"): t ** 2 / 2}.get((a, bb), 0.0)
             devs.append(abs(c[(a, bb)] - want))
     ok = max(devs) <= 1e-12
     report(capsys, 2, ok,
-           "hard 90 turns the thermal state into B/4 (Ix + Sx) within 1e-12")
+           "hard 90 turns the thermal state into (t/2)(Ix + Sx) + (t^2/2) 2IxSx, "
+           "t = tanh(B/2), within 1e-12")
     assert ok, f"max coefficient deviation {max(devs):.3e}"
 
 

@@ -351,8 +351,10 @@ def test_para_fraction_limits_and_monotonicity():
     vals = [para_fraction(float(t)) for t in temps]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 0.25  # approaches 1/4 from above
-    with pytest.raises(ValueError):
-        para_fraction(0.0)
+    # at T = inf every term is 2j+1, and the series loop never ended
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            para_fraction(bad)
 
 
 def looped_partial_transpose(m):

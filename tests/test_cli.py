@@ -441,14 +441,26 @@ def refusal_line(argv, out):
     return lines[0]
 
 
-@pytest.mark.parametrize("argv", [
-    ["state", "thermal", "--temp-k", "1e-3"],
-    ["run", str(SEQ_DIR / "selective_i.pseq"), "--state", "thermal", "--temp-k", "1e-3"],
-    ["paper-repro", "--temp-k", "1e-300"],
-    ["paper-repro", "--nu-hz", "1e300"],
-], ids=["state", "run", "paper-repro-temp", "paper-repro-nu"])
-def test_linearized_thermal_refusal_is_a_usage_error(tmp_path, argv):
-    assert "outside the high-temperature regime" in refusal_line(argv, tmp_path / "out")
+@pytest.mark.parametrize("argv, code", [
+    (["state", "thermal", "--temp-k", "1e-3"], 0),
+    (["run", str(SEQ_DIR / "selective_i.pseq"), "--state", "thermal", "--temp-k", "1e-3"], 0),
+    (["state", "thermal-exact", "--temp-k", "1e-300"], 0),
+    (["paper-repro", "--temp-k", "1e-300"], 1),
+    (["paper-repro", "--nu-hz", "1e300"], 1),
+], ids=["state", "run", "thermal-exact-1e-300", "paper-repro-temp", "paper-repro-nu"])
+def test_cold_thermal_inputs_are_not_refused(tmp_path, capsys, argv, code):
+    # the linearized state was refused past B = 0.1 and the Boltzmann
+    # weights past B = 709.78, both with exit 2; the one thermal state is
+    # finite at every B (|00><00| once tanh(B/2) rounds to 1), so these
+    # run, and paper-repro prints its table with failed rows and exits 1.
+    # pytest turns a RuntimeWarning into an error
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    out = capsys.readouterr().out
+    if code == 1:
+        assert "FAIL" in out and out.endswith("rows pass\n")
+    if argv[1] == "thermal-exact":
+        state = json.loads((tmp_path / "state_thermal-exact.json").read_text(encoding="utf-8"))
+        assert np.array_equal(state["re"], np.diag([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_run_refuses_a_delay_that_overflows_the_propagator(tmp_path):
@@ -615,12 +627,11 @@ def test_join_number_values():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["state", "thermal-exact", "--temp-k", "1e-300"], "overflows the Boltzmann weights"),
     (["calibrate", "--ph2-integrals", "1e308,1e308", "--thermal-integrals", "1"],
      "summed integrals must be finite"),
     (["state", "thermal-exact", "--temp-k", "1e-320"], "underflows to 0"),
     (["paper-repro", "--nu-hz", "1e-300"], "underflows to 0"),
-], ids=["thermal-exact-overflow", "calibrate-overflow", "thermal-exact-underflow",
+], ids=["calibrate-overflow", "thermal-exact-underflow",
         "paper-repro-underflow"])
 def test_overflowing_input_refused_without_numpy_warning(tmp_path, argv, message):
     assert message in refusal_line(argv, tmp_path / "out")

@@ -109,6 +109,24 @@ def test_run_pipeline_epsilon_does_not_depend_on_temperature():
         assert got == pytest.approx(want, rel=1e-12), temp_k
 
 
+@pytest.mark.parametrize("temp_k", [295.0, 1e-3])
+def test_calibrate_cli_agrees_with_run_pipeline(tmp_path, capsys, temp_k):
+    # spinpair calibrate, fed the integrals run_pipeline reads, recovers
+    # its epsilon: both take the thermal state's ceiling 1/tanh(B/2). The
+    # CLI's old default 2/B was off by (B/2)/tanh(B/2), rel 3.5e-10 at
+    # 295 K and a factor 9.6 at 1 mK
+    params = SpinSystemParams(temp_k=temp_k, f_active=1.0)
+    readout = ReadoutConfig()
+    y_p = spectro.readout_integrals(make_pseudo_pure(0.916, make_singlet()), params, readout)
+    y_t = spectro._acquisition_maps(params, readout)[1]
+    argv = ["calibrate", "--ph2-integrals=" + ",".join(map(repr, y_p.tolist())),
+            "--thermal-integrals=" + ",".join(map(repr, y_t.tolist())),
+            "--temp-k", repr(temp_k), "--f-active", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    got = json.loads(capsys.readouterr().out)["epsilon"]
+    assert got == pytest.approx(run_pipeline(params).epsilon, rel=1e-12, abs=0)
+
+
 def test_run_pipeline_refuses_a_b_whose_half_underflows():
     params = SpinSystemParams(nu_hz=1e-290, temp_k=1e23)
     assert params.b_factor > 0 and params.b_factor / 2 == 0
@@ -630,7 +648,9 @@ def test_paper_repro_matches_recorded_table(tmp_path, capsys):
     # were batched and before the readout became one (4, 16) map, except
     # the end-to-end polarization, recorded once the thermal reference
     # was read from the exact state's traceless part and calibrated
-    # against that state's ceiling 1/tanh(B/2); the two
+    # against that state's ceiling 1/tanh(B/2), and the two thermal
+    # readout rows, recorded once the exact state became the only thermal
+    # state (value and reference tanh(B/2)/2 moved by rel 3.5e-10); the two
     # filtration residues, the inversion residual and the zq-dephasing
     # deviation are rounding noise, pinned absolutely
     assert main(["paper-repro", "--out", str(tmp_path)]) == 0

@@ -85,12 +85,14 @@ def test_synthesize_requires_power_of_two(params):
 
 def test_thermal_fid_closed_form(params):
     # two in-phase doublets at -+delta_nu/2, J split, T2 decay:
-    # s(t) = (B/2) cos(pi delta_nu t) cos(pi J t) exp(-t/T2)
-    b = params.b_factor
+    # s(t) = tanh(B/2) cos(pi delta_nu t) cos(pi J t) exp(-t/T2); the
+    # 2IxSx part of the pulsed state is a double-quantum coherence F+ does
+    # not read
+    amp = math.tanh(params.b_factor / 2)
     rho = apply(hard_pulse(90.0, 90.0), make_thermal(params))
     fid = synthesize_fid(rho, params, 256, 1 / 4096)
     t = fid.times_s
-    oracle = (b / 2) * np.cos(np.pi * params.delta_nu_hz * t) \
+    oracle = amp * np.cos(np.pi * params.delta_nu_hz * t) \
         * np.cos(np.pi * params.j_hz * t) * np.exp(-t / params.t2_s)
     assert np.abs(fid.samples - oracle).max() < 1e-15
 
@@ -215,6 +217,15 @@ def test_fourier_rejects_non_power_of_two():
     t = np.arange(1000) / 4096
     with pytest.raises(SpectroError):
         fourier(Fid(samples=np.exp(-t) + 0j, dwell_s=1 / 4096))
+
+
+@pytest.mark.parametrize("apodize_hz", [math.nan, math.inf, -1.0])
+def test_fourier_refuses_an_apodization_that_is_not_finite_and_non_negative(apodize_hz):
+    # nan > 0 is False, so NaN returned the unapodized spectrum; inf gave
+    # NaN values behind a RuntimeWarning
+    fid = lorentzian_fid(1.0, 100.0, 0.5, n=256)
+    with pytest.raises(SpectroError, match="apodization must be finite and non-negative"):
+        fourier(fid, apodize_hz=apodize_hz)
 
 
 @pytest.mark.parametrize("n, dwell_s", [(2, 5e-324), (64, 1e-310)])
@@ -363,6 +374,17 @@ def test_j_double_modulates_samples():
     assert np.allclose(twice.samples, expect)
     zero = j_double(fid, 5.0, rounds=0)
     assert np.array_equal(zero.samples, fid.samples)
+
+
+def test_j_double_refuses_a_non_integer_rounds_and_an_infinite_j():
+    # range(2.5) raised a bare TypeError; cos(inf) gave NaN behind a
+    # RuntimeWarning
+    fid = lorentzian_fid(1.0, 100.0, 0.5, n=256)
+    with pytest.raises(SpectroError, match="rounds must be an integer"):
+        j_double(fid, 5.0, rounds=2.5)
+    for j_hz in (math.inf, math.nan, 0.0):
+        with pytest.raises(SpectroError, match="apparent J must be positive and finite"):
+            j_double(fid, j_hz, rounds=1)
 
 
 def antiphase_pair_fid(j_hz, fwhm_hz, center_hz=100.0, n=65536, dwell=1 / 1024.0):
@@ -518,10 +540,15 @@ def test_calibrate_quoted_ratio(params):
     assert res.epsilon == pytest.approx(0.9132396545056078, abs=1e-12)
 
 
-def test_calibrate_default_ceiling_is_2_over_b(params):
+def test_calibrate_default_ceiling_is_the_thermal_states(params):
+    # 1/tanh(B/2), the exact thermal state's ceiling; 2/B is its leading
+    # order, 1.1e-5 lower at 295 K
     res = calibrate([20000.0], [1.0], scan_norm=1.0, params=params)
-    assert res.max_enhancement == pytest.approx(2 / params.b_factor)
-    assert res.max_enhancement == pytest.approx(30734.013206908174, abs=1e-6)
+    assert res.max_enhancement == pytest.approx(1 / math.tanh(params.b_factor / 2))
+    assert res.max_enhancement == pytest.approx(30734.013217753916, abs=1e-6)
+    # where B/2 underflows the ceiling is inf; the thermal state is then E/4
+    tiny = SpinSystemParams(nu_hz=1e-290, temp_k=1e23)  # B = 5e-324
+    assert calibrate([1.0], [1.0], 1.0, tiny).max_enhancement == math.inf
 
 
 def test_calibrate_scan_norm_and_signs(params):

@@ -203,17 +203,6 @@ def test_bell_projector_map_is_the_frame_populations():
     assert np.abs(states._BELL_PROJECTORS @ states._BELL_FRAME[:, 4:]).max() <= 1e-15
 
 
-def test_thermal_linearized():
-    p = SpinSystemParams()
-    b = PLANCK_H * p.nu_hz / (BOLTZMANN_K * p.temp_k)
-    rho = make_thermal(p)
-    c = to_product_operators(rho)
-    assert c[("z", "e")] == pytest.approx(b / 4)
-    assert c[("e", "z")] == pytest.approx(b / 4)
-    assert c[("z", "z")] == pytest.approx(0.0, abs=1e-15)
-    assert b == pytest.approx(6.507448235072842e-05)
-
-
 def test_thermal_exact_boltzmann():
     p = SpinSystemParams()
     b = p.b_factor
@@ -222,6 +211,7 @@ def test_thermal_exact_boltzmann():
     expect = np.diag(w / w.sum()).astype(complex)
     rho = make_thermal(p, mode="exact")
     assert np.allclose(rho.matrix, expect, atol=1e-15)
+    assert b == pytest.approx(6.507448235072842e-05)
 
 
 def test_thermal_exact_deep_cryo_ground_population():
@@ -244,16 +234,30 @@ def test_thermal_linearized_rejects_large_b():
     make_thermal(p, mode="exact")  # exact mode has no such limit
 
 
-def test_thermal_refusals_are_state_validation_errors():
+def test_thermal_state_past_the_exp_overflow_is_the_zeeman_ground_state():
+    # the Boltzmann weights exp(B) overflowed past B = 709.78 and were
+    # refused; tanh(B/2) rounds to 1 far below that, and the state is then
+    # exactly |00><00|, with no numpy warning (pytest turns RuntimeWarning
+    # into an error)
     h_over_k = PLANCK_H / BOLTZMANN_K
-    with pytest.raises(StateValidationError, match="high-temperature regime"):
-        make_thermal(SpinSystemParams(temp_k=h_over_k * 400e6 / 0.2))
-    # exp(B) overflows past B = 709.78; the refusal comes without a numpy
-    # warning (pytest turns RuntimeWarning into an error)
-    with pytest.raises(StateValidationError, match="overflows the Boltzmann weights"):
-        make_thermal(SpinSystemParams(temp_k=1e-300), mode="exact")
-    deep = make_thermal(SpinSystemParams(temp_k=h_over_k * 400e6 / 709.0), mode="exact")
-    assert deep.matrix[0, 0] == 1.0
+    ground = np.diag([1.0, 0.0, 0.0, 0.0])
+    for temp_k in (h_over_k * 400e6 / 40.0, h_over_k * 400e6 / 709.0, 1e-300):
+        assert np.array_equal(make_thermal(SpinSystemParams(temp_k=temp_k)).matrix, ground)
+
+
+def test_thermal_state_is_the_product_of_spin_polarizations():
+    # E/4 plus the one traceless part spectro reads too, equal to
+    # (1 + t 2Iz)(1 + t 2Sz)/4 with t = tanh(B/2) at every B
+    h_over_k = PLANCK_H / BOLTZMANN_K
+    cases = [SpinSystemParams(nu_hz=1e-290, temp_k=1e23)]  # B = 5e-324
+    cases += [SpinSystemParams(temp_k=h_over_k * 400e6 / b)
+              for b in (1e-12, 6.5e-5, 0.1, 3.127, 40.0)]
+    for p in cases:
+        t = math.tanh(p.b_factor / 2)
+        rho = make_thermal(p).matrix
+        assert np.array_equal(rho, states.E4 / 4 + states._thermal_deviation(p))
+        product = np.kron(np.diag([1 + t, 1 - t]), np.diag([1 + t, 1 - t])) / 4
+        assert np.abs(rho - product).max() <= 1e-16
 
 
 @pytest.mark.parametrize("nu_hz, temp_k", [(400e6, 1e-320), (1e-300, 295.0),
@@ -265,8 +269,10 @@ def test_params_refuse_an_underflowing_b_factor(nu_hz, temp_k):
 
 
 def test_thermal_unknown_mode():
-    with pytest.raises(ValueError):
-        make_thermal(SpinSystemParams(), mode="quadratic")
+    # "exact" is the only mode; the linearized state is gone
+    for mode in ("quadratic", "linearized"):
+        with pytest.raises(ValueError, match="unknown thermal mode"):
+            make_thermal(SpinSystemParams(), mode=mode)
 
 
 def test_pseudo_pure_bell_fractions():
