@@ -260,24 +260,21 @@ def selective_pulse(target_spin: str, params: SpinSystemParams) -> ChannelProgra
                           statements=(("selective", target_spin),))
 
 
-def gradient_period(params: SpinSystemParams,
-                    j_during_gradient: bool = False) -> tuple:
+def gradient_period(params: SpinSystemParams) -> tuple:
     """One filtration half: 1/delta_nu of shift evolution under a crush
     gradient, modeled as evolution followed by ideal m-subspace dephasing."""
     tau = 1.0 / params.delta_nu_hz
-    return (free_evolution(tau, params, include_j=j_during_gradient),
-            zeeman_dephase())
+    return (free_evolution(tau, params, include_j=False), zeeman_dephase())
 
 
-def filtration_sequence(params: SpinSystemParams,
-                        j_during_gradients: bool = False) -> ChannelProgram:
+def filtration_sequence(params: SpinSystemParams) -> ChannelProgram:
     """Two gradient periods of length 1/delta_nu around a hard 90.
 
     Projects any input toward singlet-triplet diagonal form with equal
     T+1/T-1 weights while leaving the singlet itself untouched.
     """
-    g1 = gradient_period(params, j_during_gradients)
-    g2 = gradient_period(params, j_during_gradients)
+    g1 = gradient_period(params)
+    g2 = gradient_period(params)
     chans = g1 + (hard_pulse(90.0, 0.0),) + g2
     return ChannelProgram(
         channels=chans, params=params,

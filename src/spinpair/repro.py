@@ -3,12 +3,9 @@
 run_pipeline drives the whole chain: pseudo-pure singlet -> selective
 readout -> FID -> J-doubling -> integration, thermal reference -> hard 90 ->
 FID -> integration, then calibration of the polarization from the ratio.
-Both acquisitions are linear in the state, so each is read through a
-(4, 16) map on vec(rho), blind to the identity, and run_pipeline never
-synthesizes an FID. spectro._acquisition_maps, one cached builder per
-(params, readout) that computes the FID modes once, yields the selective
-readout's map and the thermal reference's integrals, which depend only on
-(params, readout).
+Both acquisitions are linear in the state, so both are read from
+spectro._acquisition_maps, cached per (params, readout), and run_pipeline
+never synthesizes an FID.
 Simulated acquisitions see the entire sample, so calibration inside the
 pipeline always runs with f_active = 1 regardless of the experiment value
 carried in params.
@@ -59,14 +56,12 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
     J-doubling, the transform and the integration are linear in the FID,
     so both channels reduce to one (4, n) map W each, and a channel's
     noisy integrals are Gaussian with covariance noise_sigma^2 Re(W W^H).
-    The noise-free integrals of both channels come from a (4, 16) map on
-    vec(rho), so no call synthesizes an FID: the polarized ones from
-    readout_integrals, the thermal ones read from the exact thermal
-    state's closed form by spectro._acquisition_maps, cached per
-    (params, readout). Each replicate draws its four integrals per
-    channel from that exact law (spectro._noisy_integrals, with the
-    Cholesky factors of spectro._noise_factors): replicate i takes the
-    normals [i, 0] (polarized) and [i, 1] (thermal) of
+    The noise-free integrals of both channels are read from
+    spectro._acquisition_maps, so no call synthesizes an FID. Each
+    replicate draws its four integrals per channel from that exact law
+    (spectro._noisy_integrals, with the Cholesky factors of
+    spectro._noise_factors): replicate i takes the normals [i, 0]
+    (polarized) and [i, 1] (thermal) of
     default_rng(seed).standard_normal((n_boot, 2, 4)), so it does not
     depend on n_boot. A noise_sigma that is negative or not finite, a
     seed that is neither a non-negative integer nor a SeedSequence, an
@@ -99,7 +94,7 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
         # calibrate's arithmetic at scan_norm = f_active = 1, without its
         # range check: a noisy replicate past epsilon = 1 is a sample of
         # the spread, not a calibration to refuse
-        reps = np.abs(ph2).sum(axis=1) / np.abs(th).sum(axis=1) / result.max_enhancement
+        reps = spectro._signal(ph2) / spectro._signal(th) / result.max_enhancement
         err = float(np.std(reps, ddof=1))
         result = dataclasses.replace(result, epsilon_err=err)
     return result
@@ -140,10 +135,12 @@ def measured_recovery(j_hz: float, fwhm_hz: float | np.ndarray,
     Its integral is then c @ (sin(pi 2^R J t) exp(-pi fwhm t)) with the
     cached real carrier c of _recovery_carrier, so each call costs one
     sine and each width one envelope and one dot product. A rounds that
-    is not an integer raises TypeError, and rounds < 0 SpectroError."""
+    is not an integer raises TypeError, and rounds < 0 or an overflowing
+    doubled J SpectroError."""
     if operator.index(rounds) < 0:
         raise spectro.SpectroError("rounds must be >= 0")
     center, n, dwell_s = 100.0, 65536, 1.0 / 1024.0
+    spectro._check_doubled_j(j_hz, rounds, (n - 1) * dwell_s)
     # the carrier first: a cold build peaks while no n-point array is held
     c = _recovery_carrier(center, n, dwell_s)
     t = np.arange(n) * dwell_s

@@ -18,10 +18,11 @@ Re(A @ vec(rho)). The pulses enter as their one composed superoperator. A
 is blind to the identity part of rho, which has no coherence to read. One
 cached builder per (params, ReadoutConfig), _acquisition_maps, computes
 the FID modes once and yields the (4, 16) map of the selective population
-readout and the four integrals of run_pipeline's thermal reference, read
-after a hard 90 from the closed-form traceless part of the exact thermal
-state. No FID is synthesized and no transform is taken to read a state
-out; fourier and integrate remain for spectra that are shown.
+readout, its 4x4 population inverse and the four integrals of
+run_pipeline's thermal reference, read after a hard 90 from the
+closed-form traceless part of the exact thermal state. No FID is
+synthesized and no transform is taken to read a state out; fourier and
+integrate remain for spectra that are shown.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ def j_double(fid: Fid, j_apparent_hz: float, rounds: int) -> Fid:
     an antiphase doublet of splitting J into one of splitting 2J. In-phase
     doublets come out as 1:2:1 triplets instead, so apply this to antiphase
     data only. A rounds that is not a non-negative integer, or an apparent
-    J that is not positive and finite, raises SpectroError."""
+    J that is not positive and finite, or one whose doubling overflows,
+    raises SpectroError."""
     if _integer("rounds", rounds) < 0:
         raise SpectroError("rounds must be >= 0")
     if not 0 < j_apparent_hz < np.inf:
@@ -185,9 +187,19 @@ def j_double(fid: Fid, j_apparent_hz: float, rounds: int) -> Fid:
                dwell_s=fid.dwell_s)
 
 
+def _check_doubled_j(j_hz: float, rounds: int, t_end: float) -> None:
+    """Refuse J-doubling that overflows over times up to t_end: each power
+    2^r, doubled J and phase that j_double or repro.measured_recovery forms
+    is at most x 2^rounds, x = max(1, |J|) max(1, pi t_end) = m 2^e, m < 1."""
+    x = max(1.0, abs(j_hz)) * max(1.0, math.pi * t_end)
+    if not (x < math.inf and math.frexp(x)[1] + rounds <= 1024):
+        raise SpectroError(f"J-doubling overflows: {rounds} rounds of J = {j_hz!r} Hz")
+
+
 def _j_modulation(j_hz: float, rounds: int, t: np.ndarray) -> np.ndarray:
-    """The real factor j_double multiplies samples at times t by: the
-    product of 2cos(pi * J * 2^r * t) over rounds r."""
+    """The real factor j_double multiplies samples at ascending times t
+    by: the product of 2cos(pi * J * 2^r * t) over rounds r."""
+    _check_doubled_j(j_hz, rounds, t[-1])
     out = np.ones(len(t))
     for r in range(rounds):
         out *= 2 * np.cos(np.pi * (j_hz * 2 ** r) * t)
@@ -252,12 +264,8 @@ def component_regions(params: SpinSystemParams) -> tuple:
     doublet at -+delta_nu/2 is split at its center, windows a quarter of
     delta_nu wide. Wide windows keep Lorentzian tail truncation negligible
     for both original and J-doubled splittings."""
-    span = params.delta_nu_hz / 4
-    out = []
-    for center in (-params.delta_nu_hz / 2, +params.delta_nu_hz / 2):
-        out.append((center - span, center))
-        out.append((center, center + span))
-    return tuple(out)
+    span, half = params.delta_nu_hz / 4, params.delta_nu_hz / 2
+    return tuple(w for c in (-half, half) for w in ((c - span, c), (c, c + span)))
 
 
 def component_integrals(spectrum: Spectrum, params: SpinSystemParams) -> np.ndarray:
@@ -320,6 +328,12 @@ class CalibrationResult:
         return asdict(self)
 
 
+def _signal(integrals: np.ndarray) -> np.ndarray:
+    """calibrate's signal, and run_pipeline's replicates': the summed
+    absolute component integrals along the last axis."""
+    return np.abs(integrals).sum(axis=-1)
+
+
 def calibrate(ph2_integrals, thermal_integrals, scan_norm: float,
               params: SpinSystemParams,
               max_enhancement: float | None = None) -> CalibrationResult:
@@ -335,8 +349,8 @@ def calibrate(ph2_integrals, thermal_integrals, scan_norm: float,
     raises SpectroError.
     """
     with np.errstate(over="ignore"):
-        sig_ph2 = float(np.abs(np.asarray(ph2_integrals, dtype=float)).sum())
-        sig_th = float(np.abs(np.asarray(thermal_integrals, dtype=float)).sum())
+        sig_ph2 = float(_signal(np.ravel(np.asarray(ph2_integrals, dtype=float))))
+        sig_th = float(_signal(np.ravel(np.asarray(thermal_integrals, dtype=float))))
     if not (np.isfinite(sig_ph2) and np.isfinite(sig_th)):
         raise SpectroError(
             f"summed integrals must be finite, got {sig_ph2} and {sig_th}")
@@ -399,14 +413,18 @@ def _readout_modulation(j_hz: float, rounds: int, n: int, dwell_s: float) -> np.
     return out
 
 
+def _component_map(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
+    """The (4, n) _integral_map of the component_regions of the readout."""
+    return _integral_map(component_regions(params), readout.n_points, readout.dwell_s)
+
+
 def _doubled_map(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
     """(4, n) complex W_p with Re(W_p @ fid.samples) equal to the
     component_integrals of fourier(j_double(fid, J, rounds)) for every
-    n-point readout fid: the component _integral_map times the doubling
+    n-point readout fid: the component map times the doubling
     modulation."""
-    n, dwell_s = readout.n_points, readout.dwell_s
-    return (_integral_map(component_regions(params), n, dwell_s)
-            * _readout_modulation(params.j_hz, readout.j_double_rounds, n, dwell_s))
+    return _component_map(params, readout) * _readout_modulation(
+        params.j_hz, readout.j_double_rounds, readout.n_points, readout.dwell_s)
 
 
 def _noise_factors(params: SpinSystemParams, readout: ReadoutConfig) -> tuple:
@@ -418,10 +436,9 @@ def _noise_factors(params: SpinSystemParams, readout: ReadoutConfig) -> tuple:
     view of the C-contiguous complex W with real and imaginary parts
     interleaved, so each Gram matrix is one real GEMM on W's own buffer:
     no conjugate copy of W, and no imaginary half computed to be dropped."""
-    n, dwell_s = readout.n_points, readout.dwell_s
     return tuple(np.linalg.cholesky(v @ v.T)
                  for v in (_doubled_map(params, readout).view(float),
-                           _integral_map(component_regions(params), n, dwell_s).view(float)))
+                           _component_map(params, readout).view(float)))
 
 
 def _acquisition_map(params: SpinSystemParams, pairs: tuple, dwell_s: float) -> tuple:
@@ -450,28 +467,37 @@ def _acquisition_map(params: SpinSystemParams, pairs: tuple, dwell_s: float) -> 
     return tuple(maps)
 
 
+# orthonormal basis N of the sum-zero subspace of R^4: every unit-trace
+# population vector is 1/4 + N q
+_SUM_ZERO_BASIS = np.linalg.qr(np.eye(4, 3) - np.eye(4, 3, -1))[0]
+
+
 @functools.lru_cache(maxsize=8)
 def _acquisition_maps(params: SpinSystemParams, readout: ReadoutConfig) -> tuple:
-    """The read-only (R, y_t) of both acquisitions, from one _acquisition_map
-    call and so one set of FID modes: R is the (4, 16) map of the selective
-    pulse and the doubled map, y_t the component integrals of the exact
-    thermal state after a hard 90 about +y. The last eight stay cached.
-
-    y_t reads only states._thermal_deviation, the traceless part of the
-    thermal state, which has no I/4 for the hard 90's rounding to leak
-    into the integrals."""
+    """The read-only (R, y_t, P) of the readout, from one set of FID modes:
+    R is the (4, 16) map of the selective pulse and the doubled map, y_t
+    the component integrals of states._thermal_deviation (no I/4 for a
+    pulse's rounding to leak) after a hard 90 about +y, and P the inverse
+    p = 1/4 + P y of M = Re(R @ _BELL_PROJECTORS.T), rank 3, on the
+    unit-trace slice 1/4 + N q: P = N pinv(M N) from one SVD, None where M N
+    is rank deficient (J effectively zero). The last eight stay cached."""
     # each pulse, then its sample map, all built before the mode array and
     # held by the pairs alone: so built, the freed maps go back to the
     # system; held by local names, they left 1.1 MB of freed heap resident
     # (peak RSS +1.1 MB on the ensemble benchmark)
-    n, dwell_s = readout.n_points, readout.dwell_s
     r, a_t = _acquisition_map(params, (
         (selective_pulse(readout.target_spin, params).superop, _doubled_map(params, readout)),
-        (hard_pulse(90.0, 90.0).superop, _integral_map(component_regions(params), n, dwell_s)),
-    ), dwell_s)
+        (hard_pulse(90.0, 90.0).superop, _component_map(params, readout)),
+    ), readout.dwell_s)
     y_t = (a_t @ _thermal_deviation(params).ravel()).real
     y_t.setflags(write=False)
-    return r, y_t
+    u, s, vt = np.linalg.svd((r @ _BELL_PROJECTORS.T).real @ _SUM_ZERO_BASIS,
+                             full_matrices=False)
+    if s[0] == 0 or s[-1] < 1e-8 * s[0]:
+        return r, y_t, None
+    inverse = _SUM_ZERO_BASIS @ (vt.T / s) @ u.T
+    inverse.setflags(write=False)
+    return r, y_t, inverse
 
 
 def readout_integrals(rho: DensityMatrix, params: SpinSystemParams,
@@ -484,43 +510,22 @@ def readout_integrals(rho: DensityMatrix, params: SpinSystemParams,
     return (_acquisition_maps(params, readout)[0] @ rho.matrix.ravel()).real
 
 
-def _readout_matrix(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
-    """Columns are the component integrals of each singlet-triplet basis
-    state pushed through the readout: R applied to the Bell projectors."""
-    return (_acquisition_maps(params, readout)[0] @ _BELL_PROJECTORS.T).real
-
-
-# orthonormal basis of the sum-zero subspace of R^4; any population vector
-# is p = (1/4,1/4,1/4,1/4) + N q, which bakes the unit-trace constraint
-# into the inversion below
-_SUM_ZERO_BASIS = np.linalg.qr(
-    np.array([[1.0, 0, 0], [-1, 1, 0], [0, -1, 1], [0, 0, -1]]))[0]
-
-
 def imbalance_to_populations(component_integrals, params: SpinSystemParams,
                              readout: ReadoutConfig = ReadoutConfig()) -> BellPopulations:
     """Invert the linear map from singlet-triplet populations to the four
-    component integrals of the selective readout.
-
-    Any trace-preserving readout is blind to the maximally mixed state, so
-    the bare 4x4 map is rank 3; the inversion solves on the physical slice
-    of unit-trace population vectors, where the map is well conditioned.
-    A readout whose antiphase terms never develop (J effectively zero)
-    leaves the slice map rank deficient and raises.
-    """
+    component integrals of the selective readout: p = 1/4 + P y, one
+    product with the population inverse P of _acquisition_maps, least
+    squares on the unit-trace slice. A readout whose antiphase terms never
+    develop (J effectively zero) has no inverse and raises."""
     y = np.asarray(component_integrals, dtype=float)
     if y.shape != (4,):
         raise SpectroError("expected exactly four component integrals")
-    m = _readout_matrix(params, readout)
-    reduced = m @ _SUM_ZERO_BASIS
-    svals = np.linalg.svd(reduced, compute_uv=False)
-    if svals[0] == 0 or svals[-1] < 1e-8 * svals[0]:
+    inverse = _acquisition_maps(params, readout)[2]
+    if inverse is None:
         raise SpectroError(
             "degenerate readout: population differences do not reach the "
             "component integrals (is J resolvable?)")
-    p0 = np.full(4, 0.25)
-    q, *_ = np.linalg.lstsq(reduced, y - m @ p0, rcond=None)
-    p = p0 + _SUM_ZERO_BASIS @ q
+    p = 0.25 + inverse @ y
     try:
         return BellPopulations(*p.tolist(), offBell=0.0)
     except StateValidationError as exc:

@@ -274,7 +274,7 @@ class SpinSystemParams:
     the fraction of the sample inside the detection coil, in (0, 1]. Every
     other field is positive and finite, except that t1_s or t2_s may be
     inf, which means no relaxation. B = h*nu/(k*T) of nu_hz and temp_k
-    must neither divide by zero nor underflow to 0 in floats.
+    must neither divide by zero, underflow to 0 nor overflow in floats.
     Defaults are the dihydride experiment values; j_hz has no measured
     literature value for this system and the 5 Hz default is only a
     demo-grade stand-in (any quantitative spectrum should set it).
@@ -295,11 +295,11 @@ class SpinSystemParams:
         for name in ("nu_hz", "delta_nu_hz", "j_hz", "temp_k"):
             if getattr(self, name) == math.inf:
                 raise ValueError(f"{name} must be finite")
-        # b_factor would divide by zero, or be zero, in floats
+        # b_factor would divide by zero, be zero or be inf in floats
         kt = BOLTZMANN_K * self.temp_k
-        if kt == 0 or PLANCK_H * self.nu_hz / kt == 0:
-            raise ValueError(f"k*T or B = h*nu/(k*T) underflows to 0 at "
-                             f"nu_hz={self.nu_hz!r}, temp_k={self.temp_k!r}")
+        if kt == 0 or not 0 < PLANCK_H * self.nu_hz / kt < math.inf:
+            raise ValueError(f"k*T or B = h*nu/(k*T) underflows to 0, or B "
+                             f"overflows, at nu_hz={self.nu_hz!r}, temp_k={self.temp_k!r}")
         if not (0 < self.f_active <= 1):
             raise ValueError("f_active must be in (0, 1]")
 

@@ -631,8 +631,9 @@ def test_join_number_values():
      "summed integrals must be finite"),
     (["state", "thermal-exact", "--temp-k", "1e-320"], "underflows to 0"),
     (["paper-repro", "--nu-hz", "1e-300"], "underflows to 0"),
+    (["paper-repro", "--temp-k", "1e-300", "--nu-hz", "1e300"], "B overflows"),
 ], ids=["calibrate-overflow", "thermal-exact-underflow",
-        "paper-repro-underflow"])
+        "paper-repro-underflow", "paper-repro-b-overflow"])
 def test_overflowing_input_refused_without_numpy_warning(tmp_path, argv, message):
     assert message in refusal_line(argv, tmp_path / "out")
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,24 @@ def test_run_pipeline_matches_uncached_oracle(params, epsilon, sigma, seed, n_bo
         got = run_pipeline(params, epsilon, sigma, seed, n_boot, ro)
         assert got.epsilon == want[0]
         assert got.epsilon_err == pytest.approx(want[1], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("sigma", [1e-4, 1e-3])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_run_pipeline_estimator_matches_its_two_former_copies(params, seed, sigma):
+    # calibrate and the replicates read one abs-sum signal; epsilon and
+    # epsilon_err equal, bit for bit, the two copies of it they replaced
+    ro = ReadoutConfig()
+    y_p = spectro.readout_integrals(make_pseudo_pure(0.916, make_singlet()), params, ro)
+    y_t = spectro._acquisition_maps(params, ro)[1]
+    ceiling = 1 / math.tanh(params.b_factor / 2)
+    z = np.random.default_rng(seed).standard_normal((100, 2, 4))
+    ph2, th = (NOISY_INTEGRALS(y, lo, sigma, zc) for y, lo, zc in zip(
+        (y_p, y_t), spectro._noise_factors(params, ro), (z[:, 0], z[:, 1])))
+    reps = np.abs(ph2).sum(axis=1) / np.abs(th).sum(axis=1) / ceiling
+    got = run_pipeline(params, 0.916, sigma, seed, 100, ro)
+    assert got.epsilon == float(np.abs(y_p).sum()) * 1.0 / float(np.abs(y_t).sum()) / ceiling
+    assert got.epsilon_err == float(np.std(reps, ddof=1))
 
 
 def test_warm_run_pipeline_synthesizes_no_fid(monkeypatch):
@@ -630,6 +649,16 @@ def test_recovery_carrier_is_read_only_and_cached():
     assert repro._recovery_carrier(100.0, 65536, 1.0 / 1024.0) is c
     with pytest.raises(ValueError):
         c[0] = 1.0
+
+
+def test_measured_recovery_refuses_rounds_whose_doubled_j_overflows():
+    # 5.0 * 2 ** 1100 raised a bare OverflowError; at 1020 rounds the
+    # phase overflowed and sin gave NaN behind a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rounds in (1020, 1100):
+            with pytest.raises(spectro.SpectroError, match="J-doubling overflows"):
+                measured_recovery(5.0, 3.0, rounds)
 
 
 def test_measured_recovery_refuses_bad_rounds():

@@ -32,6 +32,7 @@ from spinpair.spectro import (
     synthesize_fid,
 )
 from spinpair.states import (
+    _BELL_PROJECTORS,
     BELL_BASIS,
     IX, IY, IZ, SX, SY, SZ,
     DensityMatrix,
@@ -171,9 +172,9 @@ def test_fid_modes_match_per_coherence_loops(p, dwell_s):
      ReadoutConfig(n_points=4096, dwell_s=1 / 1500, j_double_rounds=2, target_spin="S")),
 ])
 def test_shared_acquisition_maps_equal_separate_builds(p, ro):
-    r, y_t = spectro._acquisition_maps(p, ro)
-    assert r.shape == (4, 16) and y_t.shape == (4,)
-    assert not r.flags.writeable and not y_t.flags.writeable
+    r, y_t, inverse = spectro._acquisition_maps(p, ro)
+    assert r.shape == (4, 16) and y_t.shape == (4,) and inverse.shape == (4, 4)
+    assert not (r.flags.writeable or y_t.flags.writeable or inverse.flags.writeable)
     selective = selective_pulse(ro.target_spin, p)
     hard_90 = hard_pulse(90.0, 90.0)
     w_p = spectro._doubled_map(p, ro)
@@ -387,6 +388,21 @@ def test_j_double_refuses_a_non_integer_rounds_and_an_infinite_j():
             j_double(fid, j_hz, rounds=1)
 
 
+def test_j_double_refuses_rounds_whose_doubled_j_overflows(params):
+    # 2^r J reached inf, or its phase pi 2^r J t did, and cos gave NaN
+    # behind a RuntimeWarning
+    fid = lorentzian_fid(1.0, 100.0, 0.5, n=256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rounds in (1023, 1030, 10 ** 18):
+            with pytest.raises(SpectroError, match="J-doubling overflows"):
+                j_double(fid, 5.0, rounds=rounds)
+        with pytest.raises(SpectroError, match="J-doubling overflows"):
+            readout_integrals(make_singlet(), params,
+                              ReadoutConfig(n_points=1024, j_double_rounds=1100))
+        assert np.isfinite(j_double(fid, 5.0, rounds=60).samples).all()
+
+
 def antiphase_pair_fid(j_hz, fwhm_hz, center_hz=100.0, n=65536, dwell=1 / 1024.0):
     t = np.arange(n) * dwell
     s = 1j * np.sin(np.pi * j_hz * t) * np.exp(2j * np.pi * center_hz * t) \
@@ -447,7 +463,7 @@ def test_readout_map_matches_fourier_path(delta_nu, target, rounds, n):
     assert r.shape == (4, 16) and not r.flags.writeable
     bell = [DensityMatrix(np.outer(k, k.conj())) for k in BELL_BASIS.T]
     want = np.column_stack([fourier_readout_integrals(b, params, ro) for b in bell])
-    got = spectro._readout_matrix(params, ro)
+    got = (r @ _BELL_PROJECTORS.T).real
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     rng = np.random.default_rng(int(delta_nu) + 10 * rounds + n)
     for _ in range(20):
@@ -514,6 +530,48 @@ def test_imbalance_round_trip_random_simplex(a, b, c):
         readout_integrals(bell_diagonal(*pops), params, ro), params, ro)
     assert got.as_tuple() == pytest.approx(pops, abs=5e-4)
     assert sum(got.as_tuple()) == pytest.approx(1.0, abs=1e-12)
+
+
+def lstsq_populations(y, params, readout):
+    """The populations of integrals y as imbalance_to_populations solved
+    for them on every call, before the population inverse was cached: the
+    Bell-projected readout matrix M, reduced to the unit-trace slice, one
+    SVD for the degeneracy check and one least-squares solve."""
+    m = (spectro._acquisition_maps(params, readout)[0] @ _BELL_PROJECTORS.T).real
+    reduced = m @ spectro._SUM_ZERO_BASIS
+    svals = np.linalg.svd(reduced, compute_uv=False)
+    assert not (svals[0] == 0 or svals[-1] < 1e-8 * svals[0])
+    p0 = np.full(4, 0.25)
+    q, *_ = np.linalg.lstsq(reduced, y - m @ p0, rcond=None)
+    return p0 + spectro._SUM_ZERO_BASIS @ q
+
+
+@pytest.mark.parametrize("rounds", [0, 2, 4])
+@pytest.mark.parametrize("target", ["I", "S"])
+@pytest.mark.parametrize("delta_nu", [420.0, 492.0, 580.0])
+def test_population_inverse_matches_lstsq_oracle(delta_nu, target, rounds):
+    params = SpinSystemParams(delta_nu_hz=delta_nu)
+    ro = ReadoutConfig(j_double_rounds=rounds, target_spin=target)
+    rng = np.random.default_rng(int(delta_nu) + 10 * rounds + (target == "S"))
+    for pops in rng.dirichlet(np.ones(4), size=50):
+        y = readout_integrals(bell_diagonal(*pops), params, ro)
+        got = imbalance_to_populations(y, params, ro).as_tuple()
+        assert np.abs(np.subtract(got, lstsq_populations(y, params, ro))).max() <= 1e-14
+        assert np.abs(np.subtract(got, pops)).max() <= 1e-6
+
+
+def test_warm_imbalance_runs_no_linear_algebra_routine(params, monkeypatch):
+    # one warm-up call fills the cache; after it each call is one 4x4 product
+    ro = ReadoutConfig(n_points=4096, j_double_rounds=3)
+    y = readout_integrals(bell_diagonal(0.7, 0.1, 0.15, 0.05), params, ro)
+    want = imbalance_to_populations(y, params, ro)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm imbalance_to_populations call ran np.linalg")
+
+    for name in ("svd", "lstsq", "pinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert imbalance_to_populations(y, params, ro) == want
 
 
 def test_imbalance_rejects_degenerate_readout():

@@ -261,10 +261,11 @@ def test_thermal_state_is_the_product_of_spin_polarizations():
 
 
 @pytest.mark.parametrize("nu_hz, temp_k", [(400e6, 1e-320), (1e-300, 295.0),
-                                           (1e-200, 1e200)])
+                                           (1e-200, 1e200), (1e300, 1e-300)])
 def test_params_refuse_an_underflowing_b_factor(nu_hz, temp_k):
-    # k*T == 0 would divide by zero in b_factor; B == 0 in 2/B
-    with pytest.raises(ValueError, match="underflows to 0"):
+    # B must be in (0, inf): k*T == 0 would divide by zero in b_factor,
+    # B == 0 in 2/B, and B == inf made 2/B zero
+    with pytest.raises(ValueError, match="underflows to 0, or B overflows"):
         SpinSystemParams(nu_hz=nu_hz, temp_k=temp_k)
 
 
