@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -87,17 +88,36 @@ def _state_payload(rho: DensityMatrix) -> dict:
 def _load_state(path: Path) -> DensityMatrix:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CliError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("basis") != "zeeman":
         raise CliError(f"{path}: unsupported or missing basis, expected 'zeeman'")
+    re, im = (_number_grid(payload.get(key)) for key in ("re", "im"))
+    if re is None or im is None:
+        raise CliError(f"{path}: not a valid state: re and im must be 4x4 arrays of numbers")
+    m = re.astype(complex)
+    m.imag = im  # re + 1j * im would make the real part of 1j * inf NaN
     try:
-        m = np.array(payload["re"], dtype=float) + 1j * np.array(payload["im"], dtype=float)
         return DensityMatrix(m)
-    except (KeyError, ValueError, StateValidationError) as exc:
+    except StateValidationError as exc:
         raise CliError(f"{path}: not a valid state: {exc}") from exc
+
+
+def _number_grid(value):
+    """value as a (4, 4) float array when it is a 4x4 JSON array of numbers
+    (NaN and Infinity included, for the state checks to name), else None."""
+    if not (isinstance(value, list) and len(value) == 4
+            and all(isinstance(row, list) and len(row) == 4
+                    and all(type(v) in (int, float) for v in row) for row in value)):
+        return None
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
 
 
 def _write_json(path: Path, payload) -> None:
@@ -149,7 +169,7 @@ def cmd_run(args) -> int:
     seq_path = Path(args.sequence)
     try:
         text = seq_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read sequence {seq_path}: {exc}") from exc
     try:
         ast = seqdsl.parse(text)
@@ -307,7 +327,9 @@ def _join_number_values(argv: list) -> list:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("system parameters")
     for flag, default in _PARAM_FLAGS:

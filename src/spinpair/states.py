@@ -108,14 +108,20 @@ def check_density(m) -> np.ndarray:
     fails raises StateValidationError with the value of the first member
     failing it, the message DensityMatrix gives for that member alone.
 
-    Positivity is certified by one Cholesky factorization of the whole
-    stack (_cholesky_certifies); only when that fails are the eigenvalues
+    One 4x4 matrix is first certified in Python scalars (_certifies_one),
+    free of numpy's per-call overhead on 16 numbers. A stack, and a matrix
+    that certificate does not accept, take the numpy checks below, the one
+    source of every refusal and its message. There positivity is
+    certified by one Cholesky factorization of the whole stack
+    (_cholesky_certifies); only when that fails are the eigenvalues
     computed, and they decide the refusal and its message.
 
     Each check tests that its condition holds, so NaN fails it. A
     non-finite entry makes the Hermiticity deviation NaN or inf, so it
     fails the first check, which then names the entry."""
     m = np.asarray(m, dtype=complex)
+    if m.shape == (4, 4) and _certifies_one(m):
+        return m
     if m.shape[-2:] != (4, 4):
         raise StateValidationError(f"expected 4x4 matrices, got {m.shape}")
     mh = m.conj().swapaxes(-1, -2)
@@ -149,6 +155,56 @@ def check_density(m) -> np.ndarray:
     return m
 
 
+def _certifies_one(m: np.ndarray) -> bool:
+    """True when the one (4, 4) complex matrix m passes check_density's
+    three checks, decided in Python scalars on one .tolist() read: the
+    moduli |m[i][j] - conj(m[j][i])| over the lower triangle sum to at most
+    HERM_TOL / 2, |trace - 1| is at most TRACE_TOL / 2, and an unrolled
+    Cholesky factorization of (m + m^H)/2 + EIG_TOL I, the certificate of
+    _cholesky_certifies, has every pivot in (0, inf). The halved bounds
+    leave room for numpy's own rounding of the moduli and of the trace
+    (whose diagonal the factorization bounds), so the first two checks
+    hold in numpy's arithmetic too. False decides nothing. Overflow gives
+    inf, and NaN fails every test; only abs of a complex raises
+    (OverflowError) where numpy gives inf, so it alone sits in a try."""
+    ((a00, a01, a02, a03), (a10, a11, a12, a13),
+     (a20, a21, a22, a23), (a30, a31, a32, a33)) = m.tolist()
+    try:
+        dev = (abs(a10 - a01.conjugate()) + abs(a20 - a02.conjugate())
+               + abs(a21 - a12.conjugate()) + abs(a30 - a03.conjugate())
+               + abs(a31 - a13.conjugate()) + abs(a32 - a23.conjugate())
+               + 2 * (abs(a00.imag) + abs(a11.imag) + abs(a22.imag) + abs(a33.imag)))
+        trace_dev = abs(a00 + a11 + a22 + a33 - 1.0)
+    except OverflowError:
+        return False
+    if not (dev <= HERM_TOL / 2 and trace_dev <= TRACE_TOL / 2):
+        return False
+    # column by column: l_ij the factor below the diagonal, p the pivot
+    # whose root is the diagonal entry; |l|^2 is (l * conj(l)).real
+    p = a00.real + EIG_TOL
+    if not 0 < p < math.inf:
+        return False
+    s = math.sqrt(p)
+    l10 = (a10 + a01.conjugate()) * 0.5 / s
+    l20 = (a20 + a02.conjugate()) * 0.5 / s
+    l30 = (a30 + a03.conjugate()) * 0.5 / s
+    c10 = l10.conjugate()
+    p = a11.real + EIG_TOL - (l10 * c10).real
+    if not 0 < p < math.inf:
+        return False
+    s = math.sqrt(p)
+    l21 = ((a21 + a12.conjugate()) * 0.5 - l20 * c10) / s
+    l31 = ((a31 + a13.conjugate()) * 0.5 - l30 * c10) / s
+    c20, c21 = l20.conjugate(), l21.conjugate()
+    p = a22.real + EIG_TOL - (l20 * c20).real - (l21 * c21).real
+    if not 0 < p < math.inf:
+        return False
+    l32 = ((a32 + a23.conjugate()) * 0.5 - l30 * c20 - l31 * c21) / math.sqrt(p)
+    p = (a33.real + EIG_TOL - (l30 * l30.conjugate()).real
+         - (l31 * l31.conjugate()).real - (l32 * l32.conjugate()).real)
+    return 0 < p < math.inf
+
+
 def _cholesky_certifies(h: np.ndarray, shift: np.ndarray) -> bool:
     """True when every Hermitian matrix of the (..., k, k) stack h has no
     eigenvalue below -tol, for the (k, k) shift = tol I, certified by one
@@ -157,7 +213,10 @@ def _cholesky_certifies(h: np.ndarray, shift: np.ndarray) -> bool:
     Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10).
     False decides nothing; the eigenvalues then do. An overflowed entry
     gives a non-finite factor rather than a failure, hence the finiteness
-    test."""
+    test. One 4x4 matrix is certified before this by _certifies_one, the
+    same factorization unrolled in Python scalars. Neither certificate
+    refuses anything: refusals and their messages come from
+    check_density's numpy checks alone."""
     try:
         factor = np.linalg.cholesky(h + shift)
     except np.linalg.LinAlgError:

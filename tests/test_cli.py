@@ -345,6 +345,44 @@ def test_analyze_rejects_invalid_state(tmp_path, capsys):
     assert run_cli("analyze", tmp_path / "nope.json", "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "expected a JSON object, got list"),
+    ({"basis": "zeeman", "re": {"a": 1}, "im": np.zeros((4, 4)).tolist()},
+     "re and im must be 4x4 arrays of numbers"),
+    ({"basis": "zeeman", "re": (np.eye(4) / 4).tolist(), "im": None},
+     "re and im must be 4x4 arrays of numbers"),
+    ({"basis": "zeeman", "re": (np.eye(4) / 4).tolist()},
+     "re and im must be 4x4 arrays of numbers"),
+    ({"basis": "zeeman", "re": [[True, 0, 0, 0]] * 4, "im": np.zeros((4, 4)).tolist()},
+     "re and im must be 4x4 arrays of numbers"),
+    ({"basis": "zeeman", "re": [[10 ** 400, 0, 0, 0]] * 4, "im": np.zeros((4, 4)).tolist()},
+     "re and im must be 4x4 arrays of numbers"),
+    ({"basis": "zeeman", "re": (np.eye(4) / 4).tolist(), "im": [[0, np.inf, 0, 0]] + [[0] * 4] * 3},
+     "non-finite entry infj at [0, 1]"),
+], ids=["list", "re-object", "im-null", "im-missing", "boolean", "integer-beyond-float",
+        "im-infinite"])
+def test_analyze_refuses_a_malformed_state_file(tmp_path, capsys, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli("analyze", bad, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, name, content, message", [
+    ("analyze", "state.json", b"\xff{}", "cannot read state file"),
+    ("analyze", "state.json", b"[" * 100000, "is not valid JSON"),
+    ("run", "seq.pseq", b"\xffacquire", "cannot read sequence"),
+], ids=["state-not-utf8", "state-nested-too-deep", "sequence-not-utf8"])
+def test_unreadable_input_files_are_refused(tmp_path, capsys, command, name, content, message):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    assert run_cli(command, bad, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1, err
+
+
 def test_analyze_rejects_non_finite_state(tmp_path, capsys):
     re = np.eye(4) / 4
     re[0, 0] = np.nan

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinpair import spectro, states
-from spinpair.channels import apply, hard_pulse
+from spinpair.channels import apply, filtration_sequence, hard_pulse
 from spinpair.constants import BOLTZMANN_K, PLANCK_H
 from spinpair.states import (
     BELL_BASIS,
@@ -433,9 +433,9 @@ def test_check_density_refuses_what_density_matrix_refuses(random_states, bad, w
     assert _refusal(check_density, stack) == want
 
 
-def _symmetric_inf_pair():
-    m = _with_entry(0, 1, np.inf)
-    m[1, 0] = np.inf
+def _symmetric_pair(value):
+    m = _with_entry(0, 1, value)
+    m[1, 0] = value
     return m
 
 
@@ -444,7 +444,7 @@ def _symmetric_inf_pair():
     (_with_entry(1, 1, complex(0.25, np.nan)), r"non-finite entry .*nanj\) at \[1, 1\]"),
     (_with_entry(0, 0, np.inf), r"non-finite entry \(inf\+0j\) at \[0, 0\]"),
     (_with_entry(2, 3, -np.inf), r"non-finite entry \(-inf\+0j\) at \[2, 3\]"),
-    (_symmetric_inf_pair(), r"non-finite entry \(inf\+0j\) at \[0, 1\]"),
+    (_symmetric_pair(np.inf), r"non-finite entry \(inf\+0j\) at \[0, 1\]"),
     (np.full((4, 4), np.nan, dtype=complex), r"non-finite entry \(nan\+0j\) at \[0, 0\]"),
 ], ids=["nan", "nan-imag", "inf-diagonal", "inf-off-diagonal", "inf-symmetric-pair",
         "all-nan"])
@@ -523,20 +523,27 @@ def _with_smallest_eigenvalue(rng, lam_min, n):
 @pytest.fixture(params=["certificate", "eigvalsh-only"])
 def certificate(request, monkeypatch):
     """Runs a test as is, and once with every Cholesky certificate refused,
-    so that the eigvalsh fallback alone decides."""
+    the single-matrix one included, so that the eigvalsh fallback alone
+    decides."""
     if request.param == "eigvalsh-only":
         monkeypatch.setattr(states, "_cholesky_certifies", lambda h, shift: False)
+        monkeypatch.setattr(states, "_certifies_one", lambda m: False)
 
 
-def test_check_density_matches_eigvalsh_rule_on_random_inputs(certificate):
-    rng = np.random.default_rng(13)
+def _valid_and_kicked(seed):
+    """1000 random states, and the same states each given a traceless
+    Hermitian kick from 1e-12 to 1 in size: small ones keep the state,
+    large ones push eigenvalues below zero."""
+    rng = np.random.default_rng(seed)
     valid = np.array([random_density(rng).matrix for _ in range(1000)])
-    # traceless Hermitian kicks from 1e-12 to 1 in size: small ones keep
-    # the state, large ones push eigenvalues below zero
     g = rng.normal(size=(1000, 4, 4)) + 1j * rng.normal(size=(1000, 4, 4))
     kick = g + g.conj().swapaxes(-1, -2)
     kick -= kick.trace(axis1=-2, axis2=-1)[:, None, None] * np.eye(4) / 4
-    kicked = valid + 10 ** rng.uniform(-12, 0, size=(1000, 1, 1)) * kick
+    return valid, valid + 10 ** rng.uniform(-12, 0, size=(1000, 1, 1)) * kick
+
+
+def test_check_density_matches_eigvalsh_rule_on_random_inputs(certificate):
+    valid, kicked = _valid_and_kicked(13)
     refused = [_outcome(eigvalsh_check_density, m) is not None for m in kicked]
     assert 100 < sum(refused) < 900
     for m in np.concatenate([valid, kicked]):
@@ -570,7 +577,7 @@ def test_stack_with_one_member_below_the_tolerance_names_it(random_states, posit
 
 @pytest.mark.parametrize("m", [
     _with_entry(0, 0, np.nan), _with_entry(1, 1, complex(0.25, np.nan)),
-    _with_entry(0, 0, np.inf), _with_entry(2, 3, -np.inf), _symmetric_inf_pair(),
+    _with_entry(0, 0, np.inf), _with_entry(2, 3, -np.inf), _symmetric_pair(np.inf),
     np.full((4, 4), np.nan, dtype=complex),
     _with_entry(0, 1, 1.7e308) + _with_entry(1, 0, 1.7e308) - np.eye(4) / 4,
 ], ids=["nan", "nan-imag", "inf-diagonal", "inf-off-diagonal", "inf-symmetric-pair",
@@ -580,6 +587,72 @@ def test_check_density_matches_eigvalsh_rule_on_extreme_entries(m):
     assert want is not None
     assert _outcome(check_density, m) == want
     assert _outcome(check_density, np.array([np.eye(4) / 4, m])) == want
+
+
+def _at_every_position(value):
+    return [_with_entry(i, j, value) for i in range(4) for j in range(4)]
+
+
+@pytest.mark.parametrize("cases", [
+    _at_every_position(np.nan), _at_every_position(np.inf), _at_every_position(-np.inf),
+    _at_every_position(complex(0.25, np.nan)), _at_every_position(1.5e308 + 1.5e308j),
+    [_symmetric_pair(1.5e308 + 1.5e308j), _with_entry(0, 0, 1e308 + 1e308j)],
+], ids=["nan", "inf", "-inf", "nan-imag", "overflowing-modulus", "float-limit"])
+def test_scalar_hazards_match_eigvalsh_rule_without_warnings(cases):
+    # Python scalars raise where numpy gives inf (abs of a complex whose
+    # modulus overflows), and NaN compares false: the single-matrix
+    # certificate refuses each case quietly and numpy words the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in cases:
+            want = _outcome(eigvalsh_check_density, m)
+            assert want is not None
+            assert _outcome(check_density, m) == want
+            assert _outcome(check_density, np.array([np.eye(4) / 4, m])) == want
+
+
+def _ensemble_kinds(rng, n):
+    """n states of each kind the ensemble benchmark draws: Ginibre, pure,
+    Werner near the 1/3 threshold and Bell-diagonal near weight 1/2."""
+    out = []
+    for _ in range(n):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        d = rng.uniform(-0.05, 0.05)
+        w = np.insert((0.5 - d) * rng.dirichlet(np.ones(3)), rng.integers(4), 0.5 + d)
+        for m in (a @ a.conj().T, np.outer(v, v.conj()),
+                  (1 / 3 + d) * make_singlet().matrix + (2 / 3 - d) * np.eye(4) / 4,
+                  bell_diagonal(*w).matrix):
+            m = (m + m.conj().T) / 2
+            out.append(m / m.trace().real)
+    return out
+
+
+def test_one_state_is_certified_without_numpy_linear_algebra(random_states, monkeypatch):
+    rng = np.random.default_rng(31)
+    ensemble = _ensemble_kinds(rng, 64)
+    program = filtration_sequence(SpinSystemParams())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single state reached numpy's linear algebra")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for m in [rho.matrix for rho in random_states] + ensemble:
+        assert np.array_equal(DensityMatrix(m).matrix, m)
+        assert isinstance(apply(program, DensityMatrix(m)), DensityMatrix)
+
+
+@pytest.mark.parametrize("factor", [None, 1 - 1e-3, 1 + 1e-3],
+                         ids=["kicked", "inside-tolerance", "outside-tolerance"])
+def test_single_matrix_certificate_accepts_only_what_the_oracle_accepts(factor):
+    if factor is None:
+        m = _valid_and_kicked(19)[1]
+    else:
+        m = _with_smallest_eigenvalue(np.random.default_rng(23), -EIG_TOL * factor, 200)
+    certified = [states._certifies_one(member) for member in m]
+    accepted = [_outcome(eigvalsh_check_density, member) is None for member in m]
+    assert certified == accepted
 
 
 def test_check_density_shapes():
