@@ -50,6 +50,8 @@ class ChannelError(ValueError):
 # keep only elements within one total-m subspace (diagonal + the 01/10 block)
 _ZEEMAN_MASK = (_M_TOTAL[:, None] == _M_TOTAL[None, :]).astype(float)
 _DIAG_MASK = np.eye(4)
+# the J operator of each coupling: the secular IzSz, the full I.S, or none
+_J_OPERATORS = {"weak": IZ @ SZ, "strong": IX @ SX + IY @ SY + IZ @ SZ, "off": None}
 
 
 def _check_duration(name: str, t_s: float) -> None:
@@ -148,17 +150,17 @@ def hard_pulse(angle_deg: float, phase_deg: float) -> Channel:
 
 
 def _propagator(t_s: float, params: SpinSystemParams,
-                coupling_mode: str = "weak", include_j: bool = True) -> np.ndarray:
+                coupling: str = "weak") -> np.ndarray:
     """The 4x4 unitary exp(-i H t_s) of free_evolution, which FID
-    synthesis shares. Weak coupling with J active raises when
-    delta_nu <= J and warns when delta_nu <= 5J. A time t_s that is
-    negative or not finite, or a generator H t_s that overflows, raises
+    synthesis shares. Weak coupling raises when delta_nu <= J and warns
+    when delta_nu <= 5J. An unknown coupling, a time t_s that is negative
+    or not finite, or a generator H t_s that overflows, raises
     ChannelError."""
     _check_duration("evolution time", t_s)
-    if coupling_mode not in ("weak", "strong"):
-        raise ChannelError(f"unknown coupling mode {coupling_mode!r}")
+    if coupling not in _J_OPERATORS:
+        raise ChannelError(f"unknown coupling {coupling!r}")
     dnu, j = params.delta_nu_hz, params.j_hz
-    if include_j and coupling_mode == "weak":
+    if coupling == "weak":
         if dnu <= j:
             raise ChannelError(
                 f"weak coupling needs delta_nu > J, got {dnu} <= {j}")
@@ -169,11 +171,8 @@ def _propagator(t_s: float, params: SpinSystemParams,
     # a frequency or time near the float limit overflows; refused below
     with np.errstate(over="ignore", invalid="ignore"):
         h = 2 * np.pi * (-dnu / 2) * IZ + 2 * np.pi * (dnu / 2) * SZ
-        if include_j:
-            if coupling_mode == "weak":
-                h = h + 2 * np.pi * j * (IZ @ SZ)
-            else:
-                h = h + 2 * np.pi * j * (IX @ SX + IY @ SY + IZ @ SZ)
+        if _J_OPERATORS[coupling] is not None:
+            h = h + 2 * np.pi * j * _J_OPERATORS[coupling]
         gen = h * t_s
     if not np.isfinite(gen).all():
         raise ChannelError(
@@ -183,17 +182,15 @@ def _propagator(t_s: float, params: SpinSystemParams,
 
 
 def free_evolution(t_s: float, params: SpinSystemParams,
-                   coupling_mode: str = "weak", include_j: bool = True) -> Channel:
+                   coupling: str = "weak") -> Channel:
     """Rotating-frame evolution at the doublet midpoint carrier.
 
-    Spin I sits at offset -delta_nu/2, spin S at +delta_nu/2. weak keeps
-    only the secular 2*pi*J*IzSz coupling; strong uses the full 2*pi*J*I.S.
-    include_j=False drops the coupling entirely (selective-pulse delays
-    always assume this separation, gradient periods by default).
+    Spin I sits at offset -delta_nu/2, spin S at +delta_nu/2. The coupling
+    is "weak", the secular 2*pi*J*IzSz; "strong", the full 2*pi*J*I.S; or
+    "off", none (the selective-pulse delay and the gradient periods).
     """
-    u = _propagator(t_s, params, coupling_mode, include_j)
-    tag = coupling_mode if include_j else "nocoupling"
-    return Channel(f"evolve({t_s:g},{tag})", np.kron(u, u.conj()), t_s=t_s)
+    u = _propagator(t_s, params, coupling)
+    return Channel(f"evolve({t_s:g},{coupling})", np.kron(u, u.conj()), t_s=t_s)
 
 
 def zeeman_dephase() -> Channel:
@@ -253,7 +250,7 @@ def selective_pulse(target_spin: str, params: SpinSystemParams) -> ChannelProgra
     tau = 1.0 / (4.0 * params.delta_nu_hz)
     chans = (
         hard_pulse(90.0, p1),
-        free_evolution(tau, params, include_j=False),
+        free_evolution(tau, params, "off"),
         hard_pulse(90.0, p2),
     )
     return ChannelProgram(channels=chans, params=params,
@@ -264,7 +261,7 @@ def gradient_period(params: SpinSystemParams) -> tuple:
     """One filtration half: 1/delta_nu of shift evolution under a crush
     gradient, modeled as evolution followed by ideal m-subspace dephasing."""
     tau = 1.0 / params.delta_nu_hz
-    return (free_evolution(tau, params, include_j=False), zeeman_dephase())
+    return (free_evolution(tau, params, "off"), zeeman_dephase())
 
 
 def filtration_sequence(params: SpinSystemParams) -> ChannelProgram:

@@ -2,13 +2,13 @@
 
 Signal convention: s(t) = tr(rho(t) (I+ + S+)) under weak-coupling free
 evolution, with T2 decay on every coherence. The FID is written in closed
-form as a sum of damped exponentials, one per coherence that F+ reads, in
-the eigenbasis of the one-dwell propagator (the Zeeman basis for weak
-coupling). The transform halves the first point, zero-fills once, and
-scales by 2*dwell, which makes the integral of an isolated absorptive line
-equal the envelope amplitude of its time-domain component: a unit-area
-Lorentzian integrates to 1 over the full axis. Line full-width at half
-maximum is 1/(pi*T2) plus any apodization broadening.
+form as a sum of damped exponentials, one per coherence that F+ reads:
+weak-coupling evolution is diagonal in the Zeeman basis, so each coherence
+turns by a phase read off the diagonal of the one-dwell propagator. The
+transform halves the first point, zero-fills once, and scales by 2*dwell,
+which makes the integral of an isolated absorptive line equal the envelope
+amplitude of its time-domain component: a unit-area Lorentzian integrates
+to 1 over the full axis. Line FWHM is 1/(pi*T2) plus any apodization.
 
 Every step of an acquisition (the pulses before it, FID, J-doubling,
 transform, integration) is linear in rho, so one builder,
@@ -43,7 +43,7 @@ from .states import (
     IX, IY, SX, SY,
     SpinSystemParams,
     StateValidationError,
-    _thermal_deviation,
+    _frozen, _thermal_deviation,
 )
 
 F_PLUS = (IX + 1j * IY) + (SX + 1j * SY)
@@ -106,12 +106,19 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
 
+# the coherences rho[a, b] that F+ reads, (1, 0), (2, 0), (3, 1) and (3, 2),
+# each with weight F+[b, a] = 1, and the one-hot rows selecting them from vec(rho)
+_READ_A, _READ_B = np.nonzero(F_PLUS.T * _OFF_DIAG)
+_READ_ROWS = _frozen(np.eye(16, dtype=complex)[4 * _READ_A + _READ_B])
+
+
 def _fid_modes(params: SpinSystemParams, n: int, dwell_s: float) -> tuple:
     """The modes (c, e) of synthesize_fid, one row per coherence (a, b)
     that F+ reads: the n samples are the sum over rows r of
-    (c @ vec(rho))[r] e[r]. Row r of the (r, 16) c is f_read[a, b]
-    vec(outer(V^-1[a], V[:, b])), with f_read = (V^-1 F+ V).T, and row r of
-    the (r, n) e is z[a, b]**k for k < n.
+    (c @ vec(rho))[r] e[r]. The one-dwell propagator is diagonal, with
+    diagonal lam, so the (r, 16) c is the constant one-hot selector of
+    those coherences and row r of the (r, n) e is z[a, b]**k for k < n,
+    z[a, b] = lam_a conj(lam_b) exp(-dwell/T2).
 
     A T2 decay dwell/T2 per dwell that overflows over n dwells raises
     SpectroError: the exponents log(z) k would not be finite."""
@@ -120,26 +127,21 @@ def _fid_modes(params: SpinSystemParams, n: int, dwell_s: float) -> tuple:
         raise SpectroError(
             f"t2_s = {params.t2_s!r} s is too short for the dwell {dwell_s!r} s: "
             f"the T2 decay over {n} points overflows")
-    lam, v = np.linalg.eig(_propagator(dwell_s, params))
-    v_inv = np.linalg.inv(v)
-    f_read = (v_inv @ F_PLUS @ v).T
-    log_z = np.log(np.outer(lam, lam.conj())) - decay
-    a, b = np.nonzero(f_read * _OFF_DIAG)
-    c = f_read[a, b, None] * (v_inv[a, :, None] * v.T[b, None, :]).reshape(len(a), 16)
-    return c, np.exp(log_z[a, b, None] * np.arange(n))
+    lam = np.diag(_propagator(dwell_s, params))
+    log_z = np.log(lam[_READ_A] * lam[_READ_B].conj()) - decay
+    return _READ_ROWS, np.exp(log_z[:, None] * np.arange(n))
 
 
 def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
                    n: int, dwell_s: float) -> Fid:
     """Weak-coupling FID of rho0 with T2 decay on every coherence.
 
-    In the eigenbasis V of the one-dwell propagator (eigenvalues lam) the
-    coherence rho[a, b] picks up z[a, b] = lam_a conj(lam_b) exp(-dwell/T2)
-    per dwell, so s_k = sum over a != b of (V^-1 rho V)[a, b]
-    (V^-1 F+ V)[b, a] z[a, b]**k. For weak coupling V is the Zeeman basis,
-    the basis the T2 decay is defined in, and F+ reads at most four
-    coherences. The propagator is free_evolution's, so delta_nu <= J
-    raises ChannelError and delta_nu <= 5J warns."""
+    Weak-coupling evolution is a phase lam_a per dwell on each Zeeman
+    state, so the coherence rho[a, b] picks up z[a, b] =
+    lam_a conj(lam_b) exp(-dwell/T2) per dwell and s_k is the sum of
+    rho[a, b] z[a, b]**k over the four coherences F+ reads. The
+    propagator is free_evolution's, so delta_nu <= J raises ChannelError
+    and delta_nu <= 5J warns."""
     if not _is_pow2(n):
         raise SpectroError(f"n must be a power of two >= 2, got {n}")
     c, e = _fid_modes(params, n, dwell_s)
@@ -164,11 +166,14 @@ def add_noise(fid: Fid, sigma: float,
               seed: int | np.random.SeedSequence) -> Fid:
     """Additive complex Gaussian noise, explicitly seeded. A negative or
     non-finite sigma, or a seed that is neither a non-negative integer nor
-    a SeedSequence, raises SpectroError."""
+    a SeedSequence, raises SpectroError; so does Fid, on draws that overflow."""
     check_noise_sigma(sigma)
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0, sigma, fid.n) + 1j * rng.normal(0, sigma, fid.n)
+    # set part by part: 1j * an overflowed draw would be a NaN with a warning
+    noise = np.empty(fid.n, dtype=complex)
+    noise.real = rng.normal(0, sigma, fid.n)
+    noise.imag = rng.normal(0, sigma, fid.n)
     return Fid(samples=fid.samples + noise, dwell_s=fid.dwell_s)
 
 
@@ -239,7 +244,7 @@ def fourier(fid: Fid, apodize_hz: float = 0.0) -> Spectrum:
 def _trapezoid_weights(freqs_hz: np.ndarray, lo_hz: float, hi_hz: float) -> np.ndarray:
     """Weights w over the axis with integrate(spectrum, lo, hi) equal to
     w @ spectrum.values.real: the trapezoid rule on the points in [lo, hi],
-    all zero when fewer than 2 points fall inside."""
+    all zero when fewer than 2 points fall inside, where integrate refuses."""
     if not lo_hz < hi_hz:
         raise SpectroError(f"need lo < hi, got [{lo_hz}, {hi_hz}]")
     if lo_hz < freqs_hz[0] or hi_hz > freqs_hz[-1]:
@@ -254,9 +259,14 @@ def _trapezoid_weights(freqs_hz: np.ndarray, lo_hz: float, hi_hz: float) -> np.n
 
 
 def integrate(spectrum: Spectrum, lo_hz: float, hi_hz: float) -> float:
-    """Trapezoidal integral of the real part over [lo, hi]."""
-    return float(_trapezoid_weights(spectrum.freqs_hz, lo_hz, hi_hz)
-                 @ spectrum.values.real)
+    """Trapezoidal integral of the real part over [lo, hi]; a region that
+    holds fewer than 2 points of the axis raises SpectroError."""
+    w = _trapezoid_weights(spectrum.freqs_hz, lo_hz, hi_hz)
+    if not w.any():
+        raise SpectroError(
+            f"region [{lo_hz}, {hi_hz}] Hz holds fewer than 2 spectral points; "
+            "acquire more points or a longer dwell")
+    return float(w @ spectrum.values.real)
 
 
 def component_regions(params: SpinSystemParams) -> tuple:

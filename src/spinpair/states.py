@@ -132,7 +132,7 @@ def check_density(m) -> np.ndarray:
         dev = np.abs(m - mh).max(axis=(-2, -1))
         h = (m + mh) / 2
     ok = dev <= HERM_TOL
-    if not _all(ok):
+    if not ok.all():
         member = _first_failing(m, ok)
         nonfinite = np.argwhere(~np.isfinite(member))
         if len(nonfinite):
@@ -141,7 +141,7 @@ def check_density(m) -> np.ndarray:
         raise StateValidationError(f"not Hermitian: max deviation {_first_failing(dev, ok):.3e}")
     tr = m.trace(axis1=-2, axis2=-1)
     ok = abs(tr - 1.0) <= TRACE_TOL
-    if not _all(ok):
+    if not ok.all():
         raise StateValidationError(f"trace {_first_failing(tr, ok)} differs from 1 beyond tolerance")
     if _cholesky_certifies(h, _EIG_SHIFT):
         return m
@@ -150,7 +150,7 @@ def check_density(m) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise StateValidationError(f"eigenvalues not computable: {exc}") from None
     ok = eigmin >= -EIG_TOL
-    if not _all(ok):
+    if not ok.all():
         raise StateValidationError(f"negative eigenvalue {_first_failing(eigmin, ok):.3e}")
     return m
 
@@ -222,11 +222,6 @@ def _cholesky_certifies(h: np.ndarray, shift: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return bool(np.isfinite(factor).all())
-
-
-def _all(mask) -> bool:
-    # bool() of the 0-d mask of one matrix costs a tenth of .all()
-    return bool(mask) if mask.ndim == 0 else bool(mask.all())
 
 
 def _first_failing(values, ok):

@@ -5,7 +5,10 @@ run_pipeline reads both of its acquisitions through spectro's
 a closed form; these builders make the time-domain signals those shortcuts
 stand for. The per-coherence loops below are the FID synthesis and the
 acquisition map as they were before spectro._fid_modes returned the modes
-as arrays; the arithmetic did not change, so they must agree bit for bit.
+as arrays, in the eigenbasis V of the one-dwell propagator from a general
+eigensolver. The weak-coupling propagator is diagonal, so V is exactly
+the identity and its eigenvalues are its diagonal: spectro, which reads
+that diagonal, must agree with the loops bit for bit.
 folded_acquisition_map keeps the channel-by-channel product the
 acquisition map took before it took the pulses as one composed
 superoperator."""

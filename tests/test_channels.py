@@ -57,14 +57,13 @@ def unitary_superop(u):
     return np.kron(u, u.conj())
 
 
-def hamiltonian(params, include_j=True, strong=False):
+def hamiltonian(params, coupling="weak"):
     h = 2 * math.pi * (-params.delta_nu_hz / 2) * IZ \
         + 2 * math.pi * (params.delta_nu_hz / 2) * KZ
-    if include_j:
-        if strong:
-            h = h + 2 * math.pi * params.j_hz * (IX @ KX + IY @ KY + IZ @ KZ)
-        else:
-            h = h + 2 * math.pi * params.j_hz * (IZ @ KZ)
+    if coupling == "strong":
+        h = h + 2 * math.pi * params.j_hz * (IX @ KX + IY @ KY + IZ @ KZ)
+    elif coupling == "weak":
+        h = h + 2 * math.pi * params.j_hz * (IZ @ KZ)
     return h
 
 
@@ -88,15 +87,15 @@ def test_free_evolution_matches_expm_oracle():
         ch = free_evolution(t, p)
         u_oracle = scipy.linalg.expm(-1j * t * hamiltonian(p))
         assert np.allclose(ch.superop, unitary_superop(u_oracle), atol=1e-10)
-        ch_nj = free_evolution(t, p, include_j=False)
-        u_nj = scipy.linalg.expm(-1j * t * hamiltonian(p, include_j=False))
+        ch_nj = free_evolution(t, p, coupling="off")
+        u_nj = scipy.linalg.expm(-1j * t * hamiltonian(p, "off"))
         assert np.allclose(ch_nj.superop, unitary_superop(u_nj), atol=1e-10)
 
 
 def test_free_evolution_strong_coupling_oracle():
     p = SpinSystemParams(delta_nu_hz=6000.0)
-    ch = free_evolution(2e-4, p, coupling_mode="strong")
-    u_oracle = scipy.linalg.expm(-1j * 2e-4 * hamiltonian(p, strong=True))
+    ch = free_evolution(2e-4, p, coupling="strong")
+    u_oracle = scipy.linalg.expm(-1j * 2e-4 * hamiltonian(p, "strong"))
     assert np.allclose(ch.superop, unitary_superop(u_oracle), atol=1e-10)
 
 
@@ -110,7 +109,15 @@ def test_free_evolution_weak_coupling_validity_enforced():
         free_evolution(1e-3, SpinSystemParams(delta_nu_hz=492.0, j_hz=5.0))
         # no check at all when J is idle
         free_evolution(1e-3, SpinSystemParams(delta_nu_hz=4.0, j_hz=5.0),
-                       include_j=False)
+                       coupling="off")
+        # nor at strong coupling, which keeps the whole I.S
+        free_evolution(1e-3, SpinSystemParams(delta_nu_hz=4.0, j_hz=5.0),
+                       coupling="strong")
+
+
+def test_free_evolution_refuses_an_unknown_coupling():
+    with pytest.raises(ChannelError, match="unknown coupling 'bogus'"):
+        free_evolution(1e-3, SpinSystemParams(), coupling="bogus")
 
 
 def test_pulse_inverse_composition(rng):
@@ -246,7 +253,7 @@ def test_selective_pulse_structure():
     prog = selective_pulse("I", p)
     tau = 1 / (4 * p.delta_nu_hz)
     assert [c.label for c in prog.channels] == [
-        "pulse(90,135)", f"evolve({tau:g},nocoupling)", "pulse(90,0)"]
+        "pulse(90,135)", f"evolve({tau:g},off)", "pulse(90,0)"]
     assert prog.channels[1].t_s == pytest.approx(tau)
     with pytest.raises(ValueError):
         selective_pulse("Q", p)
@@ -299,7 +306,7 @@ def test_filtration_channel_count():
     p = SpinSystemParams()
     prog = filtration_sequence(p)
     assert len(prog.channels) == 5
-    evolve = f"evolve({1 / p.delta_nu_hz:g},nocoupling)"
+    evolve = f"evolve({1 / p.delta_nu_hz:g},off)"
     labels = [c.label for c in prog.channels]
     assert labels == [evolve, "zeeman_dephase", "pulse(90,0)", evolve,
                       "zeeman_dephase"]
@@ -377,8 +384,8 @@ def pulse_oracle(angle_deg, phase_deg):
     return unitary_oracle(scipy.linalg.expm(-1j * pulse_generator(angle_deg, phase_deg)))
 
 
-def evolution_oracle(t, params, include_j=True, strong=False):
-    return unitary_oracle(scipy.linalg.expm(-1j * t * hamiltonian(params, include_j, strong)))
+def evolution_oracle(t, params, coupling="weak"):
+    return unitary_oracle(scipy.linalg.expm(-1j * t * hamiltonian(params, coupling)))
 
 
 def mask_oracle(mask):
@@ -452,12 +459,12 @@ def statement_oracles(program):
         elif op == "selective":
             first, second = {"I": (135.0, 0.0), "S": (45.0, 180.0)}[args[0]]
             out += [pulse_oracle(90.0, first),
-                    evolution_oracle(1 / (4 * p.delta_nu_hz), p, include_j=False),
+                    evolution_oracle(1 / (4 * p.delta_nu_hz), p, "off"),
                     pulse_oracle(90.0, second)]
         elif op == "delay":
             out.append(evolution_oracle(args[0], p))
         elif op == "gradient_period":
-            out += [evolution_oracle(1 / p.delta_nu_hz, p, include_j=False),
+            out += [evolution_oracle(1 / p.delta_nu_hz, p, "off"),
                     mask_oracle(_ZEEMAN_MASK)]
         elif op == "zqdephase":
             out.append(mask_oracle(np.eye(4)))
@@ -498,10 +505,9 @@ def every_constructor():
     relaxes.append((relax(1e4, p), lambda m: np.trace(m) * eq))
     return pulses + [
         (free_evolution(0.01, p), evolution_oracle(0.01, p)),
-        (free_evolution(0.37, p, include_j=False),
-         evolution_oracle(0.37, p, include_j=False)),
-        (free_evolution(2e-4, strong, coupling_mode="strong"),
-         evolution_oracle(2e-4, strong, strong=True)),
+        (free_evolution(0.37, p, coupling="off"), evolution_oracle(0.37, p, "off")),
+        (free_evolution(2e-4, strong, coupling="strong"),
+         evolution_oracle(2e-4, strong, "strong")),
         (zeeman_dephase(), mask_oracle(_ZEEMAN_MASK)),
         (zq_dephase(), mask_oracle(np.eye(4))),
     ] + relaxes
@@ -673,20 +679,20 @@ def test_channel_not_trace_preserving_is_refused():
         Channel("nan", np.full((16, 16), np.nan))
 
 
-@pytest.mark.parametrize("t, p, mode", [
+@pytest.mark.parametrize("t, p, coupling", [
     (1e307, SpinSystemParams(), "weak"),
     (1.7e308, SpinSystemParams(), "weak"),
     (1e-3, SpinSystemParams(delta_nu_hz=1.7e308), "weak"),
     (0.0, SpinSystemParams(delta_nu_hz=1.7e308), "weak"),
     (1e-3, SpinSystemParams(j_hz=1e308), "strong"),
 ], ids=["delay-1e307", "delay-max", "delta-nu-max", "delta-nu-max-t0", "strong-j-max"])
-def test_overflowing_evolution_is_refused_without_warning(t, p, mode):
+def test_overflowing_evolution_is_refused_without_warning(t, p, coupling):
     # the generator overflowed with a RuntimeWarning, and its NaN map then
     # broke the Choi eigensolver with LinAlgError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ChannelError, match="overflows the phase of the propagator"):
-            free_evolution(t, p, coupling_mode=mode)
+            free_evolution(t, p, coupling=coupling)
 
 
 @pytest.mark.parametrize("tail", [(), (zq_dephase(),)])

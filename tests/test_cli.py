@@ -430,6 +430,19 @@ def test_run_refuses_bad_noise_sigma_with_one_error_line(tmp_path, sigma):
     assert not out.exists()
 
 
+def test_run_refuses_an_overflowing_noise_sigma_with_one_error_line(tmp_path):
+    # a separate process, so a numpy warning on stderr would show: 1j times
+    # an overflowed draw was a NaN, with a RuntimeWarning, before the refusal
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "spinpair", "run",
+                           str(SEQ_DIR / "selective_i.pseq"), "--noise-sigma", "1e308",
+                           "--seed", "1", "--out", str(out)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 2
+    assert proc.stderr == "error: FID contains non-finite samples\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["0.01", "0"])
 def test_run_refuses_negative_seed_with_one_error_line(tmp_path, sigma):
     # with noise, numpy's default_rng would raise its own ValueError from

@@ -159,6 +159,15 @@ def test_run_pipeline_refuses_one_noisy_replicate(params):
         run_pipeline(params, noise_sigma=1e-3, n_boot=1)
 
 
+def test_run_pipeline_refuses_an_overflowing_noise_sigma_without_warning(params):
+    # the replicate integrals overflowed and epsilon_err came out NaN, with
+    # overflow and invalid-value warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(spectro.SpectroError, match="overflows the replicate signals"):
+            run_pipeline(params, noise_sigma=1e308, n_boot=4)
+
+
 @pytest.mark.parametrize("noise_sigma, n_boot", [(0.0, 100), (1e-3, 0), (0.0, 1)])
 def test_run_pipeline_zero_noise_or_replicates_is_noise_free(params, noise_sigma, n_boot):
     res = run_pipeline(params, noise_sigma=noise_sigma, n_boot=n_boot)

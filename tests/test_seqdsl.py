@@ -205,7 +205,7 @@ def test_delay_uses_active_j(params):
     ch = program.channels[0]
     assert ch.label == "evolve(0.01,weak)"
     assert np.array_equal(ch.superop, free_evolution(0.01, program.params).superop)
-    no_j = free_evolution(0.01, program.params, include_j=False).superop
+    no_j = free_evolution(0.01, program.params, coupling="off").superop
     assert not np.allclose(ch.superop, no_j, atol=1e-12)
     assert ch.t_s == pytest.approx(0.01)
 

@@ -166,6 +166,26 @@ def test_fid_modes_match_per_coherence_loops(p, dwell_s):
                               loop_acquisition_map(p, sup, w, dwell_s))
 
 
+def test_fid_modes_need_no_eigensolver(monkeypatch):
+    # weak-coupling evolution is diagonal, so the modes are read off the
+    # propagator's diagonal; the loops' eig/inv oracle gives the same bits
+    p = SpinSystemParams(delta_nu_hz=371.0, j_hz=6.5)
+    ro = ReadoutConfig(n_points=4096)
+    rho = apply(selective_pulse("I", p), make_singlet())
+    want_fid = loop_fid_samples(rho, p, 4096, ro.dwell_s)
+    want_r = loop_acquisition_map(p, selective_pulse("I", p).superop,
+                                  spectro._doubled_map(p, ro), ro.dwell_s)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the FID modes ran a general eigensolver or inverse")
+
+    for name in ("eig", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    spectro._acquisition_maps.cache_clear()
+    assert np.array_equal(synthesize_fid(rho, p, 4096, ro.dwell_s).samples, want_fid)
+    assert np.array_equal(spectro._acquisition_maps(p, ro)[0], want_r)
+
+
 @pytest.mark.parametrize("p, ro", [
     (SpinSystemParams(), ReadoutConfig()),
     (SpinSystemParams(delta_nu_hz=310.0, j_hz=11.5, t2_s=0.09),
@@ -307,8 +327,9 @@ def test_integrate_validation():
         integrate(spec, 10.0, 5.0)
     with pytest.raises(SpectroError):
         integrate(spec, -1e9, 0.0)
-    # degenerate window with fewer than two bins integrates to zero
-    assert integrate(spec, 0.0, 0.01) == 0.0
+    # a window with fewer than two bins has no trapezoid
+    with pytest.raises(SpectroError, match=r"region \[0.0, 0.01\] Hz holds fewer than 2"):
+        integrate(spec, 0.0, 0.01)
 
 
 def test_thermal_component_integrals(params):
@@ -347,6 +368,24 @@ def test_add_noise_deterministic():
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
     assert np.std((a.samples - fid.samples).real) == pytest.approx(0.1, rel=0.2)
+
+
+def test_add_noise_draws_as_real_plus_1j_imaginary():
+    # the noise is set part by part; the draws and their order are those of
+    # rng.normal(...) + 1j * rng.normal(...), which it replaced
+    fid = lorentzian_fid(1.0, 10.0, 0.5, n=256)
+    for sigma, seed in ((0.1, 7), (1e-3, 0), (3.5, 12)):
+        rng = np.random.default_rng(seed)
+        want = fid.samples + (rng.normal(0, sigma, fid.n) + 1j * rng.normal(0, sigma, fid.n))
+        assert np.array_equal(add_noise(fid, sigma, seed).samples, want)
+
+
+def test_add_noise_refuses_an_overflowing_sigma_without_warning():
+    fid = lorentzian_fid(1.0, 10.0, 0.5, n=256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectroError, match="FID contains non-finite samples"):
+            add_noise(fid, 1e308, seed=1)
 
 
 def test_add_noise_refuses_negative_seed():
