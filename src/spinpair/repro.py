@@ -138,23 +138,23 @@ def measured_recovery(j_hz: float, fwhm_hz: float | np.ndarray,
     doubling is j_double's, but neither is built: since
     sin(a) * prod over r < R of 2cos(2^r a) = sin(2^R a), R rounds turn
     the doublet of splitting J into the undoubled one of splitting 2^R J.
-    Its integral is then c @ (sin(pi 2^R J t) exp(-pi fwhm t)) with the
-    cached real carrier c of _recovery_carrier, so each call costs one
-    sine and each width one envelope and one dot product. A rounds that
-    is not an integer raises TypeError, and rounds < 0 or an overflowing
-    doubled J SpectroError."""
+    Its integral is then Im(c @ z^k) with the cached real carrier c of
+    _recovery_carrier and log z = (i pi 2^R J - pi fwhm) dwell, read
+    through the spectro._power_tables of z: no sine and no n-point array
+    per width. A rounds that is not an integer raises TypeError, and
+    rounds < 0 or an overflowing doubled J SpectroError."""
     if operator.index(rounds) < 0:
         raise spectro.SpectroError("rounds must be >= 0")
     center, n, dwell_s = 100.0, 65536, 1.0 / 1024.0
     spectro._check_doubled_j(j_hz, rounds, (n - 1) * dwell_s)
     # the carrier first: a cold build peaks while no n-point array is held
     c = _recovery_carrier(center, n, dwell_s)
-    t = np.arange(n) * dwell_s
-    g = c * np.sin(np.pi * (j_hz * 2 ** rounds) * t)
-    # exp is slow where it underflows; flooring the envelope at e^-700
-    # moves the sum by less than 1e-298
-    out = np.array([g @ np.exp(np.maximum(-np.pi * f * t, -700.0))
-                    for f in np.ravel(fwhm_hz)]) / 0.5
+    # sum over k = b j + i of c_k hi_j lo_i, with lo as a real (b, 2 widths)
+    # view: one real GEMM on c's own buffer, no complex copy of c
+    hi, lo = spectro._power_tables(
+        (1j * np.pi * (j_hz * 2 ** rounds) - np.pi * np.ravel(fwhm_hz)) * dwell_s, n)
+    m = (c.reshape(hi.shape[1], -1) @ lo.T.copy().view(float)).view(complex)
+    out = np.einsum("wj,jw->w", hi, m).imag / 0.5
     return float(out[0]) if np.ndim(fwhm_hz) == 0 else out.reshape(np.shape(fwhm_hz))
 
 

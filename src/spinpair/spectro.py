@@ -4,7 +4,8 @@ Signal convention: s(t) = tr(rho(t) (I+ + S+)) under weak-coupling free
 evolution, with T2 decay on every coherence. The FID is written in closed
 form as a sum of damped exponentials, one per coherence that F+ reads:
 weak-coupling evolution is diagonal in the Zeeman basis, so each coherence
-turns by a phase read off the diagonal of the one-dwell propagator. The
+turns by a phase read off the diagonal of the one-dwell propagator, its
+n powers multiplied out of two sqrt(n)-point tables (_power_tables). The
 transform halves the first point, zero-fills once, and scales by 2*dwell,
 which makes the integral of an isolated absorptive line equal the envelope
 amplitude of its time-domain component: a unit-area Lorentzian integrates
@@ -112,13 +113,26 @@ _READ_A, _READ_B = np.nonzero(F_PLUS.T * _OFF_DIAG)
 _READ_ROWS = _frozen(np.eye(16, dtype=complex)[4 * _READ_A + _READ_B])
 
 
+def _power_tables(log_z: np.ndarray, n: int) -> tuple:
+    """Tables (hi, lo) of the powers exp(log_z k), k < n, of each complex
+    log_z, for n a power of two: with b = 2^floor(log2(n) / 2),
+    exp(log_z k) = hi[..., k // b] * lo[..., k % b], where
+    lo = exp(log_z [0, 1, .., b - 1]) and hi = exp(log_z [0, b, .., n - b]).
+    So b + n/b exponentials stand for n, and the one product adds a
+    rounding that the rounding of log_z k, in both forms, outweighs."""
+    b = 1 << (n.bit_length() - 1) // 2
+    lo = np.exp(log_z[..., None] * np.arange(b))
+    hi = np.exp(log_z[..., None] * (b * np.arange(n // b)))
+    return hi, lo
+
+
 def _fid_modes(params: SpinSystemParams, n: int, dwell_s: float) -> tuple:
     """The modes (c, e) of synthesize_fid, one row per coherence (a, b)
     that F+ reads: the n samples are the sum over rows r of
     (c @ vec(rho))[r] e[r]. The one-dwell propagator is diagonal, with
     diagonal lam, so the (r, 16) c is the constant one-hot selector of
     those coherences and row r of the (r, n) e is z[a, b]**k for k < n,
-    z[a, b] = lam_a conj(lam_b) exp(-dwell/T2).
+    z[a, b] = lam_a conj(lam_b) exp(-dwell/T2), from its _power_tables.
 
     A T2 decay dwell/T2 per dwell that overflows over n dwells raises
     SpectroError: the exponents log(z) k would not be finite."""
@@ -129,7 +143,8 @@ def _fid_modes(params: SpinSystemParams, n: int, dwell_s: float) -> tuple:
             f"the T2 decay over {n} points overflows")
     lam = np.diag(_propagator(dwell_s, params))
     log_z = np.log(lam[_READ_A] * lam[_READ_B].conj()) - decay
-    return _READ_ROWS, np.exp(log_z[:, None] * np.arange(n))
+    hi, lo = _power_tables(log_z, n)
+    return _READ_ROWS, (hi[:, :, None] * lo[:, None, :]).reshape(len(log_z), n)
 
 
 def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
@@ -223,8 +238,8 @@ def fourier(fid: Fid, apodize_hz: float = 0.0) -> Spectrum:
     """Discrete transform with first-point halving, x2 zero-fill, and
     2*dwell scaling (line integral == time-domain envelope amplitude).
     apodize_hz adds Lorentzian broadening to every line's FWHM. An
-    apodize_hz that is not finite and non-negative, or a dwell so short
-    that the frequency axis overflows, raises SpectroError."""
+    apodize_hz that is not finite and non-negative, or a frequency axis
+    or a transform that overflows, raises SpectroError."""
     if not _is_pow2(fid.n):
         raise SpectroError(f"transform needs a power-of-two length, got {fid.n}")
     if not 0 <= apodize_hz < np.inf:
@@ -236,37 +251,40 @@ def fourier(fid: Fid, apodize_hz: float = 0.0) -> Spectrum:
         x = x * np.exp(-np.pi * apodize_hz * fid.times_s)
     x[0] *= 0.5
     x = np.concatenate([x, np.zeros(fid.n, dtype=complex)])
-    values = 2 * fid.dwell_s * np.fft.fft(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = 2 * fid.dwell_s * np.fft.fft(x)
+    if not np.isfinite(values).all():
+        raise SpectroError("the transform overflows: the spectrum is not finite")
     freqs = np.fft.fftfreq(2 * fid.n, fid.dwell_s)
     return Spectrum(freqs_hz=np.fft.fftshift(freqs), values=np.fft.fftshift(values))
 
 
-def _trapezoid_weights(freqs_hz: np.ndarray, lo_hz: float, hi_hz: float) -> np.ndarray:
-    """Weights w over the axis with integrate(spectrum, lo, hi) equal to
-    w @ spectrum.values.real: the trapezoid rule on the points in [lo, hi],
-    all zero when fewer than 2 points fall inside, where integrate refuses."""
+def _trapezoid_weights(freqs_hz: np.ndarray, lo_hz: float, hi_hz: float) -> tuple:
+    """The slice inside of the ascending axis that holds the points in
+    [lo, hi], and their trapezoid weights w, with integrate(spectrum, lo,
+    hi) equal to w @ spectrum.values.real[inside]; all zero below 2 points."""
     if not lo_hz < hi_hz:
         raise SpectroError(f"need lo < hi, got [{lo_hz}, {hi_hz}]")
     if lo_hz < freqs_hz[0] or hi_hz > freqs_hz[-1]:
         raise SpectroError(
             f"region [{lo_hz}, {hi_hz}] outside axis [{freqs_hz[0]}, {freqs_hz[-1]}]")
-    idx = np.flatnonzero((freqs_hz >= lo_hz) & (freqs_hz <= hi_hz))
-    half = np.diff(freqs_hz[idx]) / 2
-    w = np.zeros(len(freqs_hz))
-    w[idx[:-1]] += half
-    w[idx[1:]] += half
-    return w
+    inside = slice(np.searchsorted(freqs_hz, lo_hz), np.searchsorted(freqs_hz, hi_hz, "right"))
+    half = np.diff(freqs_hz[inside]) / 2
+    w = np.zeros(len(freqs_hz[inside]))
+    w[:-1] += half
+    w[1:] += half
+    return inside, w
 
 
 def integrate(spectrum: Spectrum, lo_hz: float, hi_hz: float) -> float:
-    """Trapezoidal integral of the real part over [lo, hi]; a region that
-    holds fewer than 2 points of the axis raises SpectroError."""
-    w = _trapezoid_weights(spectrum.freqs_hz, lo_hz, hi_hz)
-    if not w.any():
+    """Trapezoidal integral of the real part over [lo, hi], from its own
+    points alone; fewer than 2 points there raise SpectroError."""
+    inside, w = _trapezoid_weights(spectrum.freqs_hz, lo_hz, hi_hz)
+    if len(w) < 2:
         raise SpectroError(
             f"region [{lo_hz}, {hi_hz}] Hz holds fewer than 2 spectral points; "
             "acquire more points or a longer dwell")
-    return float(w @ spectrum.values.real)
+    return float(w @ spectrum.values.real[inside])
 
 
 def component_regions(params: SpinSystemParams) -> tuple:
@@ -295,9 +313,11 @@ def _integral_map(regions: tuple, n: int, dwell_s: float) -> np.ndarray:
     and the 2*dwell scale fold into W. The ascending axis is fftfreq's own
     arithmetic, so it equals fourier's axis bit for bit."""
     freqs = np.arange(-n, n) * (1.0 / (2 * n * dwell_s))
-    w = np.array([np.fft.ifftshift(_trapezoid_weights(freqs, lo, hi))
-                  for lo, hi in regions])
-    out = 2 * dwell_s * np.fft.rfft(w)[:, :n]
+    w = np.zeros((len(regions), 2 * n))
+    for row, (lo, hi) in zip(w, regions):
+        inside, weights = _trapezoid_weights(freqs, lo, hi)
+        row[inside] = weights
+    out = 2 * dwell_s * np.fft.rfft(np.fft.ifftshift(w, axes=1))[:, :n]
     out[:, 0] *= 0.5
     out.setflags(write=False)
     return out

@@ -12,6 +12,18 @@ def random_density(rng) -> DensityMatrix:
     return DensityMatrix(h / np.trace(h).real)
 
 
+def count_exp_values(monkeypatch) -> list:
+    """Patch np.exp to record the number of values of each call."""
+    sizes, exp = [], np.exp
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    return sizes
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(SEED)

@@ -443,6 +443,19 @@ def test_run_refuses_an_overflowing_noise_sigma_with_one_error_line(tmp_path):
     assert not out.exists()
 
 
+def test_run_refuses_a_noise_sigma_that_overflows_the_transform(tmp_path):
+    # the draws are finite, so the FID takes them, but the transform's
+    # sums overflowed: NaN component integrals in a manifest, exit 0
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "spinpair", "run",
+                           str(SEQ_DIR / "selective_i.pseq"), "--noise-sigma", "1e306",
+                           "--seed", "1", "--out", str(out)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the transform overflows: the spectrum is not finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["0.01", "0"])
 def test_run_refuses_negative_seed_with_one_error_line(tmp_path, sigma):
     # with noise, numpy's default_rng would raise its own ValueError from

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_exp_values
 from fid_oracles import antiphase_test_fid, polarized_fid, thermal_fid
 from spinpair import repro, spectro
 from spinpair.channels import apply, filtration_sequence, hard_pulse
@@ -648,6 +649,23 @@ def test_measured_recovery_builds_no_fid_and_no_modulation(monkeypatch):
     monkeypatch.setattr(spectro, "_j_modulation", refuse)
     got = [measured_recovery(5.0, widths, rounds) for rounds in (0, 4)]
     assert np.abs(np.subtract(got, want)).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rounds", [0, 4])
+def test_measured_recovery_takes_no_sine_and_two_root_n_exponentials_per_width(
+        monkeypatch, rounds):
+    widths = np.array([3.0, 4.0, 5.0, 0.0])
+    want = measured_recovery(5.0, widths, rounds)  # also builds the carrier
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measured_recovery took a sine")
+
+    monkeypatch.setattr(np, "sin", refuse)
+    sizes = count_exp_values(monkeypatch)
+    got = measured_recovery(5.0, widths, rounds)
+    # b = 256 for the 65536-point recovery: tables of 256 + 256 per width
+    assert sum(sizes) <= 2 * 256 * len(widths)
+    assert np.array_equal(got, want)
 
 
 def test_recovery_carrier_is_read_only_and_cached():

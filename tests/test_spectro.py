@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from spinpair import spectro
 from spinpair.channels import (
     ChannelError,
+    _propagator,
     apply,
     hard_pulse,
     selective_pulse,
@@ -43,7 +44,7 @@ from spinpair.states import (
     make_thermal,
 )
 
-from conftest import random_density
+from conftest import count_exp_values, random_density
 from fid_oracles import folded_acquisition_map, loop_acquisition_map, loop_fid_samples
 
 
@@ -154,21 +155,25 @@ def test_synthesize_fid_matches_stepping_oracle(p, dwell_s):
     (SpinSystemParams(delta_nu_hz=310.0, j_hz=11.5, t2_s=0.09), 1 / 1500),
 ])
 def test_fid_modes_match_per_coherence_loops(p, dwell_s):
-    # the modes as arrays do the loops' arithmetic, so the bits agree
+    # the loops take one n-point exponential per coherence; the modes
+    # multiply theirs out of the two power tables, which rounds once more
     rng = np.random.default_rng(7)
     for rho in [apply(selective_pulse("I", p), make_singlet())] + [
             random_density(rng) for _ in range(5)]:
-        assert np.array_equal(synthesize_fid(rho, p, 4096, dwell_s).samples,
-                              loop_fid_samples(rho, p, 4096, dwell_s))
+        want = loop_fid_samples(rho, p, 4096, dwell_s)
+        got = synthesize_fid(rho, p, 4096, dwell_s).samples
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     w = spectro._integral_map(component_regions(p), 4096, dwell_s)
     for sup in [np.eye(16), hard_pulse(90.0, 90.0).superop, selective_pulse("S", p).superop]:
-        assert np.array_equal(spectro._acquisition_map(p, ((sup, w),), dwell_s)[0],
-                              loop_acquisition_map(p, sup, w, dwell_s))
+        want = loop_acquisition_map(p, sup, w, dwell_s)
+        got = spectro._acquisition_map(p, ((sup, w),), dwell_s)[0]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_fid_modes_need_no_eigensolver(monkeypatch):
     # weak-coupling evolution is diagonal, so the modes are read off the
-    # propagator's diagonal; the loops' eig/inv oracle gives the same bits
+    # propagator's diagonal; they agree with the loops' eig/inv oracle to
+    # the rounding of the power tables
     p = SpinSystemParams(delta_nu_hz=371.0, j_hz=6.5)
     ro = ReadoutConfig(n_points=4096)
     rho = apply(selective_pulse("I", p), make_singlet())
@@ -182,8 +187,87 @@ def test_fid_modes_need_no_eigensolver(monkeypatch):
     for name in ("eig", "inv"):
         monkeypatch.setattr(np.linalg, name, refuse)
     spectro._acquisition_maps.cache_clear()
-    assert np.array_equal(synthesize_fid(rho, p, 4096, ro.dwell_s).samples, want_fid)
-    assert np.array_equal(spectro._acquisition_maps(p, ro)[0], want_r)
+    got_fid = synthesize_fid(rho, p, 4096, ro.dwell_s).samples
+    assert np.abs(got_fid - want_fid).max() <= 1e-12 * np.abs(want_fid).max()
+    got_r = spectro._acquisition_maps(p, ro)[0]
+    assert np.abs(got_r - want_r).max() <= 1e-12 * np.abs(want_r).max()
+
+
+def readout_log_z(p, dwell_s):
+    """log z of the four read coherences: phase and T2 decay per dwell."""
+    lam = np.diag(_propagator(dwell_s, p))
+    return np.log(lam[spectro._READ_A] * lam[spectro._READ_B].conj()) - dwell_s / p.t2_s
+
+
+# log z of the default readout, of a 5 Hz doublet doubled 4 times on a
+# 0.3 Hz line at the recovery's dwell 1/1024, and of two undamped phases
+POWER_LOG_Z = [
+    readout_log_z(SpinSystemParams(), 1 / 4096),
+    np.array([(1j * np.pi * 80.0 - np.pi * 0.3) / 1024]),
+    np.array([[0.01j, -0.001 + 0.2j], [-0.5j, 1e-6 - 3.0j]]),
+]
+
+
+def power_rounding_bound(log_z, k):
+    """Relative error, times |exp(log_z k)|, within which both the direct
+    exponential and the tables sit: the rounding of log_z k dominates."""
+    return 2 * np.finfo(float).eps * (np.abs(log_z)[..., None] * k + 4)
+
+
+@pytest.mark.parametrize("log_z", POWER_LOG_Z)
+def test_power_tables_match_the_direct_exponential(log_z):
+    for m in range(1, 17):
+        n = 2 ** m
+        hi, lo = spectro._power_tables(log_z, n)
+        b = 2 ** (m // 2)
+        assert lo.shape == log_z.shape + (b,) and hi.shape == log_z.shape + (n // b,)
+        k = np.arange(n)
+        got = hi[..., k // b] * lo[..., k % b]
+        want = np.exp(log_z[..., None] * k)
+        err = np.abs(got - want)
+        assert (err <= power_rounding_bound(log_z, k) * np.abs(want)).all()
+        # to rel 1e-13 wherever the exponent is small enough to keep
+        # its own rounding below that
+        small = np.abs(log_z)[..., None] * k < 100
+        assert (err[small] <= 1e-13 * np.abs(want[small])).all()
+
+
+@pytest.mark.parametrize("log_z", POWER_LOG_Z[:2])
+def test_power_tables_are_as_accurate_as_the_direct_exponential(log_z):
+    # against 50-digit values of exp(log_z k) for the float log_z: both
+    # forms sit within the rounding of log_z k, and the tables' worst and
+    # typical errors over the sampled k match the direct exponential's
+    mpmath = pytest.importorskip("mpmath")
+    n = 65536
+    hi, lo = spectro._power_tables(log_z, n)
+    ks = np.append(np.random.default_rng(11).integers(0, n, 150), n - 1)
+    errs = []
+    with mpmath.workdps(50):
+        for r, lz in enumerate(log_z):
+            exact = [mpmath.exp(mpmath.mpc(lz.real, lz.imag) * int(k)) for k in ks]
+            for form in (hi[r, ks // 256] * lo[r, ks % 256], np.exp(lz * ks)):
+                errs.append([float(abs(mpmath.mpc(v.real, v.imag) - x) / abs(x))
+                             for v, x in zip(form, exact)])
+    errs = np.array(errs).reshape(len(log_z), 2, len(ks))
+    assert (errs <= power_rounding_bound(log_z, ks)[:, None, :]).all()
+    tables, direct = errs[:, 0], errs[:, 1]
+    assert (tables.max(axis=1) <= 1.05 * direct.max(axis=1)).all()
+    assert (np.median(tables, axis=1) <= 1.25 * np.median(direct, axis=1)).all()
+
+
+@pytest.mark.parametrize("n", [2, 1024, 16384])
+def test_fid_modes_take_two_root_n_point_exponentials_per_mode(monkeypatch, n):
+    p, dwell_s = SpinSystemParams(), 1 / 4096
+    want = np.exp(readout_log_z(p, dwell_s)[:, None] * np.arange(n))
+    u = _propagator(dwell_s, p)
+    # the propagator's own four eigenphases are not the modes' work
+    monkeypatch.setattr(spectro, "_propagator", lambda t_s, params: u)
+    sizes = count_exp_values(monkeypatch)
+    c, e = spectro._fid_modes(p, n, dwell_s)
+    b = 2 ** ((n.bit_length() - 1) // 2)
+    assert sum(sizes) <= 4 * (b + n // b)
+    assert e.shape == (4, n)
+    assert np.abs(e - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("p, ro", [
@@ -204,10 +288,15 @@ def test_shared_acquisition_maps_equal_separate_builds(p, ro):
     assert np.array_equal(r, spectro._acquisition_map(
         p, ((selective.superop, w_p),), ro.dwell_s)[0])
     assert np.array_equal(y_t, (a_t @ ((t / 2) * (IZ + SZ) + t ** 2 * (IZ @ SZ)).ravel()).real)
-    assert np.array_equal(r, loop_acquisition_map(p, selective.superop, w_p, ro.dwell_s))
-    assert np.array_equal(a_t, loop_acquisition_map(p, hard_90.superop, w_t, ro.dwell_s))
-    # the composed pulses against the channel-by-channel product
-    for got, channels, w in ((r, selective.channels, w_p), (a_t, (hard_90,), w_t)):
+    # the loops against the power tables: one more rounding per power
+    for got, sup, w in ((r, selective.superop, w_p), (a_t, hard_90.superop, w_t)):
+        want = loop_acquisition_map(p, sup, w, ro.dwell_s)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the composed pulses against the channel-by-channel product, both
+    # read through the loops' modes, so only the composition differs
+    for sup, channels, w in ((selective.superop, selective.channels, w_p),
+                             (hard_90.superop, (hard_90,), w_t)):
+        got = loop_acquisition_map(p, sup, w, ro.dwell_s)
         want = folded_acquisition_map(p, channels, w, ro.dwell_s)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -255,6 +344,16 @@ def test_fourier_refuses_an_overflowing_axis_without_warning(n, dwell_s):
     fid = Fid(samples=np.ones(n, dtype=complex), dwell_s=dwell_s)
     with pytest.raises(SpectroError, match="frequency axis .* overflows"):
         fourier(fid)
+
+
+def test_fourier_refuses_an_overflowing_transform_without_warning():
+    # finite samples near the float limit overflowed the FFT's sums, with a
+    # RuntimeWarning, into a spectrum of inf and NaN
+    fid = Fid(samples=np.full(256, 1e308 + 1e308j), dwell_s=1 / 4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectroError, match="the transform overflows"):
+            fourier(fid)
 
 
 def test_synthesize_fid_refuses_a_t2_decay_that_overflows(params):
@@ -330,6 +429,23 @@ def test_integrate_validation():
     # a window with fewer than two bins has no trapezoid
     with pytest.raises(SpectroError, match=r"region \[0.0, 0.01\] Hz holds fewer than 2"):
         integrate(spec, 0.0, 0.01)
+
+
+def test_integrate_reads_only_its_region():
+    spec = fourier(lorentzian_fid(1.0, 100.0, 0.5))
+    inside = (spec.freqs_hz >= 50.0) & (spec.freqs_hz <= 150.0)
+    f, v = spec.freqs_hz[inside], spec.values.real[inside]
+    want = float(np.sum((v[1:] + v[:-1]) * np.diff(f)) / 2)
+    assert integrate(spec, 50.0, 150.0) == pytest.approx(want, rel=1e-14)
+    # a value outside the region is never read: inf times a zero weight
+    # was a NaN integral behind a RuntimeWarning
+    values = np.array(spec.values)
+    values[spec.freqs_hz < 50.0] = np.inf
+    values[spec.freqs_hz > 150.0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate(Spectrum(freqs_hz=spec.freqs_hz, values=values), 50.0, 150.0)
+    assert got == integrate(spec, 50.0, 150.0)
 
 
 def test_thermal_component_integrals(params):
