@@ -142,9 +142,12 @@ def measured_recovery(j_hz: float, fwhm_hz: float | np.ndarray,
     _recovery_carrier and log z = (i pi 2^R J - pi fwhm) dwell, read
     through the spectro._power_tables of z: no sine and no n-point array
     per width. A rounds that is not an integer raises TypeError, and
-    rounds < 0 or an overflowing doubled J SpectroError."""
+    rounds < 0, a width not in [0, inf) or an overflowing doubled J SpectroError."""
     if operator.index(rounds) < 0:
         raise spectro.SpectroError("rounds must be >= 0")
+    widths = np.ravel(fwhm_hz)
+    if not ((0 <= widths) & (widths < np.inf)).all():
+        raise spectro.SpectroError(f"width must be finite and >= 0, got {fwhm_hz!r}")
     center, n, dwell_s = 100.0, 65536, 1.0 / 1024.0
     spectro._check_doubled_j(j_hz, rounds, (n - 1) * dwell_s)
     # the carrier first: a cold build peaks while no n-point array is held
@@ -152,7 +155,7 @@ def measured_recovery(j_hz: float, fwhm_hz: float | np.ndarray,
     # sum over k = b j + i of c_k hi_j lo_i, with lo as a real (b, 2 widths)
     # view: one real GEMM on c's own buffer, no complex copy of c
     hi, lo = spectro._power_tables(
-        (1j * np.pi * (j_hz * 2 ** rounds) - np.pi * np.ravel(fwhm_hz)) * dwell_s, n)
+        (1j * np.pi * (j_hz * 2 ** rounds) - np.pi * widths) * dwell_s, n)
     m = (c.reshape(hi.shape[1], -1) @ lo.T.copy().view(float)).view(complex)
     out = np.einsum("wj,jw->w", hi, m).imag / 0.5
     return float(out[0]) if np.ndim(fwhm_hz) == 0 else out.reshape(np.shape(fwhm_hz))

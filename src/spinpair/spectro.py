@@ -21,9 +21,9 @@ cached builder per (params, ReadoutConfig), _acquisition_maps, computes
 the FID modes once and yields the (4, 16) map of the selective population
 readout, its 4x4 population inverse and the four integrals of
 run_pipeline's thermal reference, read after a hard 90 from the
-closed-form traceless part of the exact thermal state. No FID is
-synthesized and no transform is taken to read a state out; fourier and
-integrate remain for spectra that are shown.
+closed-form traceless part of the exact thermal state. Neither reading a
+state out nor building its maps synthesizes a FID or takes a transform
+(_integral_map is in closed form); fourier and integrate serve shown spectra.
 """
 
 from __future__ import annotations
@@ -127,12 +127,12 @@ def _power_tables(log_z: np.ndarray, n: int) -> tuple:
 
 
 def _fid_modes(params: SpinSystemParams, n: int, dwell_s: float) -> tuple:
-    """The modes (c, e) of synthesize_fid, one row per coherence (a, b)
-    that F+ reads: the n samples are the sum over rows r of
-    (c @ vec(rho))[r] e[r]. The one-dwell propagator is diagonal, with
-    diagonal lam, so the (r, 16) c is the constant one-hot selector of
-    those coherences and row r of the (r, n) e is z[a, b]**k for k < n,
-    z[a, b] = lam_a conj(lam_b) exp(-dwell/T2), from its _power_tables.
+    """The modes (c, hi, lo) of synthesize_fid, one row per coherence
+    (a, b) that F+ reads: the n samples are the sum over rows r of
+    (c @ vec(rho))[r] z[a, b]**k, z[a, b]**k = hi[r, k // b] lo[r, k % b]
+    from the _power_tables of z[a, b] = lam_a conj(lam_b) exp(-dwell/T2).
+    The one-dwell propagator is diagonal, with diagonal lam, so the (r, 16)
+    c is the constant one-hot selector of those coherences.
 
     A T2 decay dwell/T2 per dwell that overflows over n dwells raises
     SpectroError: the exponents log(z) k would not be finite."""
@@ -143,8 +143,7 @@ def _fid_modes(params: SpinSystemParams, n: int, dwell_s: float) -> tuple:
             f"the T2 decay over {n} points overflows")
     lam = np.diag(_propagator(dwell_s, params))
     log_z = np.log(lam[_READ_A] * lam[_READ_B].conj()) - decay
-    hi, lo = _power_tables(log_z, n)
-    return _READ_ROWS, (hi[:, :, None] * lo[:, None, :]).reshape(len(log_z), n)
+    return (_READ_ROWS, *_power_tables(log_z, n))
 
 
 def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
@@ -159,7 +158,8 @@ def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
     and delta_nu <= 5J warns."""
     if not _is_pow2(n):
         raise SpectroError(f"n must be a power of two >= 2, got {n}")
-    c, e = _fid_modes(params, n, dwell_s)
+    c, hi, lo = _fid_modes(params, n, dwell_s)
+    e = (hi[:, :, None] * lo[:, None, :]).reshape(len(hi), n)
     return Fid(samples=((c @ rho0.matrix.ravel())[:, None] * e).sum(axis=0),
                dwell_s=dwell_s)
 
@@ -308,17 +308,33 @@ def _integral_map(regions: tuple, n: int, dwell_s: float) -> np.ndarray:
     every n-point fid sampled at dwell_s; regions is a tuple of (lo, hi)
     pairs in Hz. The last two maps built stay cached.
 
-    Each row is the transform of that region's trapezoid weights, read back
-    onto the samples: the zero fill drops out, and the first-point halving
-    and the 2*dwell scale fold into W. The ascending axis is fftfreq's own
-    arithmetic, so it equals fourier's axis bit for bit."""
-    freqs = np.arange(-n, n) * (1.0 / (2 * n * dwell_s))
-    w = np.zeros((len(regions), 2 * n))
-    for row, (lo, hi) in zip(w, regions):
-        inside, weights = _trapezoid_weights(freqs, lo, hi)
-        row[inside] = weights
-    out = 2 * dwell_s * np.fft.rfft(np.fft.ifftshift(w, axes=1))[:, :n]
-    out[:, 0] *= 0.5
+    Each row is the transform of that region's trapezoid weights, a boxcar
+    with half-weight ends on the points a..z of fourier's own axis (signed
+    indices), with the first-point halving and the 2*dwell scale folded
+    in: W[0] = (z - a)/2n, W[k] = exp(-i pi (a + z) k/2n) sin(pi (z - a)
+    k/2n) cot(pi k/2n) / n, zero below 2 points. No transform is taken."""
+    freqs = np.arange(-n, n, dtype=float)
+    freqs *= 1.0 / (2 * n * dwell_s)
+    b = 1 << (n.bit_length() - 1) // 2
+
+    def powers(e: int, out: np.ndarray) -> np.ndarray:
+        # exp(-i pi e k/2n), k < n, into out, from two tables split as in
+        # _power_tables: (-i)^q exp(-i pi r/2n) for e k = q n + r mod 4n, |r| <= n/2
+        m = e * np.r_[0:n:b, :b] & 4 * n - 1
+        q = (m + n // 2) // n
+        r = np.array([1, -1j, -1, 1j, 1])[q] * np.exp(-0.5j * np.pi / n * (m - q * n))
+        return np.multiply(r[:n // b, None], r[n // b:], out=out.reshape(-1, b)).ravel()
+    buf = np.empty(n, dtype=complex)
+    sines = powers(-1, buf)[1:].imag
+    cot = sines[::-1] / sines / n
+    out = np.zeros((len(regions), n), dtype=complex)
+    for row, (lo_hz, hi_hz) in zip(out, regions):
+        inside, weights = _trapezoid_weights(freqs, lo_hz, hi_hz)
+        if len(weights) >= 2:
+            a, z = inside.start - n, inside.stop - 1 - n
+            powers(a + z, row)
+            row[1:] *= powers(a - z, buf)[1:].imag * cot
+            row[0] = (z - a) / (2 * n)
     out.setflags(write=False)
     return out
 
@@ -478,19 +494,22 @@ def _acquisition_map(params: SpinSystemParams, pairs: tuple, dwell_s: float) -> 
     superop @ vec(rho), the pulses before the acquisition composed into one
     16x16 map, and w is an (m, n) map on the samples; every w has the same n.
 
-    With the modes (c, e) of _fid_modes, built once for all pairs, the
-    integrals of P are the sum over r of (w @ e[r]) (c @ vec(P))[r], one
-    n-point matvec per mode (a single w @ e.T sums in another order, which
-    moves epsilon by rel 1e-12), so A is that sum times superop.
+    With the modes (c, hi, lo) of _fid_modes, built once for all pairs,
+    the integrals of P are the sum over r of (w @ e[r]) (c @ vec(P))[r],
+    w @ e[r] the sum over j of hi[r, j] (w_j @ lo[r]) for the sqrt(n)-point
+    blocks w_j of w: one GEMM per map, no (4, n) e (against one n-point
+    matvec per mode, epsilon moves by <= rel 1.8e-14 at delta_nu 420-580
+    Hz), so A is that sum times superop.
 
     A is blind to the identity: vec(I) has no read coherence, and only a
     superoperator's rounding (up to 1.5e-16 off the diagonal for a hard
     90) would let the I/4 part of a state leak into the integrals."""
-    c, e = _fid_modes(params, pairs[0][1].shape[1], dwell_s)
+    c, hi, lo = _fid_modes(params, pairs[0][1].shape[1], dwell_s)
     vec_i = np.eye(4).ravel()
     maps = []
     for sup, w in pairs:
-        out = np.stack([w @ z for z in e], axis=1) @ c @ sup
+        blocks = w.reshape(len(w), hi.shape[1], lo.shape[1]) @ lo.T
+        out = np.einsum("mjr,rj->mr", blocks, hi) @ c @ sup
         out -= np.outer(out @ vec_i, vec_i) / 4
         out.setflags(write=False)
         maps.append(out)
@@ -511,10 +530,8 @@ def _acquisition_maps(params: SpinSystemParams, readout: ReadoutConfig) -> tuple
     p = 1/4 + P y of M = Re(R @ _BELL_PROJECTORS.T), rank 3, on the
     unit-trace slice 1/4 + N q: P = N pinv(M N) from one SVD, None where M N
     is rank deficient (J effectively zero). The last eight stay cached."""
-    # each pulse, then its sample map, all built before the mode array and
-    # held by the pairs alone: so built, the freed maps go back to the
-    # system; held by local names, they left 1.1 MB of freed heap resident
-    # (peak RSS +1.1 MB on the ensemble benchmark)
+    # each pulse and its sample map built inside the pairs, held by them
+    # alone: held by local names, freed maps stayed resident (peak RSS +1.1 MB)
     r, a_t = _acquisition_map(params, (
         (selective_pulse(readout.target_spin, params).superop, _doubled_map(params, readout)),
         (hard_pulse(90.0, 90.0).superop, _component_map(params, readout)),

@@ -11,12 +11,14 @@ the identity and its eigenvalues are its diagonal: spectro, which reads
 that diagonal, must agree with the loops bit for bit.
 folded_acquisition_map keeps the channel-by-channel product the
 acquisition map took before it took the pulses as one composed
-superoperator."""
+superoperator, and fft_integral_map the integral map as it was built
+before its rows were written in closed form: the transform of each
+region's trapezoid weights, taken by an FFT over 2n points."""
 
 import numpy as np
 
 from spinpair.channels import _propagator, apply, hard_pulse, selective_pulse
-from spinpair.spectro import F_PLUS, Fid, ReadoutConfig, synthesize_fid
+from spinpair.spectro import F_PLUS, Fid, ReadoutConfig, _trapezoid_weights, synthesize_fid
 from spinpair.states import (
     _OFF_DIAG,
     SpinSystemParams,
@@ -105,3 +107,17 @@ def folded_acquisition_map(params: SpinSystemParams, channels: tuple, w: np.ndar
     for ch in reversed(channels):
         out = out @ ch.superop
     return _without_identity(out)
+
+
+def fft_integral_map(regions: tuple, n: int, dwell_s: float) -> np.ndarray:
+    """spectro._integral_map by an FFT: each region's trapezoid weights on
+    fourier's 2n-point axis, ifftshifted and transformed, the first n
+    values scaled by 2*dwell and the first one halved."""
+    freqs = np.arange(-n, n) * (1.0 / (2 * n * dwell_s))
+    w = np.zeros((len(regions), 2 * n))
+    for row, (lo, hi) in zip(w, regions):
+        inside, weights = _trapezoid_weights(freqs, lo, hi)
+        row[inside] = weights
+    out = 2 * dwell_s * np.fft.rfft(np.fft.ifftshift(w, axes=1))[:, :n]
+    out[:, 0] *= 0.5
+    return out

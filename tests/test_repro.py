@@ -33,7 +33,7 @@ from spinpair.states import (
     to_bell_populations,
 )
 
-GOLDEN = Path(__file__).parent / "data" / "paper_repro.json"
+DATA = Path(__file__).parent / "data"
 RESIDUE_ROWS = ("filtration: max off-diagonal residue over 1000 states",
                 "filtration: max |pT+1 - pT-1| over 1000 states",
                 "population inversion: max deviation from reported fractions",
@@ -698,7 +698,26 @@ def test_measured_recovery_refuses_bad_rounds():
     assert measured_recovery(5.0, 4.0, np.int64(2)) == measured_recovery(5.0, 4.0, 2)
 
 
-def test_paper_repro_matches_recorded_table(tmp_path, capsys):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fwhm", [-100.0, math.inf, math.nan])
+def test_measured_recovery_refuses_a_width_that_is_negative_or_not_finite(fwhm):
+    # each returned NaN, after an overflow or invalid-value warning or none
+    for widths in (fwhm, np.array([2.0, fwhm])):
+        with pytest.raises(spectro.SpectroError, match="width must be finite and >= 0"):
+            measured_recovery(5.0, widths, 0)
+    assert measured_recovery(5.0, 0.0, 0) == measured_recovery(5.0, -0.0, 0)
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("paper_repro.json", []),
+    ("paper_repro_420.json", ["--delta-nu-hz", "420"]),
+    ("paper_repro_580.json", ["--delta-nu-hz", "580"]),
+], ids=["default", "420", "580"])
+def test_paper_repro_matches_recorded_table(tmp_path, capsys, golden, argv):
+    # paper_repro_420.json and paper_repro_580.json are `spinpair
+    # paper-repro` at the ends of the delta_nu range the benchmark draws
+    # from, recorded before the integral maps were written in closed form
+    # and before the sample maps met the FID modes through their tables.
     # tests/data/paper_repro.json is `spinpair paper-repro` at the default
     # parameters, recorded before the grid, the sweep and the recoveries
     # were batched and before the readout became one (4, 16) map, except
@@ -709,10 +728,10 @@ def test_paper_repro_matches_recorded_table(tmp_path, capsys):
     # state (value and reference tanh(B/2)/2 moved by rel 3.5e-10); the two
     # filtration residues, the inversion residual and the zq-dephasing
     # deviation are rounding noise, pinned absolutely
-    assert main(["paper-repro", "--out", str(tmp_path)]) == 0
+    assert main(["paper-repro", *argv, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     got = json.loads((tmp_path / "paper_repro.json").read_text(encoding="utf-8"))
-    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    want = json.loads((DATA / golden).read_text(encoding="utf-8"))
     assert got["all_pass"] is want["all_pass"] is True
     assert [r["name"] for r in got["rows"]] == [r["name"] for r in want["rows"]]
     for g, w in zip(got["rows"], want["rows"]):

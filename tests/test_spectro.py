@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,7 +46,12 @@ from spinpair.states import (
 )
 
 from conftest import count_exp_values, random_density
-from fid_oracles import folded_acquisition_map, loop_acquisition_map, loop_fid_samples
+from fid_oracles import (
+    fft_integral_map,
+    folded_acquisition_map,
+    loop_acquisition_map,
+    loop_fid_samples,
+)
 
 
 def lorentzian_fid(amp, f0_hz, t2_s, n=16384, dwell=1 / 4096.0):
@@ -263,10 +269,11 @@ def test_fid_modes_take_two_root_n_point_exponentials_per_mode(monkeypatch, n):
     # the propagator's own four eigenphases are not the modes' work
     monkeypatch.setattr(spectro, "_propagator", lambda t_s, params: u)
     sizes = count_exp_values(monkeypatch)
-    c, e = spectro._fid_modes(p, n, dwell_s)
+    c, hi, lo = spectro._fid_modes(p, n, dwell_s)
     b = 2 ** ((n.bit_length() - 1) // 2)
     assert sum(sizes) <= 4 * (b + n // b)
-    assert e.shape == (4, n)
+    assert hi.shape == (4, n // b) and lo.shape == (4, b)
+    e = (hi[:, :, None] * lo[:, None, :]).reshape(4, n)
     assert np.abs(e - want).max() <= 1e-12
 
 
@@ -299,6 +306,123 @@ def test_shared_acquisition_maps_equal_separate_builds(p, ro):
         got = loop_acquisition_map(p, sup, w, ro.dwell_s)
         want = folded_acquisition_map(p, channels, w, ro.dwell_s)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def edge_windows(n, dwell_s):
+    """Regions of 0, 1 and 2 points of fourier's axis, with edges off and
+    on axis points, and regions whose edges are the axis' own ends."""
+    f = np.arange(-n, n) * (1.0 / (2 * n * dwell_s))
+    df = f[1] - f[0]
+    out = [(f[0], f[-1]), (f[1], f[-2]), (f[0], f[1]), (f[-2], f[-1])]
+    for p in sorted({1, n - 1, 2 * n - 3}):
+        out += [(f[p] + df / 4, f[p] + df / 2),            # no point
+                (f[p] - df / 4, f[p] + df / 4),            # one point
+                (f[p], f[p] + df / 2), (f[p] - df / 2, f[p]),  # one, on an edge
+                (f[p], f[p + 1]),                          # two, both edges on points
+                (f[p] - df / 4, f[p + 1] + df / 4)]        # two, edges off
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [2, 4, 1024, 2048, 16384, 65536])
+def test_integral_map_matches_the_fft_oracle(n):
+    # the closed-form rows against the transform of the trapezoid weights:
+    # the multiplet windows from 24 to 600 Hz, the recovery region, and
+    # windows of 0, 1 and 2 points; a region off the axis is refused alike
+    checked = 0
+    for dwell_s in (1 / 4096, 1 / 2048, 1 / 1024, 1e-3):
+        sets = [component_regions(SpinSystemParams(delta_nu_hz=d))
+                for d in (24.0, 37.0, 100.0, 250.0, 420.0, 492.0, 580.0, 600.0)]
+        for regions in sets + [((100.0, 500.0),), edge_windows(n, dwell_s)]:
+            try:
+                want = fft_integral_map(regions, n, dwell_s)
+            except SpectroError as exc:
+                with pytest.raises(SpectroError, match=re.escape(str(exc))):
+                    spectro._integral_map(regions, n, dwell_s)
+                continue
+            got = spectro._integral_map(regions, n, dwell_s)
+            assert got.shape == (len(regions), n) and not got.flags.writeable
+            for g, w in zip(got, want):
+                scale = np.abs(w).max()
+                assert np.abs(g - w).max() <= 4e-15 * scale, (dwell_s, regions)
+                assert scale > 0 or not g.any()
+            checked += 1
+    assert checked >= 4
+
+
+def long_double_integral_map(regions, n, dwell_s):
+    """The closed form of _integral_map in long double, every phase
+    reduced mod 4n in integers before it is scaled by pi/2n."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    k = np.arange(1, n)
+    angle = (k % (4 * n)).astype(np.longdouble) * pi / (2 * n)
+    cot = np.cos(angle) / np.sin(angle)
+    f = np.arange(-n, n) * (1.0 / (2 * n * dwell_s))
+    out = np.zeros((len(regions), n), dtype=np.clongdouble)
+    for row, (lo, hi) in zip(out, regions):
+        inside, weights = spectro._trapezoid_weights(f, lo, hi)
+        if len(weights) >= 2:
+            a, b = inside.start - n, inside.stop - 1 - n
+            phase, beat = ((e * k % (4 * n)).astype(np.longdouble) * pi / (2 * n)
+                           for e in (a + b, b - a))
+            row[0] = np.longdouble(b - a) / (2 * n)
+            row[1:] = (np.cos(phase) - 1j * np.sin(phase)) * np.sin(beat) * cot / n
+    return out
+
+
+@pytest.mark.parametrize("n, dwell_s", [(1024, 1 / 4096), (16384, 1 / 4096), (65536, 1 / 1024)])
+def test_integral_map_is_as_accurate_as_the_fft_oracle(params, n, dwell_s):
+    # against a long-double evaluation of the same sum on seeded random
+    # FIDs: each map is applied in long double, so that its own rounding
+    # is measured, not the larger rounding of a double product common to
+    # both; over the FIDs and regions, the closed form's worst and summed
+    # errors are no larger than the transform's
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than double here")
+    regions = component_regions(params) + ((100.0, 500.0),)
+    exact_map = long_double_integral_map(regions, n, dwell_s)
+    maps = [m.astype(np.clongdouble) for m in
+            (spectro._integral_map(regions, n, dwell_s), fft_integral_map(regions, n, dwell_s))]
+    errs = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        fid = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.clongdouble)
+        exact = (exact_map @ fid).real
+        errs.append([np.abs((m @ fid).real - exact).astype(float) for m in maps])
+    closed, oracle = np.moveaxis(np.array(errs), 1, 0).reshape(2, -1)
+    assert closed.max() <= oracle.max() and closed.sum() <= oracle.sum()
+    assert closed.max() <= 1e-15 * np.abs(exact_map).sum(axis=1).max()
+
+
+def test_cold_acquisition_maps_take_no_transform_and_build_no_mode_array(monkeypatch):
+    # the integral maps are written in closed form, and the sample maps
+    # meet the FID modes through their sqrt(n)-point tables: no FFT, and no
+    # (4, n) complex mode array held while a map is contracted
+    p, ro = SpinSystemParams(delta_nu_hz=447.0), ReadoutConfig()
+    want = spectro._acquisition_maps(p, ro)
+    spectro._acquisition_maps.cache_clear()
+    spectro._integral_map.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cold readout map took an FFT")
+
+    for name in ("fft", "rfft", "ifft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    peaks, contract = [], spectro._acquisition_map
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return contract(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(spectro, "_acquisition_map", traced)
+    got = spectro._acquisition_maps(p, ro)
+    # a quarter of the bytes of a (4, n) complex array
+    assert len(peaks) == 1 and peaks[0] < ro.n_points * 16
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_fourier_line_integral_equals_amplitude():
