@@ -3,9 +3,8 @@
 run_pipeline drives the whole chain: pseudo-pure singlet -> selective
 readout -> FID -> J-doubling -> integration, thermal reference -> hard 90 ->
 FID -> integration, then calibration of the polarization from the ratio.
-Both acquisitions are linear in the state, so both are read from
-spectro._acquisition_maps, cached per (params, readout), and run_pipeline
-never synthesizes an FID.
+Both acquisitions are linear in the state, so run_pipeline reads both
+from the cached spectro.readout_model and never synthesizes an FID.
 Simulated acquisitions see the entire sample, so calibration inside the
 pipeline always runs with f_active = 1 regardless of the experiment value
 carried in params.
@@ -49,60 +48,27 @@ def run_pipeline(params: SpinSystemParams | None = None, epsilon: float = 0.916,
                  noise_sigma: float = 0.0, seed: int = 0, n_boot: int = 100,
                  readout: ReadoutConfig = ReadoutConfig()) -> CalibrationResult:
     """Recover the polarization of a simulated pseudo-singlet against a
-    simulated thermal reference. With noise_sigma > 0, epsilon_err is the
-    standard deviation over n_boot noisy replicates, as if each had added
-    add_noise's complex Gaussian noise to both FIDs.
-
-    J-doubling, the transform and the integration are linear in the FID,
-    so both channels reduce to one (4, n) map W each, and a channel's
-    noisy integrals are Gaussian with covariance noise_sigma^2 Re(W W^H).
-    The noise-free integrals of both channels are read from
-    spectro._acquisition_maps, so no call synthesizes an FID. Each
-    replicate draws its four integrals per channel from that exact law
-    (spectro._noisy_integrals, with the Cholesky factors of
-    spectro._noise_factors): replicate i takes the normals [i, 0]
-    (polarized) and [i, 1] (thermal) of
-    default_rng(seed).standard_normal((n_boot, 2, 4)), so it does not
-    depend on n_boot. A noise_sigma that is negative or not finite, a
-    seed that is neither a non-negative integer nor a SeedSequence, an
-    n_boot that is negative or not an integer, n_boot = 1 with
-    noise_sigma > 0 (one replicate has no spread), or a noise_sigma so
-    large that a replicate signal overflows raises SpectroError;
-    noise_sigma = 0 or n_boot = 0 is a noise-free call with epsilon_err 0.
+    simulated thermal reference, both read from spectro.readout_model.
+    With noise, epsilon_err is the standard deviation over the n_boot
+    replicates of Readout.replicate_signals, which refuses a bad
+    noise_sigma, seed or n_boot; it is 0 at noise_sigma = 0 or n_boot = 0.
 
     epsilon_err is the spread of the abs-sum estimator, not a symmetric
     error bar around epsilon: noise adds to every absolute component
     integral, so when the thermal signal-to-noise ratio is low the
     replicates are biased low (mean 0.43 against 0.913 at sigma = 1e-4)."""
-    spectro.check_noise_sigma(noise_sigma)
-    spectro.check_seed(seed)
-    if spectro._integer("n_boot", n_boot) < 0:
-        raise spectro.SpectroError(f"n_boot must be >= 0, got {n_boot}")
-    if noise_sigma > 0 and n_boot == 1:
-        raise spectro.SpectroError("n_boot = 1 has no spread: use 0 for a "
-                                   "noise-free call or at least 2 replicates")
     params = params or SpinSystemParams()
-    cal_params = dataclasses.replace(params, f_active=1.0)
+    model = spectro.readout_model(params, readout)
     y_p = spectro.readout_integrals(make_pseudo_pure(epsilon, make_singlet()),
                                     params, readout)
-    y_t = spectro._acquisition_maps(params, readout)[1]
-    result = spectro.calibrate(y_p, y_t, scan_norm=1.0, params=cal_params)
-    if noise_sigma > 0 and n_boot > 0:
-        l_p, l_t = spectro._noise_factors(params, readout)
-        z = np.random.default_rng(seed).standard_normal((n_boot, 2, 4))
-        # a sigma near the float limit overflows the draws; refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            sig_p = spectro._signal(spectro._noisy_integrals(y_p, l_p, noise_sigma, z[:, 0]))
-            sig_t = spectro._signal(spectro._noisy_integrals(y_t, l_t, noise_sigma, z[:, 1]))
-        if not (np.isfinite(sig_p).all() and np.isfinite(sig_t).all()):
-            raise spectro.SpectroError(
-                f"noise sigma {noise_sigma!r} overflows the replicate signals")
-        # calibrate's arithmetic at scan_norm = f_active = 1, without its
-        # range check: a noisy replicate past epsilon = 1 is a sample of
-        # the spread, not a calibration to refuse
+    sig_p, sig_t = model.replicate_signals(y_p, noise_sigma, seed, n_boot)
+    result = spectro.calibrate(y_p, model.thermal, scan_norm=1.0,
+                               params=dataclasses.replace(params, f_active=1.0))
+    if len(sig_p):
+        # calibrate's arithmetic without its range check: a replicate past
+        # epsilon = 1 is a sample of the spread, not a calibration to refuse
         reps = sig_p / sig_t / result.max_enhancement
-        err = float(np.std(reps, ddof=1))
-        result = dataclasses.replace(result, epsilon_err=err)
+        result = dataclasses.replace(result, epsilon_err=float(np.std(reps, ddof=1)))
     return result
 
 
@@ -142,7 +108,8 @@ def measured_recovery(j_hz: float, fwhm_hz: float | np.ndarray,
     _recovery_carrier and log z = (i pi 2^R J - pi fwhm) dwell, read
     through the spectro._power_tables of z: no sine and no n-point array
     per width. A rounds that is not an integer raises TypeError, and
-    rounds < 0, a width not in [0, inf) or an overflowing doubled J SpectroError."""
+    rounds < 0, a width not in [0, inf), a J that is not positive and
+    finite or an overflowing doubled J SpectroError."""
     if operator.index(rounds) < 0:
         raise spectro.SpectroError("rounds must be >= 0")
     widths = np.ravel(fwhm_hz)

@@ -17,13 +17,13 @@ _acquisition_map, folds them into a single complex map A on vec(rho), the
 row-major flattening of the density matrix: the integrals are
 Re(A @ vec(rho)). The pulses enter as their one composed superoperator. A
 is blind to the identity part of rho, which has no coherence to read. One
-cached builder per (params, ReadoutConfig), _acquisition_maps, computes
-the FID modes once and yields the (4, 16) map of the selective population
-readout, its 4x4 population inverse and the four integrals of
-run_pipeline's thermal reference, read after a hard 90 from the
-closed-form traceless part of the exact thermal state. Neither reading a
-state out nor building its maps synthesizes a FID or takes a transform
-(_integral_map is in closed form); fourier and integrate serve shown spectra.
+cached readout_model per (params, ReadoutConfig) computes the FID modes
+once and returns its Readout: the (4, 16) map of the selective population
+readout, its population inverse, the thermal reference's integrals (a
+hard 90 on the exact thermal state's closed-form traceless part) and the
+bootstrap's noise law. Neither reading a state out nor building its maps
+synthesizes a FID or takes a transform (_integral_map is in closed form);
+fourier and integrate serve shown spectra.
 """
 
 from __future__ import annotations
@@ -201,17 +201,18 @@ def j_double(fid: Fid, j_apparent_hz: float, rounds: int) -> Fid:
     raises SpectroError."""
     if _integer("rounds", rounds) < 0:
         raise SpectroError("rounds must be >= 0")
-    if not 0 < j_apparent_hz < np.inf:
-        raise SpectroError(f"apparent J must be positive and finite, got {j_apparent_hz!r}")
     return Fid(samples=fid.samples * _j_modulation(j_apparent_hz, rounds, fid.times_s),
                dwell_s=fid.dwell_s)
 
 
 def _check_doubled_j(j_hz: float, rounds: int, t_end: float) -> None:
-    """Refuse J-doubling that overflows over times up to t_end: each power
-    2^r, doubled J and phase that j_double or repro.measured_recovery forms
-    is at most x 2^rounds, x = max(1, |J|) max(1, pi t_end) = m 2^e, m < 1."""
-    x = max(1.0, abs(j_hz)) * max(1.0, math.pi * t_end)
+    """Refuse a J that is not positive and finite, and J-doubling that
+    overflows over times up to t_end: each power 2^r, doubled J and phase
+    that j_double or repro.measured_recovery forms is at most x 2^rounds,
+    x = max(1, J) max(1, pi t_end) = m 2^e, m < 1."""
+    if not 0 < j_hz < math.inf:
+        raise SpectroError(f"apparent J must be positive and finite, got {j_hz!r}")
+    x = max(1.0, j_hz) * max(1.0, math.pi * t_end)
     if not (x < math.inf and math.frexp(x)[1] + rounds <= 1024):
         raise SpectroError(f"J-doubling overflows: {rounds} rounds of J = {j_hz!r} Hz")
 
@@ -339,20 +340,6 @@ def _integral_map(regions: tuple, n: int, dwell_s: float) -> np.ndarray:
     return out
 
 
-def _noisy_integrals(y: np.ndarray, lo: np.ndarray, sigma: float,
-                     z: np.ndarray) -> np.ndarray:
-    """Draws of Re(W @ (fid + noise)) for the noise add_noise adds, given
-    the noise-free y = Re(W @ fid.samples), the Cholesky factor L of
-    Re(W W^H) (see _noise_factors) and standard normals z of shape
-    (..., len(W)).
-
-    With independent N(0, sigma^2) real and imaginary parts per sample,
-    Re(W @ noise) is Gaussian with covariance sigma^2 Re(W W^H) = sigma^2
-    L L^T, so y + sigma * z @ L.T has exactly the law of the integrals of
-    the noisy FID, with len(W) normals per draw instead of 2n."""
-    return y + sigma * z @ lo.T
-
-
 @dataclass(frozen=True)
 class CalibrationResult:
     """Polarization estimate and its inputs. corrected_ratio is exactly
@@ -375,7 +362,7 @@ class CalibrationResult:
 
 
 def _signal(integrals: np.ndarray) -> np.ndarray:
-    """calibrate's signal, and run_pipeline's replicates': the summed
+    """calibrate's signal, and Readout.replicate_signals': the summed
     absolute component integrals along the last axis."""
     return np.abs(integrals).sum(axis=-1)
 
@@ -390,13 +377,15 @@ def calibrate(ph2_integrals, thermal_integrals, scan_norm: float,
     simulated shots). max_enhancement defaults to the thermal state's
     ceiling 1/tanh(B/2) from params, inf where B/2 underflows; passing an
     externally quoted value reproduces someone else's arithmetic.
-    epsilon_err is 0; run_pipeline's bootstrap replaces it. A signal that
-    is not finite (an infinite or NaN integral, or a sum that overflows)
-    raises SpectroError.
+    epsilon_err is 0; run_pipeline's bootstrap replaces it. An empty list
+    of integrals on either side, or a signal that is not finite (an
+    infinite or NaN integral, or a sum that overflows), raises SpectroError.
     """
+    ph2, th = (np.ravel(np.asarray(y, dtype=float)) for y in (ph2_integrals, thermal_integrals))
+    if not (ph2.size and th.size):
+        raise SpectroError("need at least one integral on each side")
     with np.errstate(over="ignore"):
-        sig_ph2 = float(_signal(np.ravel(np.asarray(ph2_integrals, dtype=float))))
-        sig_th = float(_signal(np.ravel(np.asarray(thermal_integrals, dtype=float))))
+        sig_ph2, sig_th = float(_signal(ph2)), float(_signal(th))
     if not (np.isfinite(sig_ph2) and np.isfinite(sig_th)):
         raise SpectroError(
             f"summed integrals must be finite, got {sig_ph2} and {sig_th}")
@@ -473,20 +462,6 @@ def _doubled_map(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray
         params.j_hz, readout.j_double_rounds, readout.n_points, readout.dwell_s)
 
 
-def _noise_factors(params: SpinSystemParams, readout: ReadoutConfig) -> tuple:
-    """Cholesky factors (L_p, L_t) of Re(W W^H) for the doubled map W_p of
-    the selective readout and the component map W_t of the thermal
-    reference, the factors _noisy_integrals takes.
-
-    Re(W W^H) = V V^T exactly, where V = W.view(float) is the (4, 2n) real
-    view of the C-contiguous complex W with real and imaginary parts
-    interleaved, so each Gram matrix is one real GEMM on W's own buffer:
-    no conjugate copy of W, and no imaginary half computed to be dropped."""
-    return tuple(np.linalg.cholesky(v @ v.T)
-                 for v in (_doubled_map(params, readout).view(float),
-                           _component_map(params, readout).view(float)))
-
-
 def _acquisition_map(params: SpinSystemParams, pairs: tuple, dwell_s: float) -> tuple:
     """One read-only (len(w), 16) complex A per (superop, w) pair of pairs,
     in their order, with Re(A @ vec(rho)) equal to
@@ -521,13 +496,71 @@ def _acquisition_map(params: SpinSystemParams, pairs: tuple, dwell_s: float) -> 
 _SUM_ZERO_BASIS = np.linalg.qr(np.eye(4, 3) - np.eye(4, 3, -1))[0]
 
 
+@dataclass(frozen=True, eq=False)
+class Readout:
+    """What readout_model builds for (params, config): the read-only map r,
+    the thermal reference's integrals and the population inverse or None."""
+
+    params: SpinSystemParams
+    config: ReadoutConfig
+    r: np.ndarray
+    thermal: np.ndarray
+    inverse: np.ndarray | None
+
+    def noise_factors(self) -> tuple:
+        """Cholesky factors (L_p, L_t) of Re(W W^H) for the doubled map W_p of
+        the selective readout and the component map W_t of the thermal
+        reference, the factors replicate_signals draws with.
+
+        Re(W W^H) = V V^T exactly, where V = W.view(float) is the (4, 2n) real
+        view of the C-contiguous complex W with real and imaginary parts
+        interleaved, so each Gram matrix is one real GEMM on W's own buffer:
+        no conjugate copy of W, and no imaginary half computed to be dropped."""
+        return tuple(np.linalg.cholesky(v @ v.T)
+                     for v in (_doubled_map(self.params, self.config).view(float),
+                               _component_map(self.params, self.config).view(float)))
+
+    def replicate_signals(self, y_p: np.ndarray, sigma: float,
+                          seed: int | np.random.SeedSequence, n_boot: int) -> tuple:
+        """The calibrate signals (sig_p, sig_t) of n_boot replicates of the
+        selective integrals y_p and of thermal, each as if add_noise had
+        noised its FID; empty when sigma or n_boot is 0. A channel's
+        integrals Re(W @ fid.samples) are linear in its FID, so N(0, sigma^2)
+        noise on each real and imaginary part moves them by a Gaussian of
+        covariance sigma^2 Re(W W^H) = sigma^2 L L^T, L from noise_factors:
+        y + sigma * z @ L.T has exactly their law, with four normals z per
+        draw instead of 2n. Replicate i takes the normals [i, 0] (polarized)
+        and [i, 1] (thermal) of default_rng(seed).standard_normal((n_boot,
+        2, 4)), so it does not depend on n_boot. A sigma or seed that
+        add_noise refuses, an n_boot that is negative or not an integer,
+        n_boot = 1 with noise (no spread), or a sigma that overflows a
+        signal raises SpectroError."""
+        check_noise_sigma(sigma)
+        check_seed(seed)
+        if _integer("n_boot", n_boot) < 0:
+            raise SpectroError(f"n_boot must be >= 0, got {n_boot}")
+        if sigma > 0 and n_boot == 1:
+            raise SpectroError("n_boot = 1 has no spread: use 0 for a "
+                               "noise-free call or at least 2 replicates")
+        if not (sigma > 0 and n_boot > 0):
+            return np.empty(0), np.empty(0)
+        z = np.random.default_rng(seed).standard_normal((n_boot, 2, 4))
+        # a sigma near the float limit overflows the draws; refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            sig_p, sig_t = (_signal(y + sigma * zc @ lo.T) for y, lo, zc in zip(
+                (y_p, self.thermal), self.noise_factors(), z.transpose(1, 0, 2)))
+        if not (np.isfinite(sig_p).all() and np.isfinite(sig_t).all()):
+            raise SpectroError(f"noise sigma {sigma!r} overflows the replicate signals")
+        return sig_p, sig_t
+
+
 @functools.lru_cache(maxsize=8)
-def _acquisition_maps(params: SpinSystemParams, readout: ReadoutConfig) -> tuple:
-    """The read-only (R, y_t, P) of the readout, from one set of FID modes:
-    R is the (4, 16) map of the selective pulse and the doubled map, y_t
+def readout_model(params: SpinSystemParams, readout: ReadoutConfig) -> Readout:
+    """The Readout of (params, readout), from one set of FID modes: r is
+    the (4, 16) map of the selective pulse and the doubled map, thermal
     the component integrals of states._thermal_deviation (no I/4 for a
-    pulse's rounding to leak) after a hard 90 about +y, and P the inverse
-    p = 1/4 + P y of M = Re(R @ _BELL_PROJECTORS.T), rank 3, on the
+    pulse's rounding to leak) after a hard 90 about +y, and inverse the P
+    of p = 1/4 + P y for M = Re(r @ _BELL_PROJECTORS.T), rank 3, on the
     unit-trace slice 1/4 + N q: P = N pinv(M N) from one SVD, None where M N
     is rank deficient (J effectively zero). The last eight stay cached."""
     # each pulse and its sample map built inside the pairs, held by them
@@ -541,33 +574,33 @@ def _acquisition_maps(params: SpinSystemParams, readout: ReadoutConfig) -> tuple
     u, s, vt = np.linalg.svd((r @ _BELL_PROJECTORS.T).real @ _SUM_ZERO_BASIS,
                              full_matrices=False)
     if s[0] == 0 or s[-1] < 1e-8 * s[0]:
-        return r, y_t, None
+        return Readout(params, readout, r, y_t, None)
     inverse = _SUM_ZERO_BASIS @ (vt.T / s) @ u.T
     inverse.setflags(write=False)
-    return r, y_t, inverse
+    return Readout(params, readout, r, y_t, inverse)
 
 
 def readout_integrals(rho: DensityMatrix, params: SpinSystemParams,
                       readout: ReadoutConfig = ReadoutConfig()) -> np.ndarray:
     """The four component_regions integrals of the selective readout of
     rho: selective 90, FID, J-doubling, transform and integration, all
-    linear in rho, read as one product Re(R @ vec(rho)) with the cached
-    (4, 16) map R of _acquisition_maps. It equals the integrals of
+    linear in rho, read as one product Re(r @ vec(rho)) with the cached
+    (4, 16) map r of readout_model. It equals the integrals of
     fourier(j_double(synthesize_fid(...))) to rounding."""
-    return (_acquisition_maps(params, readout)[0] @ rho.matrix.ravel()).real
+    return (readout_model(params, readout).r @ rho.matrix.ravel()).real
 
 
 def imbalance_to_populations(component_integrals, params: SpinSystemParams,
                              readout: ReadoutConfig = ReadoutConfig()) -> BellPopulations:
     """Invert the linear map from singlet-triplet populations to the four
     component integrals of the selective readout: p = 1/4 + P y, one
-    product with the population inverse P of _acquisition_maps, least
+    product with the population inverse P of readout_model, least
     squares on the unit-trace slice. A readout whose antiphase terms never
     develop (J effectively zero) has no inverse and raises."""
     y = np.asarray(component_integrals, dtype=float)
     if y.shape != (4,):
         raise SpectroError("expected exactly four component integrals")
-    inverse = _acquisition_maps(params, readout)[2]
+    inverse = readout_model(params, readout).inverse
     if inverse is None:
         raise SpectroError(
             "degenerate readout: population differences do not reach the "

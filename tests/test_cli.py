@@ -753,6 +753,11 @@ def test_calibrate_bad_numbers_exit_2(tmp_path, capsys):
                    "--thermal-integrals", "1", "--out", tmp_path) == 2
     assert run_cli("calibrate", "--ph2-integrals", "1e12",
                    "--thermal-integrals", "1", "--out", tmp_path) == 2
+    # an empty list on either side is no calibration: it exited 0 with epsilon 0.0
+    for ph2, thermal in ((",", "1"), ("1", ","), ("", "1")):
+        assert run_cli("calibrate", "--ph2-integrals", ph2,
+                       "--thermal-integrals", thermal, "--out", tmp_path) == 2
+    assert not (tmp_path / "calibration.json").exists()
 
 
 def test_paper_repro_passes_by_default(tmp_path, capsys):

@@ -36,3 +36,31 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_spectro_names(tree) -> list:
+    """The private names of spectro that tree reads, as spectro._name or
+    through from .spectro import _name."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "spectro"):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "spectro":
+            names.update(alias.name for alias in node.names)
+    return sorted(n for n in names if n.startswith("_"))
+
+
+def test_scan_finds_a_private_spectro_name():
+    source = "from .spectro import _a, b\nspectro._c(spectro.d(x)._e)\n"
+    assert private_spectro_names(ast.parse(source)) == ["_a", "_c"]
+
+
+def test_run_pipeline_and_cli_use_no_private_spectro_name():
+    # the readout model is spectro's to know: run_pipeline and the CLI go
+    # through its public names (readout_model, Readout, calibrate, ...)
+    repro_tree = ast.parse((SRC / "repro.py").read_text(encoding="utf-8"))
+    run_pipeline, = [node for node in repro_tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "run_pipeline"]
+    assert private_spectro_names(run_pipeline) == []
+    assert private_spectro_names(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))) == []

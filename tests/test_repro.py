@@ -38,14 +38,12 @@ RESIDUE_ROWS = ("filtration: max off-diagonal residue over 1000 states",
                 "filtration: max |pT+1 - pT-1| over 1000 states",
                 "population inversion: max deviation from reported fractions",
                 "zq dephasing: max deviation from equal S0/T0 mixture")
-NOISY_INTEGRALS = spectro._noisy_integrals
 
 
-def noise_factor(lo):
-    """The Cholesky factor L behind _noisy_integrals, given the factor
-    argument run_pipeline passed it: unit sigma and identity normals read
-    back L.T."""
-    return NOISY_INTEGRALS(np.zeros(len(lo)), lo, 1.0, np.eye(len(lo))).T
+def polarized_integrals(params, readout, epsilon=0.916):
+    """The noise-free selective integrals of run_pipeline's pseudo-singlet."""
+    return spectro.readout_integrals(make_pseudo_pure(epsilon, make_singlet()),
+                                     params, readout)
 
 
 def noise_maps(params, ro):
@@ -119,8 +117,8 @@ def test_calibrate_cli_agrees_with_run_pipeline(tmp_path, capsys, temp_k):
     # 295 K and a factor 9.6 at 1 mK
     params = SpinSystemParams(temp_k=temp_k, f_active=1.0)
     readout = ReadoutConfig()
-    y_p = spectro.readout_integrals(make_pseudo_pure(0.916, make_singlet()), params, readout)
-    y_t = spectro._acquisition_maps(params, readout)[1]
+    y_p = polarized_integrals(params, readout)
+    y_t = spectro.readout_model(params, readout).thermal
     argv = ["calibrate", "--ph2-integrals=" + ",".join(map(repr, y_p.tolist())),
             "--thermal-integrals=" + ",".join(map(repr, y_t.tolist())),
             "--temp-k", repr(temp_k), "--f-active", "1", "--out", str(tmp_path)]
@@ -174,6 +172,9 @@ def test_run_pipeline_zero_noise_or_replicates_is_noise_free(params, noise_sigma
     res = run_pipeline(params, noise_sigma=noise_sigma, n_boot=n_boot)
     assert res == run_pipeline(params, n_boot=0)
     assert res.epsilon_err == 0.0
+    model = spectro.readout_model(params, ReadoutConfig())
+    signals = model.replicate_signals(model.thermal, noise_sigma, 0, n_boot)
+    assert [s.shape for s in signals] == [(0,), (0,)]
 
 
 def complex_gram_factors(params, readout):
@@ -187,7 +188,7 @@ def complex_gram_factors(params, readout):
 @pytest.mark.parametrize("readout", [
     ReadoutConfig(), ReadoutConfig(n_points=4096, j_double_rounds=3, target_spin="S")])
 def test_noise_factors_match_complex_gram_oracle(params, readout):
-    for got, want in zip(spectro._noise_factors(params, readout),
+    for got, want in zip(spectro.readout_model(params, readout).noise_factors(),
                          complex_gram_factors(params, readout), strict=True):
         assert np.array_equal(got, np.tril(got))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -237,14 +238,16 @@ def test_run_pipeline_matches_uncached_oracle(params, epsilon, sigma, seed, n_bo
 @pytest.mark.parametrize("seed", [0, 7])
 def test_run_pipeline_estimator_matches_its_two_former_copies(params, seed, sigma):
     # calibrate and the replicates read one abs-sum signal; epsilon and
-    # epsilon_err equal, bit for bit, the two copies of it they replaced
+    # epsilon_err equal, bit for bit, the two copies of it they replaced.
+    # The replicates follow replicate_signals' law and stream layout:
+    # y + sigma * z @ L.T, the polarized channel on z[:, 0], the thermal on z[:, 1]
     ro = ReadoutConfig()
-    y_p = spectro.readout_integrals(make_pseudo_pure(0.916, make_singlet()), params, ro)
-    y_t = spectro._acquisition_maps(params, ro)[1]
+    model = spectro.readout_model(params, ro)
+    y_p, y_t = polarized_integrals(params, ro), model.thermal
     ceiling = 1 / math.tanh(params.b_factor / 2)
     z = np.random.default_rng(seed).standard_normal((100, 2, 4))
-    ph2, th = (NOISY_INTEGRALS(y, lo, sigma, zc) for y, lo, zc in zip(
-        (y_p, y_t), spectro._noise_factors(params, ro), (z[:, 0], z[:, 1])))
+    ph2, th = (y + sigma * zc @ lo.T for y, lo, zc in zip(
+        (y_p, y_t), model.noise_factors(), (z[:, 0], z[:, 1])))
     reps = np.abs(ph2).sum(axis=1) / np.abs(th).sum(axis=1) / ceiling
     got = run_pipeline(params, 0.916, sigma, seed, 100, ro)
     assert got.epsilon == float(np.abs(y_p).sum()) * 1.0 / float(np.abs(y_t).sum()) / ceiling
@@ -278,7 +281,7 @@ def fid_mode_builds(monkeypatch):
         calls.append(args)
         return build(*args)
 
-    spectro._acquisition_maps.cache_clear()
+    spectro.readout_model.cache_clear()
     monkeypatch.setattr(spectro, "_fid_modes", recording)
     return calls
 
@@ -316,7 +319,7 @@ def test_thermal_integrals_match_exact_reference(delta_nu, n):
     def rel(y):
         return np.abs(y - ref).max() / np.abs(ref).max()
 
-    got = rel(spectro._acquisition_maps(params, ro)[1])
+    got = rel(spectro.readout_model(params, ro).thermal)
     # the FID of the pulsed state carries the identity leak of the pulse
     oracle = rel((w_t @ thermal_fid(params, ro).samples).real)
     assert got <= 1e-14
@@ -326,81 +329,67 @@ def test_thermal_integrals_match_exact_reference(delta_nu, n):
 def test_cached_thermal_integrals_are_read_only(params):
     ro = ReadoutConfig(n_points=1024)
     run_pipeline(params, readout=ro)
-    cached = spectro._acquisition_maps(params, ro)[1]
+    cached = spectro.readout_model(params, ro).thermal
     with pytest.raises(ValueError):
         cached[0] = 1.0
 
 
-@pytest.fixture
-def noisy_integral_calls(monkeypatch):
-    """Records every spectro._noisy_integrals call as (y, lo, z, result)."""
-    calls = []
-
-    def recording(y, lo, sigma, z):
-        calls.append((y, lo, z, NOISY_INTEGRALS(y, lo, sigma, z)))
-        return calls[-1][-1]
-
-    monkeypatch.setattr(spectro, "_noisy_integrals", recording)
-    return calls
-
-
-def test_run_pipeline_noise_streams_independent_across_seeds(params, noisy_integral_calls):
+def test_run_pipeline_noise_streams_independent_across_seeds(params):
     # every replicate draws its own normals on every channel, over two seeds
     ro = ReadoutConfig(n_points=4096)
-    for seed in (0, 2):
-        run_pipeline(params, noise_sigma=1e-3, seed=seed, n_boot=4, readout=ro)
-    assert len(noisy_integral_calls) == 4
-    draws = [row.tobytes() for _, _, z, _ in noisy_integral_calls for row in z]
-    noises = [row.tobytes() for y, _, _, out in noisy_integral_calls for row in out - y]
-    assert len(draws) == len(noises) == 16
-    assert len(set(draws)) == len(set(noises)) == 16
+    model = spectro.readout_model(params, ro)
+    y_p = polarized_integrals(params, ro)
+    signals = [s for seed in (0, 2) for s in model.replicate_signals(y_p, 1e-3, seed, 4)]
+    assert [s.shape for s in signals] == [(4,)] * 4
+    assert len(set(np.concatenate(signals).tolist())) == 16
 
 
-def test_run_pipeline_replicates_do_not_depend_on_n_boot(params, noisy_integral_calls):
-    run_pipeline(params, noise_sigma=2e-3, seed=7, n_boot=20)
-    run_pipeline(params, noise_sigma=2e-3, seed=7, n_boot=100)
-    short, long = noisy_integral_calls[:2], noisy_integral_calls[2:]
-    for (_, _, _, a), (_, _, _, b) in zip(short, long):
-        assert a.shape == (20, 4) and b.shape == (100, 4)
+def test_run_pipeline_replicates_do_not_depend_on_n_boot(params):
+    model = spectro.readout_model(params, ReadoutConfig())
+    y_p = polarized_integrals(params, ReadoutConfig())
+    short = model.replicate_signals(y_p, 2e-3, 7, 20)
+    long = model.replicate_signals(y_p, 2e-3, 7, 100)
+    for a, b in zip(short, long, strict=True):
+        assert a.shape == (20,) and b.shape == (100,)
         assert np.array_equal(a, b[:20])
 
 
 def test_run_pipeline_bootstrap_keeps_replicates_past_epsilon_one(params, monkeypatch):
-    # scaling the first replicate's polarized integrals by 1.6 calibrates it
+    # scaling the first replicate's polarized signal by 1.6 calibrates it
     # well past epsilon = 1; it widens the spread instead of aborting the run
-    scales = iter([[[1.6], [1.0]], [[1.0], [1.0]]])
-    monkeypatch.setattr(spectro, "_noisy_integrals",
-                        lambda y, lo, sigma, z: y * np.array(next(scales)))
+    def replicate_signals(model, y_p, sigma, seed, n_boot):
+        return np.abs(y_p).sum() * np.array([1.6, 1.0]), np.abs(model.thermal).sum() * np.ones(2)
+
+    monkeypatch.setattr(spectro.Readout, "replicate_signals", replicate_signals)
     res = run_pipeline(params, noise_sigma=1e-4, n_boot=2,
                        readout=ReadoutConfig(n_points=4096))
     assert res.epsilon_err == pytest.approx(0.6 * res.epsilon / np.sqrt(2), rel=1e-9)
 
 
-def test_noisy_integrals_factor_the_gram_matrix(params, noisy_integral_calls):
-    run_pipeline(params, noise_sigma=1e-3, n_boot=2)
-    assert len(noisy_integral_calls) == 2  # polarized, then thermal
+def test_noisy_integrals_factor_the_gram_matrix(params):
+    # the factors replicate_signals draws the noisy integrals with, polarized then thermal
     maps = noise_maps(params, ReadoutConfig())
-    for (_, arg, _, _), w in zip(noisy_integral_calls, maps, strict=True):
-        lo = noise_factor(arg)
+    for lo, w in zip(spectro.readout_model(params, ReadoutConfig()).noise_factors(), maps,
+                     strict=True):
         gram = w.real @ w.real.T + w.imag @ w.imag.T
         assert np.array_equal(lo, np.tril(lo))
         assert np.abs(lo @ lo.T - gram).max() <= 1e-12 * np.abs(gram).max()
 
 
-def test_integral_noise_law_matches_time_domain_draws(params, noisy_integral_calls):
+def test_integral_noise_law_matches_time_domain_draws(params):
     # K add_noise draws at 1024 points; their integrals Re(W @ noise),
     # whitened by the factor L, must have sample mean 0 and sample
     # covariance I. The standard error of a whitened sample mean is
     # 1/sqrt(K), of a sample variance sqrt(2/K) and of a sample covariance
     # 1/sqrt(K), so every entry is held to 5 * sqrt(2/K) = 0.129
     k, sigma = 3000, 1e-3
-    run_pipeline(params, noise_sigma=sigma, n_boot=2, readout=ReadoutConfig(n_points=1024))
-    zero = Fid(samples=np.zeros(1024), dwell_s=ReadoutConfig().dwell_s)
+    ro = ReadoutConfig(n_points=1024)
+    zero = Fid(samples=np.zeros(1024), dwell_s=ro.dwell_s)
     noise = np.array([spectro.add_noise(zero, sigma, seed).samples for seed in range(k)])
     tol = 5 * np.sqrt(2 / k)
-    maps = noise_maps(params, ReadoutConfig(n_points=1024))
-    for (_, lo, _, _), w in zip(noisy_integral_calls, maps, strict=True):
-        white = np.linalg.solve(sigma * noise_factor(lo), (noise @ w.T).real.T).T
+    maps = noise_maps(params, ro)
+    for lo, w in zip(spectro.readout_model(params, ro).noise_factors(), maps, strict=True):
+        white = np.linalg.solve(sigma * lo, (noise @ w.T).real.T).T
         assert np.abs(white.mean(axis=0)).max() <= tol
         assert np.abs(np.cov(white, rowvar=False) - np.eye(4)).max() <= tol
 
@@ -425,11 +414,10 @@ def fourier_path_epsilon_err(params, epsilon, sigma, seed, n_boot, readout):
 
 @pytest.mark.parametrize("epsilon, sigma, seed", [
     (0.916, 1e-4, 3), (0.6, 2e-3, 11), (0.3, 2e-2, 12345)])
-def test_run_pipeline_bootstrap_matches_fourier_path(params, noisy_integral_calls,
-                                                     epsilon, sigma, seed):
+def test_run_pipeline_bootstrap_matches_fourier_path(params, epsilon, sigma, seed):
     ro = ReadoutConfig()
-    run_pipeline(params, epsilon=epsilon, noise_sigma=sigma, seed=seed, n_boot=2, readout=ro)
-    (y_p, _, _, _), (y_t, _, _, _) = noisy_integral_calls
+    y_p = polarized_integrals(params, ro, epsilon)
+    y_t = spectro.readout_model(params, ro).thermal
     w_p, w_t = noise_maps(params, ro)
     # exact: the integrals of fid + n are y + Re(W n) for the same noise n
     sp, st = np.random.SeedSequence(seed).spawn(2)
@@ -444,7 +432,7 @@ def test_run_pipeline_bootstrap_matches_fourier_path(params, noisy_integral_call
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
-def test_run_pipeline_bootstrap_spread_matches_fourier_path(params, noisy_integral_calls):
+def test_run_pipeline_bootstrap_spread_matches_fourier_path(params):
     # statistical: the spread of n_f = 400 time-domain replicates against
     # the spread of n_i = 20000 replicates drawn from the law, at 1024
     # points. The standard error of a sample standard deviation s over n
@@ -454,11 +442,12 @@ def test_run_pipeline_bootstrap_spread_matches_fourier_path(params, noisy_integr
     ro = ReadoutConfig(n_points=1024)
     n_f, n_i = 400, 20000
     for epsilon, sigma, seed in ((0.916, 1e-5, 5), (0.6, 2e-3, 11)):
-        noisy_integral_calls.clear()
         got = run_pipeline(params, epsilon=epsilon, noise_sigma=sigma, seed=seed,
                            n_boot=n_i, readout=ro)
-        (_, _, _, ph2), (_, _, _, th) = noisy_integral_calls
-        reps = np.abs(ph2).sum(axis=1) / np.abs(th).sum(axis=1) / got.max_enhancement
+        sig_p, sig_t = spectro.readout_model(params, ro).replicate_signals(
+            polarized_integrals(params, ro, epsilon), sigma, seed, n_i)
+        reps = sig_p / sig_t / got.max_enhancement
+        assert got.epsilon_err == float(np.std(reps, ddof=1))
         kappa = np.mean((reps - reps.mean()) ** 4) / reps.var() ** 2
         se = got.epsilon_err * np.sqrt((kappa - 1) / 4 * (1 / n_f + 1 / n_i))
         want = fourier_path_epsilon_err(params, epsilon, sigma, seed, n_f, ro)
@@ -706,6 +695,15 @@ def test_measured_recovery_refuses_a_width_that_is_negative_or_not_finite(fwhm):
         with pytest.raises(spectro.SpectroError, match="width must be finite and >= 0"):
             measured_recovery(5.0, widths, 0)
     assert measured_recovery(5.0, 0.0, 0) == measured_recovery(5.0, -0.0, 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("j_hz", [math.nan, -5.0, 0.0])
+def test_measured_recovery_refuses_a_j_that_is_not_positive_and_finite(j_hz):
+    # NaN gave NaN and -5 gave -0.976, silently: the overflow check read
+    # max(1, |J|), which is 1 for NaN; j_double refused both already
+    with pytest.raises(spectro.SpectroError, match="apparent J must be positive and finite"):
+        measured_recovery(j_hz, 3.0, 4)
 
 
 @pytest.mark.parametrize("golden, argv", [

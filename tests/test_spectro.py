@@ -192,10 +192,10 @@ def test_fid_modes_need_no_eigensolver(monkeypatch):
 
     for name in ("eig", "inv"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    spectro._acquisition_maps.cache_clear()
+    spectro.readout_model.cache_clear()
     got_fid = synthesize_fid(rho, p, 4096, ro.dwell_s).samples
     assert np.abs(got_fid - want_fid).max() <= 1e-12 * np.abs(want_fid).max()
-    got_r = spectro._acquisition_maps(p, ro)[0]
+    got_r = spectro.readout_model(p, ro).r
     assert np.abs(got_r - want_r).max() <= 1e-12 * np.abs(want_r).max()
 
 
@@ -283,7 +283,9 @@ def test_fid_modes_take_two_root_n_point_exponentials_per_mode(monkeypatch, n):
      ReadoutConfig(n_points=4096, dwell_s=1 / 1500, j_double_rounds=2, target_spin="S")),
 ])
 def test_shared_acquisition_maps_equal_separate_builds(p, ro):
-    r, y_t, inverse = spectro._acquisition_maps(p, ro)
+    model = spectro.readout_model(p, ro)
+    r, y_t, inverse = model.r, model.thermal, model.inverse
+    assert (model.params, model.config) == (p, ro)
     assert r.shape == (4, 16) and y_t.shape == (4,) and inverse.shape == (4, 4)
     assert not (r.flags.writeable or y_t.flags.writeable or inverse.flags.writeable)
     selective = selective_pulse(ro.target_spin, p)
@@ -398,8 +400,8 @@ def test_cold_acquisition_maps_take_no_transform_and_build_no_mode_array(monkeyp
     # meet the FID modes through their sqrt(n)-point tables: no FFT, and no
     # (4, n) complex mode array held while a map is contracted
     p, ro = SpinSystemParams(delta_nu_hz=447.0), ReadoutConfig()
-    want = spectro._acquisition_maps(p, ro)
-    spectro._acquisition_maps.cache_clear()
+    want = spectro.readout_model(p, ro)
+    spectro.readout_model.cache_clear()
     spectro._integral_map.cache_clear()
 
     def refuse(*args, **kwargs):
@@ -418,11 +420,11 @@ def test_cold_acquisition_maps_take_no_transform_and_build_no_mode_array(monkeyp
             tracemalloc.stop()
 
     monkeypatch.setattr(spectro, "_acquisition_map", traced)
-    got = spectro._acquisition_maps(p, ro)
+    got = spectro.readout_model(p, ro)
     # a quarter of the bytes of a (4, n) complex array
     assert len(peaks) == 1 and peaks[0] < ro.n_points * 16
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    for name in ("r", "thermal", "inverse"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_fourier_line_integral_equals_amplitude():
@@ -738,7 +740,7 @@ def fourier_readout_integrals(rho, params, readout):
 def test_readout_map_matches_fourier_path(delta_nu, target, rounds, n):
     params = SpinSystemParams(delta_nu_hz=delta_nu)
     ro = ReadoutConfig(n_points=n, j_double_rounds=rounds, target_spin=target)
-    r = spectro._acquisition_maps(params, ro)[0]
+    r = spectro.readout_model(params, ro).r
     assert r.shape == (4, 16) and not r.flags.writeable
     bell = [DensityMatrix(np.outer(k, k.conj())) for k in BELL_BASIS.T]
     want = np.column_stack([fourier_readout_integrals(b, params, ro) for b in bell])
@@ -816,7 +818,7 @@ def lstsq_populations(y, params, readout):
     for them on every call, before the population inverse was cached: the
     Bell-projected readout matrix M, reduced to the unit-trace slice, one
     SVD for the degeneracy check and one least-squares solve."""
-    m = (spectro._acquisition_maps(params, readout)[0] @ _BELL_PROJECTORS.T).real
+    m = (spectro.readout_model(params, readout).r @ _BELL_PROJECTORS.T).real
     reduced = m @ spectro._SUM_ZERO_BASIS
     svals = np.linalg.svd(reduced, compute_uv=False)
     assert not (svals[0] == 0 or svals[-1] < 1e-8 * svals[0])
@@ -916,6 +918,14 @@ def test_calibrate_refuses_a_signal_that_is_not_finite(params, ph2, thermal):
     # RuntimeWarning into an error); an infinite thermal signal would
     # otherwise calibrate to epsilon 0
     with pytest.raises(SpectroError, match="summed integrals must be finite"):
+        calibrate(ph2, thermal, 1.0, params)
+
+
+@pytest.mark.parametrize("ph2, thermal", [([], [1.0]), ([1.0], []), ([], [])])
+def test_calibrate_refuses_an_empty_integral_list(params, ph2, thermal):
+    # an empty polarized list calibrated to epsilon 0.0 from no data; an
+    # empty thermal list was refused only as all zero
+    with pytest.raises(SpectroError, match="need at least one integral on each side"):
         calibrate(ph2, thermal, 1.0, params)
 
 
