@@ -178,10 +178,7 @@ def cmd_run(args) -> int:
         raise CliError(f"{seq_path}: {exc}") from exc
 
     initial = _resolve_state(args.state, program.params)
-    try:
-        final = apply(program, initial)
-    except ChannelError as exc:
-        raise CliError(str(exc)) from exc
+    final = apply(program, initial)
 
     if acq is not None:
         fid = spectro.synthesize_fid(final, program.params, acq.n_points, acq.dwell_s)
@@ -268,14 +265,9 @@ def _parse_floats(text: str) -> list:
 
 def cmd_calibrate(args) -> int:
     params = _params_from_args(args)
-    try:
-        result = spectro.calibrate(
-            _parse_floats(args.ph2_integrals),
-            _parse_floats(args.thermal_integrals),
-            scan_norm=args.scan_norm, params=params,
-            max_enhancement=args.max_enhancement)
-    except spectro.SpectroError as exc:
-        raise CliError(str(exc)) from exc
+    result = spectro.calibrate(
+        _parse_floats(args.ph2_integrals), _parse_floats(args.thermal_integrals),
+        scan_norm=args.scan_norm, params=params, max_enhancement=args.max_enhancement)
     out = _outdir(args)
     _write_json(out / "calibration.json", result.as_dict())
     print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
@@ -298,6 +290,8 @@ _PARAM_FLAGS = tuple(("--" + f.name.replace("_", "-"), f.default)
 # every flag of build_parser that takes one float or int
 _NUMBER_FLAGS = frozenset([flag for flag, _ in _PARAM_FLAGS] + [
     "--seed", "--noise-sigma", "--carrier-ppm", "--scan-norm", "--max-enhancement"])
+# every flag of build_parser that takes a comma-separated list of floats
+_LIST_FLAGS = frozenset(["--ph2-integrals", "--thermal-integrals"])
 
 
 def _is_float(tok: str) -> bool:
@@ -310,12 +304,16 @@ def _is_float(tok: str) -> bool:
 
 def _join_number_values(argv: list) -> list:
     """argv with each `FLAG VALUE` pair of a number flag, up to a `--`,
-    written as `FLAG=VALUE` when VALUE parses as a float. argparse takes a
-    token such as -1e3 or -inf, which its negative-number pattern does not
-    match, for an option; joined, it is read as the flag's value."""
+    written as `FLAG=VALUE` when VALUE parses as a float, or for a list
+    flag when every comma-separated token of VALUE does. argparse takes a
+    token such as -1e3, -inf or -0.1,0.1, which its negative-number
+    pattern does not match, for an option; joined, it is read as the
+    flag's value."""
     out = []
     for tok in argv:
-        if out and out[-1] in _NUMBER_FLAGS and "--" not in out and _is_float(tok):
+        flag = out[-1] if out and "--" not in out else None
+        if (flag in _NUMBER_FLAGS and _is_float(tok)
+                or flag in _LIST_FLAGS and all(map(_is_float, tok.split(",")))):
             out[-1] += "=" + tok
         else:
             out.append(tok)

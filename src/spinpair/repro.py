@@ -12,24 +12,19 @@ carried in params.
 paper_repro builds the full table of reproduced quantities with their
 reference values and tolerances; every row must pass for the package to
 call itself a faithful reproduction. Its J-doubling rows come from
-measured_recovery, which rests on the identity
-sin(a) * prod over r < R of 2cos(2^r a) = sin(2^R a): R doubling rounds
-turn an antiphase doublet of splitting J into the undoubled doublet of
-splitting 2^R J, so no test FID and no doubling modulation is built.
+spectro.measured_recovery, which repro re-exports.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-import operator
 
 import numpy as np
 
 from . import analysis, spectro
 from .channels import apply, filtration_sequence, hard_pulse, selective_pulse, zq_dephase
-from .spectro import CalibrationResult, ReadoutConfig
+from .spectro import CalibrationResult, ReadoutConfig, measured_recovery
 from .states import (
     SpinSystemParams,
     bell_diagonal,
@@ -79,55 +74,6 @@ def antiphase_recovery_fraction(splitting_hz: float, fwhm_hz: float) -> float:
     return (2 / math.pi) * math.atan(splitting_hz / fwhm_hz)
 
 
-@functools.lru_cache(maxsize=1)
-def _recovery_carrier(center_hz: float, n: int, dwell_s: float) -> np.ndarray:
-    """Read-only real c = -Im(W * exp(2 pi i center t)) for the
-    _integral_map row W of the region [center, center + 400] Hz, so that
-    Re(W @ (i sin(pi J t) exp(2 pi i center t) e(t))) = c @ (sin(pi J t) e(t))
-    for every real e(t). The last carrier built stays cached."""
-    # the map first: its build peaks while no n-point array is held
-    w = spectro._integral_map(((center_hz, center_hz + 400.0),), n, dwell_s)[0]
-    t = np.arange(n) * dwell_s
-    out = -(w * np.exp(2j * np.pi * center_hz * t)).imag
-    out.setflags(write=False)
-    return out
-
-
-def measured_recovery(j_hz: float, fwhm_hz: float | np.ndarray,
-                      rounds: int) -> float | np.ndarray:
-    """Integrate one component of a synthetic antiphase doublet, after the
-    given number of doubling rounds, relative to its true area of 1/2.
-
-    fwhm_hz may be an array; the result then has its shape, and is a float
-    for a scalar. The doublet is i sin(pi J t) exp(2 pi i 100 t) on a
-    Lorentzian envelope of the given FWHM (line areas +-1/2) and the
-    doubling is j_double's, but neither is built: since
-    sin(a) * prod over r < R of 2cos(2^r a) = sin(2^R a), R rounds turn
-    the doublet of splitting J into the undoubled one of splitting 2^R J.
-    Its integral is then Im(c @ z^k) with the cached real carrier c of
-    _recovery_carrier and log z = (i pi 2^R J - pi fwhm) dwell, read
-    through the spectro._power_tables of z: no sine and no n-point array
-    per width. A rounds that is not an integer raises TypeError, and
-    rounds < 0, a width not in [0, inf), a J that is not positive and
-    finite or an overflowing doubled J SpectroError."""
-    if operator.index(rounds) < 0:
-        raise spectro.SpectroError("rounds must be >= 0")
-    widths = np.ravel(fwhm_hz)
-    if not ((0 <= widths) & (widths < np.inf)).all():
-        raise spectro.SpectroError(f"width must be finite and >= 0, got {fwhm_hz!r}")
-    center, n, dwell_s = 100.0, 65536, 1.0 / 1024.0
-    spectro._check_doubled_j(j_hz, rounds, (n - 1) * dwell_s)
-    # the carrier first: a cold build peaks while no n-point array is held
-    c = _recovery_carrier(center, n, dwell_s)
-    # sum over k = b j + i of c_k hi_j lo_i, with lo as a real (b, 2 widths)
-    # view: one real GEMM on c's own buffer, no complex copy of c
-    hi, lo = spectro._power_tables(
-        (1j * np.pi * (j_hz * 2 ** rounds) - np.pi * widths) * dwell_s, n)
-    m = (c.reshape(hi.shape[1], -1) @ lo.T.copy().view(float)).view(complex)
-    out = np.einsum("wj,jw->w", hi, m).imag / 0.5
-    return float(out[0]) if np.ndim(fwhm_hz) == 0 else out.reshape(np.shape(fwhm_hz))
-
-
 def _row(name, value, reference, tol, kind, note=""):
     """A row that passes when |value - reference| is within tol, absolute
     for kind "abs" and relative to |reference| for kind "rel"."""
@@ -149,7 +95,6 @@ def _bound_row(name, value, bound, op, note=""):
 
 
 def paper_repro(params: SpinSystemParams | None = None,
-                readout: ReadoutConfig = ReadoutConfig(),
                 n_random_states: int = 1000, rng_seed: int = 20260819):
     """All headline quantities with reference values and pass/fail.
 
@@ -271,13 +216,13 @@ def paper_repro(params: SpinSystemParams | None = None,
                            worst_after, 0.95, ">="))
 
     # end-to-end polarization recovery
-    e2e = run_pipeline(params, epsilon=0.916, readout=readout)
+    e2e = run_pipeline(params, epsilon=0.916)
     rows.append(_row("end-to-end recovered polarization",
                      e2e.epsilon, 0.916, 0.01, "abs"))
 
     # population imbalance inversion on the reported fractions
-    mix_int = spectro.readout_integrals(mix, params, readout)
-    rec = spectro.imbalance_to_populations(mix_int, params, readout)
+    mix_int = spectro.readout_integrals(mix, params)
+    rec = spectro.imbalance_to_populations(mix_int, params)
     dev = max(abs(r - p) for r, p in zip(rec.as_tuple(), PAPER_BELL_FRACTIONS))
     rows.append(_row("population inversion: max deviation from reported fractions",
                      dev, 0.0, 1e-6, "abs"))

@@ -90,12 +90,10 @@ class Statement:
 
 @dataclass(frozen=True)
 class SequenceAst:
-    """headers is a tuple of (key, value) pairs in canonical key order;
-    positions are parse provenance and never take part in equality."""
+    """headers is a tuple of (key, value) pairs in canonical key order."""
 
     headers: tuple = ()
     statements: tuple = ()
-    header_pos: tuple = field(compare=False, default=())
 
     def header_dict(self) -> dict:
         return dict(self.headers)
@@ -167,7 +165,6 @@ def parse(text: str) -> SequenceAst:
     """Parse sequence text; collects every error before raising."""
     errors = []
     headers = {}
-    header_pos = {}
     statements = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -190,7 +187,6 @@ def parse(text: str) -> SequenceAst:
                 errors.append(ParseError(SourcePos(lineno, rest[0][1]), err))
                 continue
             headers[word] = val
-            header_pos[word] = pos
             continue
 
         args, err = _read_args(word, [token for token, _ in rest])
@@ -207,9 +203,7 @@ def parse(text: str) -> SequenceAst:
     if errors:
         raise SequenceSyntaxError(errors)
     canon_headers = tuple((k, headers[k]) for k in HEADER_KEYS if k in headers)
-    canon_pos = tuple((k, header_pos[k]) for k in HEADER_KEYS if k in headers)
-    return SequenceAst(headers=canon_headers, statements=tuple(statements),
-                       header_pos=canon_pos)
+    return SequenceAst(headers=canon_headers, statements=tuple(statements))
 
 
 def _fmt(value) -> str:

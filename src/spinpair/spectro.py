@@ -23,7 +23,9 @@ readout, its population inverse, the thermal reference's integrals (a
 hard 90 on the exact thermal state's closed-form traceless part) and the
 bootstrap's noise law. Neither reading a state out nor building its maps
 synthesizes a FID or takes a transform (_integral_map is in closed form);
-fourier and integrate serve shown spectra.
+fourier and integrate serve shown spectra. measured_recovery reads the
+J-doubling recovery of a synthetic antiphase doublet through one row of
+_integral_map, with no FID and no doubling modulation.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ class Fid:
         s = np.asarray(self.samples, dtype=complex)
         if s.ndim != 1 or len(s) < 2:
             raise SpectroError("FID needs at least 2 samples in a 1-d array")
-        if not self.dwell_s > 0:
-            raise SpectroError("dwell must be positive")
+        if not 0 < self.dwell_s < np.inf:
+            raise SpectroError(f"dwell must be positive and finite, got {self.dwell_s}")
         if not np.isfinite(s).all():
             raise SpectroError("FID contains non-finite samples")
         s = np.array(s)
@@ -207,9 +209,10 @@ def j_double(fid: Fid, j_apparent_hz: float, rounds: int) -> Fid:
 
 def _check_doubled_j(j_hz: float, rounds: int, t_end: float) -> None:
     """Refuse a J that is not positive and finite, and J-doubling that
-    overflows over times up to t_end: each power 2^r, doubled J and phase
-    that j_double or repro.measured_recovery forms is at most x 2^rounds,
-    x = max(1, J) max(1, pi t_end) = m 2^e, m < 1."""
+    overflows over times up to t_end, for j_double, the readout's doubled
+    map and measured_recovery alike: each power 2^r, doubled J and phase
+    they form is at most x 2^rounds, x = max(1, J) max(1, pi t_end) =
+    m 2^e, m < 1, so e + rounds <= 1024 keeps every one finite."""
     if not 0 < j_hz < math.inf:
         raise SpectroError(f"apparent J must be positive and finite, got {j_hz!r}")
     x = max(1.0, j_hz) * max(1.0, math.pi * t_end)
@@ -225,6 +228,53 @@ def _j_modulation(j_hz: float, rounds: int, t: np.ndarray) -> np.ndarray:
     for r in range(rounds):
         out *= 2 * np.cos(np.pi * (j_hz * 2 ** r) * t)
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def _recovery_carrier(n: int, dwell_s: float) -> np.ndarray:
+    """Read-only real c = -Im(W) for the _integral_map row W of the region
+    [0, 400] Hz, so that Re(W @ (i sin(pi J t) e(t))) = c @ (sin(pi J t) e(t))
+    for every real e(t). The last carrier built stays cached."""
+    out = -_integral_map(((0.0, 400.0),), n, dwell_s)[0].imag
+    out.setflags(write=False)
+    return out
+
+
+def measured_recovery(j_hz: float, fwhm_hz: float | np.ndarray,
+                      rounds: int) -> float | np.ndarray:
+    """Integrate one component of a synthetic antiphase doublet, after the
+    given number of doubling rounds, relative to its true area of 1/2.
+
+    fwhm_hz may be an array; the result then has its shape, and is a float
+    for a scalar. The doublet is i sin(pi J t) at the origin on a
+    Lorentzian envelope of the given FWHM (line areas +-1/2), read over
+    [0, 400] Hz; by the shift theorem this equals the same doublet at
+    100 Hz read over [100, 500] Hz, as 100 Hz is a whole number of bins
+    of the 1/128 Hz axis. The doubling is j_double's, but neither is
+    built: since sin(a) * prod over r < R of 2cos(2^r a) = sin(2^R a),
+    R rounds turn the doublet of splitting J into the undoubled one of
+    splitting 2^R J. Its integral is then Im(c @ z^k) with the cached
+    real carrier c of _recovery_carrier and log z = (i pi 2^R J - pi
+    fwhm) dwell, read through the _power_tables of z: no sine and no
+    n-point array per width. A rounds that is not a non-negative
+    integer, a width not in [0, inf), a J that is not positive and
+    finite or an overflowing doubled J raises SpectroError."""
+    if _integer("rounds", rounds) < 0:
+        raise SpectroError("rounds must be >= 0")
+    widths = np.ravel(fwhm_hz)
+    if not ((0 <= widths) & (widths < np.inf)).all():
+        raise SpectroError(f"width must be finite and >= 0, got {fwhm_hz!r}")
+    n, dwell_s = 65536, 1.0 / 1024.0
+    _check_doubled_j(j_hz, rounds, (n - 1) * dwell_s)
+    # the carrier first: a cold build peaks while no n-point array is held
+    c = _recovery_carrier(n, dwell_s)
+    # sum over k = b j + i of c_k hi_j lo_i, with lo as a real (b, 2 widths)
+    # view: one real GEMM on c's own buffer, no complex copy of c
+    hi, lo = _power_tables(
+        (1j * np.pi * (j_hz * 2 ** rounds) - np.pi * widths) * dwell_s, n)
+    m = (c.reshape(hi.shape[1], -1) @ lo.T.copy().view(float)).view(complex)
+    out = np.einsum("wj,jw->w", hi, m).imag / 0.5
+    return float(out[0]) if np.ndim(fwhm_hz) == 0 else out.reshape(np.shape(fwhm_hz))
 
 
 def _check_axis(n: int, dwell_s: float) -> None:
@@ -378,8 +428,9 @@ def calibrate(ph2_integrals, thermal_integrals, scan_norm: float,
     ceiling 1/tanh(B/2) from params, inf where B/2 underflows; passing an
     externally quoted value reproduces someone else's arithmetic.
     epsilon_err is 0; run_pipeline's bootstrap replaces it. An empty list
-    of integrals on either side, or a signal that is not finite (an
-    infinite or NaN integral, or a sum that overflows), raises SpectroError.
+    of integrals on either side, a signal that is not finite (an infinite
+    or NaN integral, or a sum that overflows), or a passed max_enhancement
+    that is not positive and finite raises SpectroError.
     """
     ph2, th = (np.ravel(np.asarray(y, dtype=float)) for y in (ph2_integrals, thermal_integrals))
     if not (ph2.size and th.size):
@@ -398,8 +449,9 @@ def calibrate(ph2_integrals, thermal_integrals, scan_norm: float,
     if max_enhancement is None:
         t = math.tanh(params.b_factor / 2)
         max_enhancement = 1 / t if t else math.inf
-    if not max_enhancement > 0:
-        raise SpectroError("max_enhancement must be positive")
+    elif not 0 < max_enhancement < math.inf:
+        raise SpectroError(
+            f"max_enhancement must be positive and finite, got {max_enhancement!r}")
     return CalibrationResult(
         epsilon=corrected / max_enhancement,
         epsilon_err=0.0,

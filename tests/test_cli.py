@@ -688,6 +688,25 @@ def test_join_number_values():
     assert join(["--carrier-ppm", "-x", "--j-hz", "--seed"]) == [
         "--carrier-ppm", "-x", "--j-hz", "--seed"]
     assert join(["a", "--", "--seed", "-1"]) == ["a", "--", "--seed", "-1"]
+    assert join(["--ph2-integrals", "-0.1,0.1,0.2,-0.2", "--thermal-integrals", "-1"]) == [
+        "--ph2-integrals=-0.1,0.1,0.2,-0.2", "--thermal-integrals=-1"]
+    # a token that is not a float leaves the pair to argparse, as does --
+    assert join(["--ph2-integrals", "-1,x", "--thermal-integrals", "-1,"]) == [
+        "--ph2-integrals", "-1,x", "--thermal-integrals", "-1,"]
+    assert join(["--", "--ph2-integrals", "-1"]) == ["--", "--ph2-integrals", "-1"]
+
+
+def test_calibrate_reads_a_signed_integral_list_as_the_next_argument(tmp_path, capsys):
+    # antiphase integrals are signed; argparse took -0.1,... for an option
+    # and exited 2 with "expected one argument"
+    ph2, thermal = "-0.1,0.1,0.2,-0.2", "-1e-3,1e-3"
+    assert run_cli("calibrate", "--ph2-integrals", ph2, "--thermal-integrals", thermal,
+                   "--max-enhancement", "1000", "--out", tmp_path / "a") == 0
+    assert run_cli("calibrate", f"--ph2-integrals={ph2}", f"--thermal-integrals={thermal}",
+                   "--max-enhancement=1000", "--out", tmp_path / "b") == 0
+    got, want = ((tmp_path / d / "calibration.json").read_text() for d in "ab")
+    assert got == want
+    assert json.loads(got)["raw_ratio"] == pytest.approx(300.0)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -757,6 +776,12 @@ def test_calibrate_bad_numbers_exit_2(tmp_path, capsys):
     for ph2, thermal in ((",", "1"), ("1", ","), ("", "1")):
         assert run_cli("calibrate", "--ph2-integrals", ph2,
                        "--thermal-integrals", thermal, "--out", tmp_path) == 2
+    # --max-enhancement inf exited 0 and wrote "max_enhancement": Infinity,
+    # which is not standard JSON
+    for ceiling in ("inf", "-inf", "nan", "0"):
+        assert run_cli("calibrate", "--ph2-integrals", "77000", "--thermal-integrals", "1",
+                       "--max-enhancement", ceiling, "--out", tmp_path) == 2
+        assert "max_enhancement must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "calibration.json").exists()
 
 

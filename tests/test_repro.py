@@ -457,9 +457,9 @@ def test_run_pipeline_bootstrap_spread_matches_fourier_path(params):
 @pytest.mark.parametrize("n, dwell_s", [(16384, 1 / 4096), (1024, 1 / 2048), (64, 1 / 1024),
                                         (65536, 1 / 1024)])
 def test_integral_map_matches_fourier_then_integrate(params, n, dwell_s):
-    # the component regions of run_pipeline and the one region of
-    # measured_recovery
-    for regions in (spectro.component_regions(params), ((100.0, 500.0),)):
+    # the component regions of run_pipeline, the one region of
+    # measured_recovery and the 100 Hz region of its oracles
+    for regions in (spectro.component_regions(params), ((0.0, 400.0),), ((100.0, 500.0),)):
         w = spectro._integral_map(regions, n, dwell_s)
         assert w.shape == (len(regions), n)
         assert not w.flags.writeable
@@ -659,12 +659,42 @@ def test_measured_recovery_takes_no_sine_and_two_root_n_exponentials_per_width(
 
 def test_recovery_carrier_is_read_only_and_cached():
     measured_recovery(5.0, 4.0, 1)
-    c = repro._recovery_carrier(100.0, 65536, 1.0 / 1024.0)
+    c = spectro._recovery_carrier(65536, 1.0 / 1024.0)
     assert c.dtype == float and c.shape == (65536,)
     assert not c.flags.writeable
-    assert repro._recovery_carrier(100.0, 65536, 1.0 / 1024.0) is c
+    assert spectro._recovery_carrier(65536, 1.0 / 1024.0) is c
     with pytest.raises(ValueError):
         c[0] = 1.0
+
+
+def test_recovery_carrier_is_the_100_hz_carrier_shifted_to_the_origin(monkeypatch):
+    # the carrier as it was built: the [100, 500] Hz row times the 100 Hz
+    # phase on the time axis; 100 Hz is 12800 bins of the 1/128 Hz axis
+    n, dwell_s = 65536, 1.0 / 1024.0
+    w = spectro._integral_map(((100.0, 500.0),), n, dwell_s)[0]
+    want = -(w * np.exp(2j * np.pi * 100.0 * np.arange(n) * dwell_s)).imag
+    spectro._recovery_carrier.cache_clear()
+    spectro._integral_map.cache_clear()
+
+    ranges, arange = [], np.arange
+
+    def recording(*args, **kwargs):
+        ranges.append(args)
+        return arange(*args, **kwargs)
+
+    sizes = count_exp_values(monkeypatch)
+    monkeypatch.setattr(np, "arange", recording)
+    got = spectro._recovery_carrier(n, dwell_s)
+    monkeypatch.undo()
+    # no time axis, and only _integral_map's root-of-unity tables: three
+    # of 256 + 256 values
+    assert (n,) not in ranges
+    assert sum(sizes) <= 3 * 2 * 256
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_measured_recovery_is_spectros():
+    assert repro.measured_recovery is spectro.measured_recovery
 
 
 def test_measured_recovery_refuses_rounds_whose_doubled_j_overflows():
@@ -680,10 +710,12 @@ def test_measured_recovery_refuses_rounds_whose_doubled_j_overflows():
 def test_measured_recovery_refuses_bad_rounds():
     with pytest.raises(spectro.SpectroError, match="rounds must be >= 0"):
         measured_recovery(5.0, 4.0, -1)
-    # the doubling loop took range(rounds), which refuses a float
+    # j_double's rule: a float, even 2.0, is not an integer number of rounds
     for rounds in (1.5, 2.0):
-        with pytest.raises(TypeError):
+        with pytest.raises(spectro.SpectroError, match="rounds must be an integer"):
             measured_recovery(5.0, 4.0, rounds)
+        with pytest.raises(spectro.SpectroError, match="rounds must be an integer"):
+            spectro.j_double(Fid(samples=np.ones(8), dwell_s=1.0), 5.0, rounds)
     assert measured_recovery(5.0, 4.0, np.int64(2)) == measured_recovery(5.0, 4.0, 2)
 
 

@@ -65,8 +65,11 @@ def test_fid_validation():
         Fid(samples=np.zeros(3, complex).reshape(1, 3), dwell_s=1.0)
     with pytest.raises(SpectroError):
         Fid(samples=np.zeros(1, complex), dwell_s=1.0)
-    with pytest.raises(SpectroError):
-        Fid(samples=np.zeros(4, complex), dwell_s=0.0)
+    # an infinite dwell was accepted: times_s then warned on 0 * inf, and
+    # fourier refused it as a transform that overflows
+    for dwell_s in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(SpectroError, match="dwell must be positive and finite"):
+            Fid(samples=np.zeros(4, complex), dwell_s=dwell_s)
     with pytest.raises(SpectroError):
         Fid(samples=np.array([1.0, np.nan, 0, 0], complex), dwell_s=1.0)
 
@@ -907,6 +910,11 @@ def test_calibrate_rejects_unphysical(params):
                   max_enhancement=31028.0)
     with pytest.raises(SpectroError):
         calibrate([1.0], [0.0], scan_norm=1.0, params=params)
+    # a passed inf calibrated to epsilon 0.0; the default ceiling is still
+    # inf where B/2 underflows (test_calibrate_default_ceiling_is_the_thermal_states)
+    for ceiling in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(SpectroError, match="max_enhancement must be positive and finite"):
+            calibrate([77000.0], [1.0], 1.0, params, max_enhancement=ceiling)
 
 
 @pytest.mark.parametrize("ph2, thermal", [
