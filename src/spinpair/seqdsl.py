@@ -36,7 +36,7 @@ from .channels import (
     selective_pulse,
     zq_dephase,
 )
-from .spectro import _is_pow2
+from .spectro import SpectroError, check_points
 from .states import SpinSystemParams
 
 _HEADER_TO_PARAM = {
@@ -271,16 +271,14 @@ def compile(ast: SequenceAst, params: SpinSystemParams | None = None):
             raise CompileError(
                 f"{stmt.pos}: statement after acquire; acquire must be last")
         lower = _STATEMENTS[stmt.op][2]
-        if lower is None:
-            n, dwell = args
-            if not _is_pow2(n):
-                raise CompileError(
-                    f"{stmt.pos}: acquire needs a power-of-two point count >= 2, got {n}")
-            acq = AcquisitionSpec(n_points=n, dwell_s=dwell)
-            continue
         try:
+            if lower is None:
+                n, dwell = args
+                check_points(n)
+                acq = AcquisitionSpec(n_points=n, dwell_s=dwell)
+                continue
             channels.extend(lower(eff, *args))
-        except ChannelError as exc:
+        except (ChannelError, SpectroError) as exc:
             raise CompileError(f"{stmt.pos}: {exc}") from exc
         statements.append((stmt.op, *args))
     program = ChannelProgram(channels=tuple(channels), params=eff,

@@ -20,8 +20,9 @@ is blind to the identity part of rho, which has no coherence to read. One
 cached readout_model per (params, ReadoutConfig) computes the FID modes
 once and returns its Readout: the (4, 16) map of the selective population
 readout, its population inverse, the thermal reference's integrals (a
-hard 90 on the exact thermal state's closed-form traceless part) and the
-bootstrap's noise law. Neither reading a state out nor building its maps
+hard 90 on the exact thermal state's closed-form traceless part), and the
+component map and doubling modulation that the bootstrap's noise law
+reads from it. Neither reading a state out nor building its maps
 synthesizes a FID or takes a transform (_integral_map is in closed form);
 fourier and integrate serve shown spectra. measured_recovery reads the
 J-doubling recovery of a synthetic antiphase doublet through one row of
@@ -54,10 +55,6 @@ F_PLUS = (IX + 1j * IY) + (SX + 1j * SY)
 
 class SpectroError(ValueError):
     pass
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -158,12 +155,18 @@ def synthesize_fid(rho0: DensityMatrix, params: SpinSystemParams,
     rho[a, b] z[a, b]**k over the four coherences F+ reads. The
     propagator is free_evolution's, so delta_nu <= J raises ChannelError
     and delta_nu <= 5J warns."""
-    if not _is_pow2(n):
-        raise SpectroError(f"n must be a power of two >= 2, got {n}")
+    check_points(n)
     c, hi, lo = _fid_modes(params, n, dwell_s)
     e = (hi[:, :, None] * lo[:, None, :]).reshape(len(hi), n)
     return Fid(samples=((c @ rho0.matrix.ravel())[:, None] * e).sum(axis=0),
                dwell_s=dwell_s)
+
+
+def check_points(n: int) -> None:
+    """Raise SpectroError unless the integer point count n is a power of
+    two >= 2, as the transform and the power tables need."""
+    if not (n >= 2 and n & (n - 1) == 0):
+        raise SpectroError(f"point count must be a power of two >= 2, got {n}")
 
 
 def check_noise_sigma(sigma: float) -> None:
@@ -257,14 +260,20 @@ def measured_recovery(j_hz: float, fwhm_hz: float | np.ndarray,
     real carrier c of _recovery_carrier and log z = (i pi 2^R J - pi
     fwhm) dwell, read through the _power_tables of z: no sine and no
     n-point array per width. A rounds that is not a non-negative
-    integer, a width not in [0, inf), a J that is not positive and
-    finite or an overflowing doubled J raises SpectroError."""
+    integer, a width not in [0, inf) or one whose decay over the n
+    points overflows, a J that is not positive and finite or an
+    overflowing doubled J raises SpectroError."""
     if _integer("rounds", rounds) < 0:
         raise SpectroError("rounds must be >= 0")
     widths = np.ravel(fwhm_hz)
     if not ((0 <= widths) & (widths < np.inf)).all():
         raise SpectroError(f"width must be finite and >= 0, got {fwhm_hz!r}")
     n, dwell_s = 65536, 1.0 / 1024.0
+    widest = float(widths.max(initial=0.0))
+    if not math.pi * widest * dwell_s * n < math.inf:
+        raise SpectroError(
+            f"width {widest!r} Hz is too broad for the dwell {dwell_s!r} s: "
+            f"its decay over {n} points overflows")
     _check_doubled_j(j_hz, rounds, (n - 1) * dwell_s)
     # the carrier first: a cold build peaks while no n-point array is held
     c = _recovery_carrier(n, dwell_s)
@@ -291,8 +300,7 @@ def fourier(fid: Fid, apodize_hz: float = 0.0) -> Spectrum:
     apodize_hz adds Lorentzian broadening to every line's FWHM. An
     apodize_hz that is not finite and non-negative, or a frequency axis
     or a transform that overflows, raises SpectroError."""
-    if not _is_pow2(fid.n):
-        raise SpectroError(f"transform needs a power-of-two length, got {fid.n}")
+    check_points(fid.n)
     if not 0 <= apodize_hz < np.inf:
         raise SpectroError(
             f"apodization must be finite and non-negative, got {apodize_hz!r}")
@@ -352,12 +360,11 @@ def component_integrals(spectrum: Spectrum, params: SpinSystemParams) -> np.ndar
     return np.array([integrate(spectrum, lo, hi) for lo, hi in component_regions(params)])
 
 
-@functools.lru_cache(maxsize=2)
 def _integral_map(regions: tuple, n: int, dwell_s: float) -> np.ndarray:
     """Read-only (len(regions), n) complex W with Re(W @ fid.samples) equal
     to the integrals of fourier(fid) over regions, in their order, for
     every n-point fid sampled at dwell_s; regions is a tuple of (lo, hi)
-    pairs in Hz. The last two maps built stay cached.
+    pairs in Hz.
 
     Each row is the transform of that region's trapezoid weights, a boxcar
     with half-weight ends on the points a..z of fourier's own axis (signed
@@ -478,9 +485,7 @@ class ReadoutConfig:
     target_spin: str = "I"
 
     def __post_init__(self):
-        if not _is_pow2(_integer("n_points", self.n_points)):
-            raise SpectroError(
-                f"n_points must be a power of two >= 2, got {self.n_points}")
+        check_points(_integer("n_points", self.n_points))
         if not 0 < self.dwell_s < np.inf:
             raise SpectroError(f"dwell must be positive and finite, got {self.dwell_s}")
         _check_axis(self.n_points, self.dwell_s)
@@ -498,20 +503,6 @@ def _readout_modulation(j_hz: float, rounds: int, n: int, dwell_s: float) -> np.
     out = _j_modulation(j_hz, rounds, np.arange(n) * dwell_s)
     out.setflags(write=False)
     return out
-
-
-def _component_map(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
-    """The (4, n) _integral_map of the component_regions of the readout."""
-    return _integral_map(component_regions(params), readout.n_points, readout.dwell_s)
-
-
-def _doubled_map(params: SpinSystemParams, readout: ReadoutConfig) -> np.ndarray:
-    """(4, n) complex W_p with Re(W_p @ fid.samples) equal to the
-    component_integrals of fourier(j_double(fid, J, rounds)) for every
-    n-point readout fid: the component map times the doubling
-    modulation."""
-    return _component_map(params, readout) * _readout_modulation(
-        params.j_hz, readout.j_double_rounds, readout.n_points, readout.dwell_s)
 
 
 def _acquisition_map(params: SpinSystemParams, pairs: tuple, dwell_s: float) -> tuple:
@@ -550,27 +541,32 @@ _SUM_ZERO_BASIS = np.linalg.qr(np.eye(4, 3) - np.eye(4, 3, -1))[0]
 
 @dataclass(frozen=True, eq=False)
 class Readout:
-    """What readout_model builds for (params, config): the read-only map r,
-    the thermal reference's integrals and the population inverse or None."""
+    """What readout_model builds for (params, config), all read-only: the
+    map r, the thermal reference's integrals, the population inverse or
+    None, and the two sample maps of the noise law: the (4, n) complex
+    _integral_map w_t of the component_regions, which reads the thermal
+    reference, and the real J-doubling modulation of the n samples, so
+    that w_t * modulation reads the selective one."""
 
-    params: SpinSystemParams
-    config: ReadoutConfig
     r: np.ndarray
     thermal: np.ndarray
     inverse: np.ndarray | None
+    w_t: np.ndarray
+    modulation: np.ndarray
 
     def noise_factors(self) -> tuple:
-        """Cholesky factors (L_p, L_t) of Re(W W^H) for the doubled map W_p of
-        the selective readout and the component map W_t of the thermal
-        reference, the factors replicate_signals draws with.
+        """Cholesky factors (L_p, L_t) of Re(W W^H) for the doubled map
+        W_p = w_t * modulation of the selective readout and the component
+        map W_t = w_t of the thermal reference, the factors
+        replicate_signals draws with.
 
         Re(W W^H) = V V^T exactly, where V = W.view(float) is the (4, 2n) real
         view of the C-contiguous complex W with real and imaginary parts
         interleaved, so each Gram matrix is one real GEMM on W's own buffer:
         no conjugate copy of W, and no imaginary half computed to be dropped."""
         return tuple(np.linalg.cholesky(v @ v.T)
-                     for v in (_doubled_map(self.params, self.config).view(float),
-                               _component_map(self.params, self.config).view(float)))
+                     for v in ((self.w_t * self.modulation).view(float),
+                               self.w_t.view(float)))
 
     def replicate_signals(self, y_p: np.ndarray, sigma: float,
                           seed: int | np.random.SeedSequence, n_boot: int) -> tuple:
@@ -606,30 +602,32 @@ class Readout:
         return sig_p, sig_t
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def readout_model(params: SpinSystemParams, readout: ReadoutConfig) -> Readout:
-    """The Readout of (params, readout), from one set of FID modes: r is
-    the (4, 16) map of the selective pulse and the doubled map, thermal
-    the component integrals of states._thermal_deviation (no I/4 for a
+    """The Readout of (params, readout), from one component map w_t, one
+    doubling modulation and one set of FID modes: r is the (4, 16) map of
+    the selective pulse and the doubled map w_t * modulation, thermal the
+    component integrals of states._thermal_deviation (no I/4 for a
     pulse's rounding to leak) after a hard 90 about +y, and inverse the P
     of p = 1/4 + P y for M = Re(r @ _BELL_PROJECTORS.T), rank 3, on the
     unit-trace slice 1/4 + N q: P = N pinv(M N) from one SVD, None where M N
-    is rank deficient (J effectively zero). The last eight stay cached."""
-    # each pulse and its sample map built inside the pairs, held by them
-    # alone: held by local names, freed maps stayed resident (peak RSS +1.1 MB)
+    is rank deficient (J effectively zero). The last two stay cached."""
+    n, dwell_s = readout.n_points, readout.dwell_s
+    w_t = _integral_map(component_regions(params), n, dwell_s)
+    modulation = _readout_modulation(params.j_hz, readout.j_double_rounds, n, dwell_s)
     r, a_t = _acquisition_map(params, (
-        (selective_pulse(readout.target_spin, params).superop, _doubled_map(params, readout)),
-        (hard_pulse(90.0, 90.0).superop, _component_map(params, readout)),
-    ), readout.dwell_s)
+        (selective_pulse(readout.target_spin, params).superop, w_t * modulation),
+        (hard_pulse(90.0, 90.0).superop, w_t),
+    ), dwell_s)
     y_t = (a_t @ _thermal_deviation(params).ravel()).real
     y_t.setflags(write=False)
     u, s, vt = np.linalg.svd((r @ _BELL_PROJECTORS.T).real @ _SUM_ZERO_BASIS,
                              full_matrices=False)
     if s[0] == 0 or s[-1] < 1e-8 * s[0]:
-        return Readout(params, readout, r, y_t, None)
+        return Readout(r, y_t, None, w_t, modulation)
     inverse = _SUM_ZERO_BASIS @ (vt.T / s) @ u.T
     inverse.setflags(write=False)
-    return Readout(params, readout, r, y_t, inverse)
+    return Readout(r, y_t, inverse, w_t, modulation)
 
 
 def readout_integrals(rho: DensityMatrix, params: SpinSystemParams,

@@ -377,8 +377,7 @@ _NAMED_KETS = {
     "ZeemanGround": KET_00,
 }
 
-NAMED_STATES = ("T0", "Tplus", "Tminus", "PhiPlus", "PhiMinus",
-                "ZeemanGround", "MaximallyMixed")
+NAMED_STATES = (*_NAMED_KETS, "MaximallyMixed")
 
 
 def make_named_state(name: str) -> DensityMatrix:

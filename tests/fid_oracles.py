@@ -13,10 +13,13 @@ folded_acquisition_map keeps the channel-by-channel product the
 acquisition map took before it took the pulses as one composed
 superoperator, and fft_integral_map the integral map as it was built
 before its rows were written in closed form: the transform of each
-region's trapezoid weights, taken by an FFT over 2n points."""
+region's trapezoid weights, taken by an FFT over 2n points. noise_maps
+builds the two sample maps a Readout holds from their definitions,
+never from a Readout."""
 
 import numpy as np
 
+from spinpair import spectro
 from spinpair.channels import _propagator, apply, hard_pulse, selective_pulse
 from spinpair.spectro import F_PLUS, Fid, ReadoutConfig, _trapezoid_weights, synthesize_fid
 from spinpair.states import (
@@ -41,6 +44,18 @@ def thermal_fid(params: SpinSystemParams,
     """FID of the exact thermal state after a hard 90 about +y."""
     rho = apply(hard_pulse(90.0, 90.0), make_thermal(params, mode="exact"))
     return synthesize_fid(rho, params, readout.n_points, readout.dwell_s)
+
+
+def noise_maps(params: SpinSystemParams, readout: ReadoutConfig) -> tuple:
+    """The (4, n) maps (W_p, W_t) on the samples of the selective readout
+    and of the thermal reference: W_t the _integral_map of the
+    component_regions, W_p = W_t times the J-doubling modulation of the n
+    sample times."""
+    n, dwell_s = readout.n_points, readout.dwell_s
+    w_t = spectro._integral_map(spectro.component_regions(params), n, dwell_s)
+    doubling = spectro._j_modulation(params.j_hz, readout.j_double_rounds,
+                                     np.arange(n) * dwell_s)
+    return w_t * doubling, w_t
 
 
 def antiphase_test_fid(j_hz: float, fwhm_hz: float, center_hz: float,

@@ -57,9 +57,10 @@ def test_scan_finds_a_private_spectro_name():
 
 
 def test_run_pipeline_and_cli_use_no_private_spectro_name():
-    # the readout model and the J-doubling recovery are spectro's to know:
-    # all of repro.py, run_pipeline included, and the CLI go through its
-    # public names (readout_model, Readout, calibrate, measured_recovery, ...)
-    for name in ("repro.py", "cli.py"):
+    # the readout model, the J-doubling recovery and the point-count rule
+    # are spectro's to know: all of repro.py, run_pipeline included, the
+    # CLI and the sequence compiler go through its public names
+    # (readout_model, Readout, calibrate, measured_recovery, check_points, ...)
+    for name in ("repro.py", "cli.py", "seqdsl.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
         assert private_spectro_names(tree) == [], name

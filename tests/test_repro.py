@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import count_exp_values
-from fid_oracles import antiphase_test_fid, polarized_fid, thermal_fid
+from fid_oracles import antiphase_test_fid, noise_maps, polarized_fid, thermal_fid
 from spinpair import repro, spectro
 from spinpair.channels import apply, filtration_sequence, hard_pulse
 from spinpair.cli import main
@@ -44,14 +44,6 @@ def polarized_integrals(params, readout, epsilon=0.916):
     """The noise-free selective integrals of run_pipeline's pseudo-singlet."""
     return spectro.readout_integrals(make_pseudo_pure(epsilon, make_singlet()),
                                      params, readout)
-
-
-def noise_maps(params, ro):
-    """The (4, n) maps W_p (polarized) and W_t (thermal) whose Gram
-    matrices run_pipeline's two noise factors come from."""
-    return (spectro._doubled_map(params, ro),
-            spectro._integral_map(spectro.component_regions(params),
-                                  ro.n_points, ro.dwell_s))
 
 
 def test_fid_builders(params):
@@ -192,6 +184,25 @@ def test_noise_factors_match_complex_gram_oracle(params, readout):
                          complex_gram_factors(params, readout), strict=True):
         assert np.array_equal(got, np.tril(got))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_noise_law_reads_the_maps_the_readout_holds(params, monkeypatch):
+    # the Readout holds its two sample maps: once it is built, neither its
+    # noise factors nor a noisy run_pipeline rebuilds a map or a modulation
+    ro = ReadoutConfig(n_points=4096, j_double_rounds=3)
+    model = spectro.readout_model(params, ro)
+    want_factors = model.noise_factors()
+    want = dataclasses.astuple(run_pipeline(params, 0.916, 1e-3, 3, 100, ro))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the noise law rebuilt a sample map")
+
+    for name in ("_integral_map", "_readout_modulation", "_j_modulation"):
+        monkeypatch.setattr(spectro, name, refuse)
+    for got, factor in zip(model.noise_factors(), want_factors, strict=True):
+        assert np.array_equal(got, factor)
+    got = dataclasses.astuple(run_pipeline(params, 0.916, 1e-3, 3, 100, ro))
+    assert np.array_equal(got, want) and want[1] > 0
 
 
 def uncached_run_pipeline(params, epsilon, noise_sigma, seed, n_boot, readout):
@@ -674,7 +685,6 @@ def test_recovery_carrier_is_the_100_hz_carrier_shifted_to_the_origin(monkeypatc
     w = spectro._integral_map(((100.0, 500.0),), n, dwell_s)[0]
     want = -(w * np.exp(2j * np.pi * 100.0 * np.arange(n) * dwell_s)).imag
     spectro._recovery_carrier.cache_clear()
-    spectro._integral_map.cache_clear()
 
     ranges, arange = [], np.arange
 
@@ -727,6 +737,15 @@ def test_measured_recovery_refuses_a_width_that_is_negative_or_not_finite(fwhm):
         with pytest.raises(spectro.SpectroError, match="width must be finite and >= 0"):
             measured_recovery(5.0, widths, 0)
     assert measured_recovery(5.0, 0.0, 0) == measured_recovery(5.0, -0.0, 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("widths", [1e306, 1e308, np.array([3.0, 1e306])])
+def test_measured_recovery_refuses_a_width_whose_decay_overflows(widths):
+    # 1e306 returned 0.0 after an overflow in the power tables, and 1e308
+    # NaN after an overflow and an invalid value
+    with pytest.raises(spectro.SpectroError, match="decay over 65536 points overflows"):
+        measured_recovery(5.0, widths, 0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

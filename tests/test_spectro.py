@@ -51,6 +51,7 @@ from fid_oracles import (
     folded_acquisition_map,
     loop_acquisition_map,
     loop_fid_samples,
+    noise_maps,
 )
 
 
@@ -188,7 +189,7 @@ def test_fid_modes_need_no_eigensolver(monkeypatch):
     rho = apply(selective_pulse("I", p), make_singlet())
     want_fid = loop_fid_samples(rho, p, 4096, ro.dwell_s)
     want_r = loop_acquisition_map(p, selective_pulse("I", p).superop,
-                                  spectro._doubled_map(p, ro), ro.dwell_s)
+                                  noise_maps(p, ro)[0], ro.dwell_s)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the FID modes ran a general eigensolver or inverse")
@@ -288,13 +289,15 @@ def test_fid_modes_take_two_root_n_point_exponentials_per_mode(monkeypatch, n):
 def test_shared_acquisition_maps_equal_separate_builds(p, ro):
     model = spectro.readout_model(p, ro)
     r, y_t, inverse = model.r, model.thermal, model.inverse
-    assert (model.params, model.config) == (p, ro)
+    w_p, w_t = noise_maps(p, ro)
+    assert np.array_equal(model.w_t, w_t)
+    assert np.array_equal(model.w_t * model.modulation, w_p)
+    assert model.modulation.shape == (ro.n_points,)
+    assert not (model.w_t.flags.writeable or model.modulation.flags.writeable)
     assert r.shape == (4, 16) and y_t.shape == (4,) and inverse.shape == (4, 4)
     assert not (r.flags.writeable or y_t.flags.writeable or inverse.flags.writeable)
     selective = selective_pulse(ro.target_spin, p)
     hard_90 = hard_pulse(90.0, 90.0)
-    w_p = spectro._doubled_map(p, ro)
-    w_t = spectro._integral_map(component_regions(p), ro.n_points, ro.dwell_s)
     a_t = spectro._acquisition_map(p, ((hard_90.superop, w_t),), ro.dwell_s)[0]
     t = math.tanh(p.b_factor / 2)
     assert np.array_equal(r, spectro._acquisition_map(
@@ -405,7 +408,6 @@ def test_cold_acquisition_maps_take_no_transform_and_build_no_mode_array(monkeyp
     p, ro = SpinSystemParams(delta_nu_hz=447.0), ReadoutConfig()
     want = spectro.readout_model(p, ro)
     spectro.readout_model.cache_clear()
-    spectro._integral_map.cache_clear()
 
     def refuse(*args, **kwargs):
         raise AssertionError("a cold readout map took an FFT")
