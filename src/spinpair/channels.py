@@ -4,11 +4,13 @@ A channel is its 16x16 superoperator acting on vec(rho), the row-major
 flattening of the 4x4 density matrix: the matrix form of an NMR channel
 (Havel, J. Math. Phys. 44, 534 (2003)). A stack of states is read as the
 (..., 16) array of its vec(rho) rows and mapped by one product with the
-transposed superoperator. Each builder computes its own map once. Pulses
-and free evolution are exact 4x4 unitaries U, built by eigendecomposition
-of their generators, acting as kron(U, conj(U)). Gradients are modeled as
-ideal instantaneous dephasing of every coherence connecting different
-total-m subspaces; spatial averaging over the sample is not simulated.
+transposed superoperator. The builders of fixed maps (hard_pulse,
+zeeman_dephase, zq_dephase, selective_pulse) are cached per process, so
+each distinct map is built and checked once. Pulses and free evolution
+are exact 4x4 unitaries U, built by eigendecomposition of their
+generators, acting as kron(U, conj(U)). Gradients are modeled as ideal
+instantaneous dephasing of every coherence connecting different total-m
+subspaces; spatial averaging over the sample is not simulated.
 Relaxation is the closed-form Lindblad semigroup of independent per-spin
 T1/T2 relaxation toward the exact thermal state, for T2 <= 2 T1.
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (
-    _M_TOTAL, _cholesky_certifies, _frozen,
+    _M_TOTAL, _frozen,
     DensityMatrix,
     SpinSystemParams,
     StateValidationError,
@@ -97,7 +99,7 @@ class Channel:
                 f"trace deviates from identity by {tp_dev:.3e}")
         choi = choi.reshape(16, 16)
         herm_dev = np.abs(choi - choi.conj().T).max()
-        if not (herm_dev <= CP_TOL and _cholesky_certifies(choi, _CP_SHIFT)):
+        if not (herm_dev <= CP_TOL and _cholesky_certifies(choi)):
             eigmin = np.linalg.eigvalsh((choi + choi.conj().T) / 2).min()
             if not (herm_dev <= CP_TOL and eigmin >= -CP_TOL):
                 raise ChannelError(
@@ -108,6 +110,18 @@ class Channel:
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """The map on a 4x4 matrix or a (..., 4, 4) stack of them."""
         return _apply_superop(self.superop, np.asarray(m))
+
+
+def _cholesky_certifies(choi: np.ndarray) -> bool:
+    """True when the Hermitian 16x16 choi has no eigenvalue below -CP_TOL:
+    one Cholesky factorization of choi + CP_TOL I succeeds with a finite
+    factor (an overflow gives inf, not a failure), the certificate of
+    states._certifies_one. False decides nothing; the eigenvalues do."""
+    try:
+        factor = np.linalg.cholesky(choi + _CP_SHIFT)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
 
 
 def _apply_superop(sup: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -140,8 +154,11 @@ class ChannelProgram:
         return _frozen(functools.reduce(lambda acc, s: s @ acc, sups))
 
 
+@functools.lru_cache(maxsize=8)
 def hard_pulse(angle_deg: float, phase_deg: float) -> Channel:
     """Non-selective rotation of both spins: exp(-i*theta*(cos(phi)Fx + sin(phi)Fy))."""
+    # -0 and 0 share a cache entry; + 0.0 gives it one label whichever came first
+    angle_deg, phase_deg = angle_deg + 0.0, phase_deg + 0.0
     theta = np.deg2rad(angle_deg)
     phi = np.deg2rad(phase_deg)
     u = _unitary_from_generator(
@@ -193,11 +210,13 @@ def free_evolution(t_s: float, params: SpinSystemParams,
     return Channel(f"evolve({t_s:g},{coupling})", np.kron(u, u.conj()), t_s=t_s)
 
 
+@functools.lru_cache(maxsize=1)
 def zeeman_dephase() -> Channel:
     """Ideal gradient crush: zero every element connecting different total m."""
     return Channel("zeeman_dephase", np.diag(_ZEEMAN_MASK.reshape(16)))
 
 
+@functools.lru_cache(maxsize=1)
 def zq_dephase() -> Channel:
     """Slow-addition model: additionally dephases the zero-quantum 01/10
     block, leaving only the Zeeman diagonal."""
@@ -240,6 +259,7 @@ def relax(t_s: float, params: SpinSystemParams) -> Channel:
 _SELECTIVE_PHASES = {"I": (135.0, 0.0), "S": (45.0, 180.0)}
 
 
+@functools.lru_cache(maxsize=4)
 def selective_pulse(target_spin: str, params: SpinSystemParams) -> ChannelProgram:
     """90-degree rotation of one spin about its +y axis, built from two hard
     90s separated by 1/(4*delta_nu) of chemical-shift evolution. The other
@@ -270,9 +290,8 @@ def filtration_sequence(params: SpinSystemParams) -> ChannelProgram:
     Projects any input toward singlet-triplet diagonal form with equal
     T+1/T-1 weights while leaving the singlet itself untouched.
     """
-    g1 = gradient_period(params)
-    g2 = gradient_period(params)
-    chans = g1 + (hard_pulse(90.0, 0.0),) + g2
+    half = gradient_period(params)
+    chans = half + (hard_pulse(90.0, 0.0),) + half
     return ChannelProgram(
         channels=chans, params=params,
         statements=(("gradient_period",), ("pulse", 90.0, 0.0), ("gradient_period",)),

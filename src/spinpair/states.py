@@ -23,8 +23,6 @@ from .constants import BOLTZMANN_K, PLANCK_H
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_TOL = 1e-10
-# EIG_TOL I, the shift of the Cholesky certificate of positivity
-_EIG_SHIFT = EIG_TOL * np.eye(4)
 
 # Pauli matrices and the 16-element product-operator basis.
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -108,22 +106,21 @@ def check_density(m) -> np.ndarray:
     fails raises StateValidationError with the value of the first member
     failing it, the message DensityMatrix gives for that member alone.
 
-    One 4x4 matrix is first certified in Python scalars (_certifies_one),
-    free of numpy's per-call overhead on 16 numbers. A stack, and a matrix
-    that certificate does not accept, take the numpy checks below, the one
-    source of every refusal and its message. There positivity is
-    certified by one Cholesky factorization of the whole stack
-    (_cholesky_certifies); only when that fails are the eigenvalues
-    computed, and they decide the refusal and its message.
+    Each matrix is first certified by an unrolled Cholesky factorization
+    (_certifies_one): one 4x4 matrix in Python scalars, free of numpy's
+    per-call overhead on 16 numbers, and a stack by the same certificate
+    in numpy over every member at once (_certifies_stack). What it does
+    not accept takes the numpy checks below, the one source of every
+    refusal and its message, where the eigenvalues decide positivity.
 
     Each check tests that its condition holds, so NaN fails it. A
     non-finite entry makes the Hermiticity deviation NaN or inf, so it
     fails the first check, which then names the entry."""
     m = np.asarray(m, dtype=complex)
-    if m.shape == (4, 4) and _certifies_one(m):
-        return m
     if m.shape[-2:] != (4, 4):
         raise StateValidationError(f"expected 4x4 matrices, got {m.shape}")
+    if _certifies_stack(m) if m.ndim > 2 else _certifies_one(m):
+        return m
     mh = m.conj().swapaxes(-1, -2)
     # inf - inf is NaN, which fails below. h is the symmetrized matrix
     # whose eigenvalues are checked (the Hermiticity slack is 1e-12);
@@ -143,8 +140,6 @@ def check_density(m) -> np.ndarray:
     ok = abs(tr - 1.0) <= TRACE_TOL
     if not ok.all():
         raise StateValidationError(f"trace {_first_failing(tr, ok)} differs from 1 beyond tolerance")
-    if _cholesky_certifies(h, _EIG_SHIFT):
-        return m
     try:
         eigmin = np.linalg.eigvalsh(h).min(axis=-1)
     except np.linalg.LinAlgError as exc:
@@ -160,13 +155,15 @@ def _certifies_one(m: np.ndarray) -> bool:
     three checks, decided in Python scalars on one .tolist() read: the
     moduli |m[i][j] - conj(m[j][i])| over the lower triangle sum to at most
     HERM_TOL / 2, |trace - 1| is at most TRACE_TOL / 2, and an unrolled
-    Cholesky factorization of (m + m^H)/2 + EIG_TOL I, the certificate of
-    _cholesky_certifies, has every pivot in (0, inf). The halved bounds
-    leave room for numpy's own rounding of the moduli and of the trace
-    (whose diagonal the factorization bounds), so the first two checks
-    hold in numpy's arithmetic too. False decides nothing. Overflow gives
-    inf, and NaN fails every test; only abs of a complex raises
-    (OverflowError) where numpy gives inf, so it alone sits in a try."""
+    Cholesky factorization of (m + m^H)/2 + EIG_TOL I has every pivot in
+    (0, inf), which holds exactly when that matrix is numerically positive
+    definite (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 10). The halved bounds leave room for numpy's own rounding of
+    the moduli and of the trace (whose diagonal the factorization bounds),
+    so the first two checks hold in numpy's arithmetic too. False decides
+    nothing. Overflow gives inf, and NaN fails every test; only abs of a
+    complex raises (OverflowError) where numpy gives inf, so it alone sits
+    in a try."""
     ((a00, a01, a02, a03), (a10, a11, a12, a13),
      (a20, a21, a22, a23), (a30, a31, a32, a33)) = m.tolist()
     try:
@@ -205,23 +202,28 @@ def _certifies_one(m: np.ndarray) -> bool:
     return 0 < p < math.inf
 
 
-def _cholesky_certifies(h: np.ndarray, shift: np.ndarray) -> bool:
-    """True when every Hermitian matrix of the (..., k, k) stack h has no
-    eigenvalue below -tol, for the (k, k) shift = tol I, certified by one
-    Cholesky factorization of h + shift: it succeeds with a finite factor
-    exactly when that matrix is numerically positive definite (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10).
-    False decides nothing; the eigenvalues then do. An overflowed entry
-    gives a non-finite factor rather than a failure, hence the finiteness
-    test. One 4x4 matrix is certified before this by _certifies_one, the
-    same factorization unrolled in Python scalars. Neither certificate
-    refuses anything: refusals and their messages come from
-    check_density's numpy checks alone."""
-    try:
-        factor = np.linalg.cholesky(h + shift)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(factor).all())
+def _certifies_stack(m: np.ndarray) -> bool:
+    """True when every matrix of the complex (..., 4, 4) stack m passes
+    _certifies_one's certificate: the same sums and pivots, written as a
+    loop over the factor's columns and evaluated in numpy on the (...)
+    arrays of m's sixteen entries (|a_ii - conj(a_ii)| is the 2 |Im a_ii|
+    of its sum). Overflow and NaN fail the tests quietly, as they do
+    there. False decides nothing."""
+    a = [list(row) for row in np.moveaxis(m, (-2, -1), (0, 1))]
+    with np.errstate(all="ignore"):
+        dev = sum(abs(a[i][j] - a[j][i].conj()) for i in range(4) for j in range(i + 1))
+        ok = ((dev <= HERM_TOL / 2)
+              & (abs(a[0][0] + a[1][1] + a[2][2] + a[3][3] - 1.0) <= TRACE_TOL / 2))
+        low = {}  # (i, j): the factor's entry below the diagonal
+        for j in range(4):
+            p = a[j][j].real + EIG_TOL - sum((low[j, k] * low[j, k].conj()).real
+                                             for k in range(j))
+            ok &= (0 < p) & (p < np.inf)
+            s = np.sqrt(p)
+            for i in range(j + 1, 4):
+                low[i, j] = ((a[i][j] + a[j][i].conj()) * 0.5
+                             - sum(low[i, k] * low[j, k].conj() for k in range(j))) / s
+    return bool(ok.all())
 
 
 def _first_failing(values, ok):

@@ -312,6 +312,56 @@ def test_filtration_channel_count():
                       "zeeman_dephase"]
 
 
+@pytest.mark.parametrize("delta_nu", [420.0, 492.0, 580.0, 60.0])
+def test_filtration_builds_one_gradient_period_for_both_halves(monkeypatch, delta_nu):
+    p = SpinSystemParams(delta_nu_hz=delta_nu)
+    # the map of two gradient periods built apart, as it was composed before
+    two_halves = ChannelProgram(
+        channels=gradient_period(p) + (hard_pulse(90.0, 0.0),) + gradient_period(p), params=p)
+    calls = []
+    monkeypatch.setattr(channels, "free_evolution",
+                        lambda *args: calls.append(args) or free_evolution(*args))
+    prog = filtration_sequence(p)
+    assert len(calls) == 1 and prog.channels[0] is prog.channels[3]
+    assert np.array_equal(prog.superop, two_halves.superop)
+
+
+CACHED_BUILDS = [(hard_pulse, (90.0, 0.0)), (hard_pulse, (90.0, 135.0)),
+                 (hard_pulse, (90, 90)), (hard_pulse, (217.3, 31.0)),
+                 (zeeman_dephase, ()), (zq_dephase, ()),
+                 (selective_pulse, ("I", SpinSystemParams())),
+                 (selective_pulse, ("S", SpinSystemParams(delta_nu_hz=420.0)))]
+
+
+@pytest.mark.parametrize("builder, args", CACHED_BUILDS)
+def test_cached_builder_serves_the_map_it_would_build(builder, args):
+    builder.cache_clear()
+    first = builder(*args)
+    assert builder(*args) is first and builder.cache_info().hits == 1
+    fresh = builder.__wrapped__(*args)
+    assert np.array_equal(first.superop, fresh.superop) and not first.superop.flags.writeable
+    if isinstance(first, Channel):
+        assert first.label == fresh.label and first.t_s == fresh.t_s
+    else:
+        assert [c.label for c in first.channels] == [c.label for c in fresh.channels]
+
+
+@pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)], ids=["zero-first", "minus-first"])
+def test_signed_zero_pulse_label_does_not_depend_on_call_order(order):
+    hard_pulse.cache_clear()
+    pulses = [hard_pulse(90, phase) for phase in order] + [hard_pulse(-0.0, -0.0)]
+    assert [ch.label for ch in pulses] == ["pulse(90,0)", "pulse(90,0)", "pulse(0,0)"]
+    assert np.array_equal(pulses[0].superop, hard_pulse.__wrapped__(90, order[1]).superop)
+
+
+def test_free_evolution_warns_on_every_call():
+    # free_evolution is not cached: a repeated marginal delay warns again
+    p = SpinSystemParams(delta_nu_hz=20.0, j_hz=5.0)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="secular approximation is marginal"):
+            free_evolution(1e-3, p)
+
+
 def test_apply_rejects_negative_duration():
     with pytest.raises(ChannelError):
         free_evolution(-1.0, SpinSystemParams())
@@ -646,7 +696,9 @@ def test_complete_positivity_flag_at_the_tolerance(factor):
 
 def test_complete_positivity_flag_without_the_certificate(monkeypatch):
     # with every Cholesky certificate refused, eigvalsh alone decides
-    monkeypatch.setattr(channels, "_cholesky_certifies", lambda h, shift: False)
+    monkeypatch.setattr(channels, "_cholesky_certifies", lambda choi: False)
+    for builder in (hard_pulse, zeeman_dephase, zq_dephase):
+        builder.cache_clear()  # so each channel is built, and checked, again
     every_constructor()
     channel_with_choi_min_eigenvalue(0.9 * CP_TOL)
     with pytest.raises(ChannelError, match="not completely positive"):

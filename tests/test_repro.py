@@ -777,9 +777,34 @@ def test_paper_repro_matches_recorded_table(tmp_path, capsys, golden, argv):
     # state (value and reference tanh(B/2)/2 moved by rel 3.5e-10); the two
     # filtration residues, the inversion residual and the zq-dephasing
     # deviation are rounding noise, pinned absolutely
-    assert main(["paper-repro", *argv, "--out", str(tmp_path)]) == 0
+    assert_matches_golden(cli_paper_repro(tmp_path, capsys, argv), golden)
+
+
+def test_paper_repro_carries_nothing_from_one_call_into_the_next(tmp_path, capsys):
+    # the cached channel builders and readout models serve later calls in
+    # the same process: each call still matches its golden, and a repeated
+    # delta_nu gives the same file
+    runs = [("paper_repro_420.json", ["--delta-nu-hz", "420"]),
+            ("paper_repro_580.json", ["--delta-nu-hz", "580"]),
+            ("paper_repro.json", []),
+            ("paper_repro_420.json", ["--delta-nu-hz", "420"])]
+    texts = []
+    for i, (golden, argv) in enumerate(runs):
+        out = tmp_path / str(i)
+        assert_matches_golden(cli_paper_repro(out, capsys, argv), golden)
+        texts.append([(out / name).read_bytes()
+                      for name in ("paper_repro.json", "paper_repro.txt")])
+    assert texts[0] == texts[3]
+
+
+def cli_paper_repro(out, capsys, argv):
+    """The table `spinpair paper-repro ARGV --out OUT` writes, as read back."""
+    assert main(["paper-repro", *argv, "--out", str(out)]) == 0
     capsys.readouterr()
-    got = json.loads((tmp_path / "paper_repro.json").read_text(encoding="utf-8"))
+    return json.loads((out / "paper_repro.json").read_text(encoding="utf-8"))
+
+
+def assert_matches_golden(got, golden):
     want = json.loads((DATA / golden).read_text(encoding="utf-8"))
     assert got["all_pass"] is want["all_pass"] is True
     assert [r["name"] for r in got["rows"]] == [r["name"] for r in want["rows"]]

@@ -522,11 +522,11 @@ def _with_smallest_eigenvalue(rng, lam_min, n):
 
 @pytest.fixture(params=["certificate", "eigvalsh-only"])
 def certificate(request, monkeypatch):
-    """Runs a test as is, and once with every Cholesky certificate refused,
-    the single-matrix one included, so that the eigvalsh fallback alone
-    decides."""
+    """Runs a test as is, and once with both Cholesky certificates refused,
+    the single-matrix one and the stack one, so that the eigvalsh fallback
+    alone decides."""
     if request.param == "eigvalsh-only":
-        monkeypatch.setattr(states, "_cholesky_certifies", lambda h, shift: False)
+        monkeypatch.setattr(states, "_certifies_stack", lambda m: False)
         monkeypatch.setattr(states, "_certifies_one", lambda m: False)
 
 
@@ -653,6 +653,75 @@ def test_single_matrix_certificate_accepts_only_what_the_oracle_accepts(factor):
     certified = [states._certifies_one(member) for member in m]
     accepted = [_outcome(eigvalsh_check_density, member) is None for member in m]
     assert certified == accepted
+
+
+def lapack_stack_certifies(m):
+    """The stack certificate before the unrolled one: the Hermiticity and
+    trace checks, then one LAPACK Cholesky factorization of the whole
+    symmetrized stack plus EIG_TOL I with a finite factor; kept as the
+    oracle."""
+    mh = m.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not ((np.abs(m - mh).max(axis=(-2, -1)) <= HERM_TOL).all()
+                and (abs(m.trace(axis1=-2, axis2=-1) - 1.0) <= TRACE_TOL).all()):
+            return False
+        h = (m + mh) / 2
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(h + EIG_TOL * np.eye(4))).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def test_stack_certificate_accepts_only_what_the_oracle_accepts():
+    valid, kicked = _valid_and_kicked(13)
+    stacks = [valid, kicked]
+    for m in (valid, kicked):
+        stacks += [m.reshape(10, 100, 4, 4), *m.reshape(100, 10, 4, 4)]
+    certified = [states._certifies_stack(stack) for stack in stacks]
+    accepted = [_outcome(eigvalsh_check_density, stack) is None for stack in stacks]
+    by_lapack = [lapack_stack_certifies(stack) for stack in stacks]
+    assert 10 < sum(certified) < len(stacks) - 10
+    assert all(a for c, a in zip(certified, accepted) if c)
+    assert all(c for c, a, o in zip(certified, accepted, by_lapack) if a and o)
+    # member by member, the stack certificate is the single-matrix one
+    members = kicked.reshape(1000, 1, 4, 4)
+    assert ([states._certifies_stack(m) for m in members]
+            == [states._certifies_one(m[0]) for m in members])
+
+
+def test_stack_certificate_on_empty_and_nested_stacks():
+    assert states._certifies_stack(np.zeros((0, 4, 4), dtype=complex))
+    nested = _valid_and_kicked(29)[0][:6].reshape(2, 3, 4, 4)
+    assert states._certifies_stack(nested)
+    assert np.array_equal(check_density(nested), nested)
+    nested[1, 2] = _with_smallest_eigenvalue(np.random.default_rng(29), -3.21e-10, 1)[0]
+    assert not states._certifies_stack(nested)
+    assert _outcome(check_density, nested) == "negative eigenvalue -3.210e-10"
+
+
+def test_member_within_herm_tol_but_past_the_halved_sum_takes_the_fallback(monkeypatch):
+    # a Hermiticity sum in (HERM_TOL / 2, HERM_TOL] is outside the
+    # certificate but inside check_density's rule: eigvalsh accepts it
+    stack = _valid_and_kicked(31)[0][:8].copy()
+    stack[5, 0, 1] += 0.7 * HERM_TOL
+    assert HERM_TOL / 2 < np.abs(stack[5] - stack[5].conj().T).sum() / 2 <= HERM_TOL
+    assert not states._certifies_stack(stack)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
+    assert np.array_equal(check_density(stack), stack) and len(calls) == 1
+
+
+def test_a_valid_stack_is_certified_without_numpy_linear_algebra(monkeypatch):
+    valid = _valid_and_kicked(37)[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a valid stack reached numpy's linear algebra")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for stack in (valid, valid.reshape(10, 100, 4, 4), valid[:1]):
+        assert np.array_equal(check_density(stack), stack)
 
 
 def test_check_density_shapes():
